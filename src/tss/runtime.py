@@ -8,6 +8,13 @@ types per channel: the provider-side type and the consumer-side type.  Most
 rules keep them identical; the rules with time slack (forwarding and the
 now!/when? pairs) re-anchor one side, and the gap they open is exactly the
 weak subtyping the configuration typing allows.
+
+`Engine.run` copies its input once and rewrites that private copy in
+place, keeping the enabled rules in an index that each step updates only
+around the channels it touched.  Its `on_step` callback receives the live
+copy: it may read it but must neither keep nor change it.  `Engine.step`
+stays functional: it leaves its input unchanged and returns the next
+configuration.
 """
 
 from __future__ import annotations
@@ -173,18 +180,12 @@ class RoundRobin:
         self._last: Optional[str] = None
 
     def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
-        order = [c for c in config.order if c in candidates]
-        if not order:
+        order = config.order
+        start = order.index(self._last) + 1 if self._last in order else 0
+        choice = next((c for c in order[start:] if c in candidates), None) \
+            or next((c for c in order if c in candidates), None)
+        if choice is None:
             return None
-        if self._last is not None and self._last in config.order:
-            start = config.order.index(self._last) + 1
-            rotated = [c for c in config.order[start:] if c in candidates]
-            if rotated:
-                choice = rotated[0]
-            else:
-                choice = order[0]
-        else:
-            choice = order[0]
         self._last = choice
         return candidates[choice]
 
@@ -208,12 +209,12 @@ class TimeSynchronous:
         if not candidates:
             return None
         order = [c for c in config.order if c in candidates]
-        undelayed = [c for c in order if candidates[c].name != "○C"]
-        if undelayed:
-            return candidates[undelayed[0]]
-        best = min(order, key=lambda c: (config.objs[c].time,
-                                         config.order.index(c)))
-        return candidates[best]
+        undelayed = next((c for c in order if candidates[c].name != "○C"),
+                         None)
+        if undelayed is not None:
+            return candidates[undelayed]
+        # min keeps the first of equal times, i.e. the earliest created.
+        return candidates[min(order, key=lambda c: config.objs[c].time)]
 
 
 def make_scheduler(name: str, seed: int = 0):
@@ -233,13 +234,91 @@ def make_scheduler(name: str, seed: int = 0):
 class _Rule:
     name: str
     consumed: list[Obj]
-    apply: Callable[[Configuration], Configuration]
+    # Rewrites the configuration in place and returns the objects it wrote,
+    # in the configuration's order.
+    apply: Callable[[Configuration], list[Obj]]
+
+
+class _Index:
+    """The enabled rules of one configuration, kept current while rules
+    rewrite it in place.
+
+    A proc's rule reads only the objects next to it: its own, the providers
+    of the channels it uses, and its client (the message acting on or
+    forwarded into its channel).  So after a rule fires, only the objects at
+    the channels it consumed or produced, at the channels those objects
+    use, and at the clients of those channels are matched again: each
+    firing updates the match state instead of rebuilding it, as in Rete
+    (Forgy 1982)."""
+
+    def __init__(self, engine: "Engine", config: Configuration):
+        self.engine = engine
+        self.config = config
+        self.used: dict[str, set[str]] = {}  # chan -> channels its object uses
+        self.client: dict[str, str] = {}  # chan -> the object using it
+        self.neg_acting: dict[str, Obj] = {}  # chan -> msg acting on it
+        self.mentions: dict[str, Obj] = {}  # chan -> msg using it
+        self.rules: dict[str, _Rule] = {}  # chan -> rule of its proc
+        for o in config.objs.values():
+            self._link(o)
+        for c in config.objs:
+            self._match(c)
+
+    def _link(self, o: Obj) -> None:
+        used = free_chans(o.body) - {o.chan}
+        self.used[o.chan] = used
+        for y in used:
+            self.client[y] = o.chan
+        if o.kind == "msg":
+            for y in used:
+                self.mentions[y] = o
+            if not isinstance(o.body, Close) and o.body.chan != o.chan:
+                self.neg_acting[o.body.chan] = o
+
+    def _unlink(self, o: Obj) -> set[str]:
+        used = self.used.pop(o.chan)
+        for y in used:
+            if self.client.get(y) == o.chan:
+                del self.client[y]
+            if self.mentions.get(y) is o:
+                del self.mentions[y]
+            if self.neg_acting.get(y) is o:
+                del self.neg_acting[y]
+        return used
+
+    def _match(self, chan: str) -> None:
+        o = self.config.objs.get(chan)
+        rule = None if o is None or o.kind != "proc" else self.engine._rule_for(
+            self.config, o, self.neg_acting, self.mentions)
+        if rule is None:
+            self.rules.pop(chan, None)
+        else:
+            self.rules[chan] = rule
+
+    def fire(self, rule: _Rule) -> list[Obj]:
+        """Apply `rule` in place and match its neighbourhood again; returns
+        the objects it produced."""
+        touched = {o.chan for o in rule.consumed}
+        near: set[str] = set()
+        for o in rule.consumed:
+            near |= self._unlink(o)
+        produced = rule.apply(self.config)
+        for o in produced:
+            self._link(o)
+            touched.add(o.chan)
+            near |= self.used[o.chan]
+        near |= touched
+        near.update(self.client[c] for c in touched if c in self.client)
+        for c in near:
+            self._match(c)
+        return produced
 
 
 class Engine:
     def __init__(self, sig: Signature, ops: TypeOps | None = None):
         self.sig = sig
         self.ops = ops or TypeOps(sig)
+        self._live: _Index | None = None  # index of the copy `run` rewrites
 
     # -- helpers ------------------------------------------------------------
     def _fresh(self, config: Configuration) -> str:
@@ -259,15 +338,11 @@ class Engine:
             raise RunError(f"interface of {chan} undefined at its own time")
         return self.ops.expose(t)
 
-    def _add(self, config: Configuration, obj: Obj,
-             ptype: SessionType | None = None,
-             ctype: SessionType | None = None) -> None:
+    def _add(self, config: Configuration, obj: Obj, ptype: SessionType) -> None:
+        """A fresh channel: both sides of its interface start at `ptype`."""
         config.objs[obj.chan] = obj
-        if obj.chan not in config.order:
-            config.order.append(obj.chan)
-        if ptype is not None:
-            config.ptypes[obj.chan] = ptype
-            config.ctypes[obj.chan] = ctype if ctype is not None else ptype
+        config.order.append(obj.chan)
+        config.ptypes[obj.chan] = config.ctypes[obj.chan] = ptype
 
     def _drop(self, config: Configuration, chan: str) -> None:
         del config.objs[chan]
@@ -277,25 +352,13 @@ class Engine:
 
     # -- enabled-rule discovery ----------------------------------------------
     def enabled(self, config: Configuration) -> dict[str, _Rule]:
-        """For each proc object that can fire, its unique rule instance."""
-        neg_acting: dict[str, Obj] = {}
-        mentions: dict[str, Obj] = {}
-        for o in config.objs.values():
-            if o.kind != "msg":
-                continue
-            acted = o.body.chan if not isinstance(o.body, Close) else None
-            if acted is not None and acted != o.chan:
-                neg_acting[acted] = o
-            for m in free_chans(o.body) - {o.chan}:
-                mentions[m] = o
-        out: dict[str, _Rule] = {}
-        for o in config.objs.values():
-            if o.kind != "proc":
-                continue
-            r = self._rule_for(config, o, neg_acting, mentions)
-            if r is not None:
-                out[o.chan] = r
-        return out
+        """For each proc object that can fire, its unique rule instance: read
+        off the index of the copy a `run` is rewriting, built from scratch
+        for any other configuration."""
+        live = self._live
+        if live is not None and live.config is config:
+            return live.rules
+        return _Index(self, config).rules
 
     def _rule_for(self, config: Configuration, o: Obj,
                   neg_acting: dict[str, Obj],
@@ -378,12 +441,13 @@ class Engine:
         return None
 
     # -- rule bodies ----------------------------------------------------------
+    # Each rewrites the configuration in place and returns the objects it
+    # wrote, in the configuration's order.
     # Channels keep their tracked interfaces for as long as they live, so a
     # rule replaces the object at a surviving channel in place and only
     # drops channels that die.
 
-    def _send_label(self, config: Configuration, o: Obj) -> Configuration:
-        config = config.copy()
+    def _send_label(self, config: Configuration, o: Obj) -> list[Obj]:
         body = o.body
         assert isinstance(body, SendLabel)
         chan, label, cont = body.chan, body.label, body.cont
@@ -407,10 +471,9 @@ class Engine:
             self._add(config, Obj("msg", fresh, o.time,
                                   SendLabel(chan, label, Fwd(fresh, chan))),
                       nxt)
-        return config
+        return [config.objs[o.chan], config.objs[fresh]]
 
-    def _send_chan(self, config: Configuration, o: Obj) -> Configuration:
-        config = config.copy()
+    def _send_chan(self, config: Configuration, o: Obj) -> list[Obj]:
         body = o.body
         assert isinstance(body, SendChan)
         chan, payload, cont = body.chan, body.payload, body.cont
@@ -434,15 +497,13 @@ class Engine:
             self._add(config, Obj("msg", fresh, o.time,
                                   SendChan(chan, payload, Fwd(fresh, chan))),
                       nxt)
-        return config
+        return [config.objs[o.chan], config.objs[fresh]]
 
-    def _close(self, config: Configuration, o: Obj) -> Configuration:
-        config = config.copy()
+    def _close(self, config: Configuration, o: Obj) -> list[Obj]:
         config.objs[o.chan] = Obj("msg", o.chan, o.time, o.body)
-        return config
+        return [config.objs[o.chan]]
 
-    def _now(self, config: Configuration, o: Obj) -> Configuration:
-        config = config.copy()
+    def _now(self, config: Configuration, o: Obj) -> list[Obj]:
         body = o.body
         assert isinstance(body, Now)
         chan, cont = body.chan, body.cont
@@ -465,10 +526,9 @@ class Engine:
                                       rename_chans(cont, {chan: fresh}))
             self._add(config, Obj("msg", fresh, o.time,
                                   Now(chan, Fwd(fresh, chan))), nxt)
-        return config
+        return [config.objs[o.chan], config.objs[fresh]]
 
-    def _cut(self, config: Configuration, o: Obj) -> Configuration:
-        config = config.copy()
+    def _cut(self, config: Configuration, o: Obj) -> list[Obj]:
         body = o.body
         assert isinstance(body, Cut)
         fresh = self._fresh(config)
@@ -478,10 +538,9 @@ class Engine:
         self._add(config, Obj("proc", fresh, o.time,
                               rename_chans(body.body, sub)),
                   next_type(o.time, body.annot))
-        return config
+        return [config.objs[o.chan], config.objs[fresh]]
 
-    def _def(self, config: Configuration, o: Obj) -> Configuration:
-        config = config.copy()
+    def _def(self, config: Configuration, o: Obj) -> list[Obj]:
         body = o.body
         assert isinstance(body, (Spawn, TailCall))
         proc, chans = body.proc, body.chans
@@ -504,10 +563,9 @@ class Engine:
         config.objs[o.chan] = Obj("proc", o.chan, o.time, cont)
         self._add(config, Obj("proc", fresh, o.time, spawned),
                   next_type(o.time, decl.offer_type))
-        return config
+        return [config.objs[o.chan], config.objs[fresh]]
 
-    def _delay(self, config: Configuration, o: Obj) -> Configuration:
-        config = config.copy()
+    def _delay(self, config: Configuration, o: Obj) -> list[Obj]:
         body = o.body
         assert isinstance(body, Delay)
         if not isinstance(body.count, int):
@@ -515,11 +573,10 @@ class Engine:
         cont = body.cont if body.count == 1 else \
             Delay(body.count - 1, body.origin, body.cont)
         config.objs[o.chan] = Obj(o.kind, o.chan, o.time + 1, cont)
-        return config
+        return [config.objs[o.chan]]
 
-    def _case_pos(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _case_pos(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # +C: positive label message meets a client case.
-        config = config.copy()
         mb, ob = m.body, o.body
         assert isinstance(mb, SendLabel) and isinstance(ob, Case)
         cont = dict(ob.branches)[mb.label]
@@ -527,12 +584,11 @@ class Engine:
         self._drop(config, m.chan)
         config.objs[o.chan] = Obj("proc", o.chan, o.time,
                                   rename_chans(cont, {ob.chan: nxt_chan}))
-        return config
+        return [config.objs[o.chan]]
 
-    def _case_neg(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _case_neg(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # &C: provider case meets a negative label message; the provider
         # continues by providing the message's fresh channel.
-        config = config.copy()
         mb, ob = m.body, o.body
         assert isinstance(mb, SendLabel) and isinstance(ob, Case)
         cont = dict(ob.branches)[mb.label]
@@ -540,19 +596,17 @@ class Engine:
         self._drop(config, o.chan)
         config.objs[fresh] = Obj("proc", fresh, o.time,
                                  rename_chans(cont, {ob.chan: fresh}))
-        return config
+        return [config.objs[fresh]]
 
-    def _wait(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
-        config = config.copy()
+    def _wait(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         ob = o.body
         assert isinstance(ob, Wait)
         self._drop(config, m.chan)
         config.objs[o.chan] = Obj("proc", o.chan, o.time, ob.cont)
-        return config
+        return [config.objs[o.chan]]
 
-    def _recv_pos(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _recv_pos(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # *C: positive channel-send message meets a client receive.
-        config = config.copy()
         mb, ob = m.body, o.body
         assert isinstance(mb, SendChan) and isinstance(ob, RecvChan)
         nxt_chan = mb.cont.src
@@ -560,11 +614,10 @@ class Engine:
         self._drop(config, m.chan)
         config.objs[o.chan] = Obj("proc", o.chan, o.time,
                                   rename_chans(ob.cont, sub))
-        return config
+        return [config.objs[o.chan]]
 
-    def _recv_neg(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _recv_neg(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # -oC: provider receive meets a negative channel-send message.
-        config = config.copy()
         mb, ob = m.body, o.body
         assert isinstance(mb, SendChan) and isinstance(ob, RecvChan)
         fresh = m.chan
@@ -572,11 +625,10 @@ class Engine:
         self._drop(config, o.chan)
         config.objs[fresh] = Obj("proc", fresh, o.time,
                                  rename_chans(ob.cont, sub))
-        return config
+        return [config.objs[fresh]]
 
-    def _fwd_up(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _fwd_up(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # id+C: message travels up through the forward: msg(d), fwd c<-d.
-        config = config.copy()
         ob = o.body
         assert isinstance(ob, Fwd)
         newbody = rename_chans(m.body, {ob.src: o.chan})
@@ -584,11 +636,10 @@ class Engine:
         self._drop(config, m.chan)
         config.objs[o.chan] = Obj("msg", o.chan, m.time, newbody)
         config.ptypes[o.chan] = ptype
-        return config
+        return [config.objs[o.chan]]
 
-    def _fwd_down(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _fwd_down(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # id-C: the sole client of c is a message; redirect it to d.
-        config = config.copy()
         ob = o.body
         assert isinstance(ob, Fwd)
         newbody = rename_chans(m.body, {o.chan: ob.src})
@@ -596,7 +647,7 @@ class Engine:
         self._drop(config, o.chan)
         config.objs[m.chan] = Obj("msg", m.chan, m.time, newbody)
         config.ctypes[ob.src] = ctype
-        return config
+        return [config.objs[m.chan]]
 
     def _reanchor(self, config: Configuration, proc: Obj, old_time: int,
                   new_time: int, skip: set[str]) -> None:
@@ -617,10 +668,9 @@ class Engine:
                 raise RunError(f"cannot re-anchor {proc.chan}")
             config.ptypes[proc.chan] = next_type(new_time, local)
 
-    def _when_client(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _when_client(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # <>C: now! message (positive) meets a waiting client; the client
         # jumps forward to the message's time.
-        config = config.copy()
         mb, ob = m.body, o.body
         assert isinstance(mb, Now) and isinstance(ob, When)
         nxt_chan = mb.cont.src
@@ -629,12 +679,11 @@ class Engine:
         newproc = Obj("proc", o.chan, m.time, cont)
         self._reanchor(config, newproc, o.time, m.time, skip={nxt_chan})
         config.objs[o.chan] = newproc
-        return config
+        return [config.objs[o.chan]]
 
-    def _when_provider(self, config: Configuration, o: Obj, m: Obj) -> Configuration:
+    def _when_provider(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # []C: waiting provider meets a negative now! message; the provider
         # jumps forward and continues by providing the fresh channel.
-        config = config.copy()
         mb, ob = m.body, o.body
         assert isinstance(mb, Now) and isinstance(ob, When)
         fresh = m.chan
@@ -643,13 +692,16 @@ class Engine:
         self._reanchor(config, newproc, o.time, m.time, skip={fresh})
         self._drop(config, o.chan)
         config.objs[fresh] = newproc
-        return config
+        return [config.objs[fresh]]
 
     # -- stepping -------------------------------------------------------------
     def step(self, config: Configuration, scheduler,
              trace: Trace | None = None) -> Optional[Configuration]:
-        """Apply one enabled rule chosen by the scheduler; None if quiescent.
-        Raises StuckError if nothing is enabled but an object is not poised."""
+        """Apply one enabled rule chosen by the scheduler and return the next
+        configuration; None if quiescent.  Raises StuckError if nothing is
+        enabled but an object is not poised.  The input is left unchanged,
+        except for the copy a `run` in progress rewrites: that one is
+        rewritten in place and returned."""
         candidates = self.enabled(config)
         rule = scheduler.pick(config, candidates) if candidates else None
         if rule is None:
@@ -659,28 +711,38 @@ class Engine:
                     f"configuration is stuck and not poised: "
                     f"{', '.join(o.render() for o in bad)}")
             return None
-        before = rule.consumed
-        out = rule.apply(config)
+        live = self._live
+        if live is not None and live.config is config:
+            produced = live.fire(rule)
+        else:
+            config = config.copy()
+            produced = rule.apply(config)
         if trace is not None:
-            produced = [out.objs[c] for c in out.objs
-                        if c not in config.objs or out.objs[c] is not config.objs[c]]
-            trace.add(rule.name, before, produced)
-        return out
+            trace.add(rule.name, rule.consumed, produced)
+        return config
 
     def run(self, config: Configuration, scheduler, step_budget: int = 10_000,
             trace: Trace | None = None,
             on_step: Callable[[Configuration], None] | None = None):
         """Iterate until quiescence or the budget is exhausted.
         Returns (final configuration, status) with status in
-        {"quiescent", "budget"}."""
-        for _ in range(step_budget):
-            nxt = self.step(config, scheduler, trace)
-            if nxt is None:
-                return config, "quiescent"
-            config = nxt
-            if on_step is not None:
-                on_step(config)
-        return config, "budget"
+        {"quiescent", "budget"}.
+
+        The input is copied once and the copy rewritten in place, with its
+        enabled rules in an index that each step updates around the
+        channels it touched.  `on_step` gets that live copy after every
+        step: it may read it, but must neither keep nor change it."""
+        work = config.copy()
+        outer, self._live = self._live, _Index(self, work)
+        try:
+            for _ in range(step_budget):
+                if self.step(work, scheduler, trace) is None:
+                    return work, "quiescent"
+                if on_step is not None:
+                    on_step(work)
+            return work, "budget"
+        finally:
+            self._live = outer
 
 
 # ---------------------------------------------------------------------------

@@ -167,17 +167,42 @@ class TypeOps:
                 return None
 
     def shift_left_n(self, t: SessionType, n: int) -> Optional[SessionType]:
-        for _ in range(n):
-            t = self.shift_left(t)
-            if t is None:
-                return None
-        return t
+        """`shift_left` applied n times, in time independent of n."""
+        return self._shift_n(t, n, Box)
 
     def shift_right_n(self, t: SessionType, n: int) -> Optional[SessionType]:
-        for _ in range(n):
-            t = self.shift_right(t)
-            if t is None:
-                return None
+        """`shift_right` applied n times, in time independent of n."""
+        return self._shift_n(t, n, Diamond)
+
+    def _shift_n(self, t: SessionType, n: int, keeps) -> Optional[SessionType]:
+        """n one-step shifts at once, with the result structurally equal to
+        the step-by-step loop's: a normalized `Next` gives up its whole count,
+        a `keeps` head absorbs the remaining steps, and on reaching a defined
+        name again (an infinite delay tower such as `x = ()x`) n is reduced
+        modulo the tower's period."""
+        seen: dict[TypeName, int] = {}
+        while n > 0:
+            if isinstance(t, TypeName):
+                if t in seen:
+                    n %= seen[t] - n
+                    seen.clear()
+                    continue
+                seen[t] = n
+                t = self.unfold(t)
+            match t:
+                case Next(count, Next()):
+                    # Not normalized: one step merges a level, as the loop's.
+                    t = next_type(count - 1, t.inner)
+                    n -= 1
+                case Next(count, inner):
+                    if count > n:
+                        return Next(count - n, inner)
+                    n -= count
+                    t = inner
+                case _ if isinstance(t, keeps):
+                    return t
+                case _:
+                    return None
         return t
 
     # -- patience ------------------------------------------------------------

@@ -5,7 +5,8 @@ Criterion 7 is a known, analyzed red: the quoted fold bound (k+5)n+4 is
 inconsistent with the fold's own list and folder protocols, under which one
 accumulator round trip costs k+6 units.  The criterion is implemented
 faithfully and fails for n >= 1; the corrected bound (k+6)n+4 is exercised
-in test_corpus via fold_rs.tss.  See notes/decisions.md in the work tree.
+in test_corpus via fold_rs.tss.  See "Criterion 7: the fold bound" in
+README.md.
 """
 
 import pytest
@@ -47,7 +48,8 @@ def test_criterion_06_tree_span():
 
 @pytest.mark.xfail(strict=True, reason="stated fold bound (k+5)n+4 is "
                    "inconsistent with the fold's own list/folder protocols "
-                   "(one round trip costs k+6); see the decisions ledger")
+                   "(one round trip costs k+6); see 'Criterion 7: the "
+                   "fold bound' in README.md")
 def test_criterion_07_fold_bound():
     _run(7)
 

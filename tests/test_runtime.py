@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+from fuzzgen import gen_program
+from tss import corpus
 from tss.ast import Close, Fwd, SendLabel, TailCall
 from tss.checker import check_signature
 from tss.cost import instrument
@@ -230,3 +232,80 @@ def test_cyclic_wiring_rejected(six):
         {"c1": one, "c2": one}, {"c1": one, "c2": one})
     with pytest.raises(ConfigTypeError, match="cyclic"):
         check_configuration(ops, {}, cfg, {})
+
+
+# ---------------------------------------------------------------------------
+# The incremental index against a rebuild, and `run` against a `step` loop
+
+def _rule_view(rules):
+    return {c: (r.name, r.consumed) for c, r in rules.items()}
+
+
+def _check_index_and_trace(sig, ops, main, steps):
+    for sched, seed in (("rr", 0), ("rand", 3), ("sync", 0)):
+        eng = Engine(sig, ops)
+        start = init_config(sig, main)
+
+        def on_step(c):
+            # On the live copy `enabled` reads the run's index (the same
+            # dict each time); on a copy it matches from scratch.
+            index = eng.enabled(c)
+            assert index is eng.enabled(c)
+            assert _rule_view(index) == _rule_view(eng.enabled(c.copy()))
+
+        trace = Trace()
+        final, _ = eng.run(start, make_scheduler(sched, seed), steps,
+                           trace=trace, on_step=on_step)
+        assert start == init_config(sig, main)  # the input is not rewritten
+
+        manual = Trace()
+        cfg, scheduler = start, make_scheduler(sched, seed)
+        for _ in range(steps):
+            nxt = eng.step(cfg, scheduler, manual)
+            if nxt is None:
+                break
+            cfg = nxt
+        assert trace.to_text() == manual.to_text()
+        assert final == cfg
+
+
+@pytest.mark.parametrize("spec", corpus.run_specs(),
+                         ids=lambda s: f"{s.file}:{s.main}{s.bind}")
+def test_index_and_trace_on_corpus_runs(spec):
+    elab, ops, main = corpus.prepare_run(spec)
+    _check_index_and_trace(elab, ops, main, spec.steps)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_index_and_trace_on_generated_programs(seed):
+    sig = gen_program(seed)
+    _check_index_and_trace(sig, TypeOps(sig), "main", 3000)
+
+
+def test_rematches_per_step_do_not_grow_with_the_configuration(monkeypatch):
+    # A deterministic stand-in for per-step cost: how many procs a step
+    # matches again.  A full re-match per step grows with n.
+    calls = [0]
+    rule_for = Engine._rule_for
+
+    def counting(self, *args):
+        calls[0] += 1
+        return rule_for(self, *args)
+
+    monkeypatch.setattr(Engine, "_rule_for", counting)
+    per_step = {}
+    for n in (8, 32):
+        elab, ops, main = corpus.prepare_run(
+            corpus.RunSpec("queue_rs.tss", "rs", "qmain", {"n": n}, 0))
+        steps = [0]
+        calls[0] = 0
+
+        def on_step(_):
+            steps[0] += 1
+
+        _, status = Engine(elab, ops).run(init_config(elab, main),
+                                          make_scheduler("rr"), 100_000,
+                                          on_step=on_step)
+        assert status == "quiescent"
+        per_step[n] = calls[0] / steps[0]
+    assert per_step[32] <= 2 * per_step[8], per_step

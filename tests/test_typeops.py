@@ -135,6 +135,58 @@ def test_shift_agreement(ops):
                 assert ops.type_equal(l, r)
 
 
+TOWERS = BITS + """
+type x = ()x
+type y = ()()y
+type u = ()v
+type v = ()()u
+type w = ()()[]1
+"""
+
+
+def _one_step_loop(shift, t, n):
+    for _ in range(n):
+        t = shift(t)
+        if t is None:
+            return None
+    return t
+
+
+def _shift_cases():
+    names = [TypeName(n) for n in ("bits", "sbits", "ctr", "x", "y", "u", "w")]
+    return _enumerate(3) + names + [
+        Next(2, TypeName("ctr")), Next(1, TypeName("y")),
+        Next(3, Box(TypeName("x"))), Diamond(TypeName("sbits")),
+        Next(2, Diamond(TypeName("y"))),
+        Next(1, Next(2, TypeName("x"))),  # deliberately non-normalized
+        Next(2, Next(1, Box(ONE)))]
+
+
+def test_n_step_shifts_equal_the_one_step_loop():
+    ops = TypeOps(parse_program(TOWERS))
+    for t in _shift_cases():
+        for n in range(13):
+            assert ops.shift_left_n(t, n) == \
+                _one_step_loop(ops.shift_left, t, n), (t, n)
+            assert ops.shift_right_n(t, n) == \
+                _one_step_loop(ops.shift_right, t, n), (t, n)
+
+
+def test_huge_shifts_return_at_once():
+    # Every delay prefix here is shorter than 12 and every tower period
+    # divides 12, so 10**9 steps land where 12 + 10**9 % 12 steps do.
+    ops = TypeOps(parse_program(TOWERS))
+    same = 12 + 10**9 % 12
+    for t in _shift_cases():
+        assert ops.shift_left_n(t, 10**9) == \
+            _one_step_loop(ops.shift_left, t, same), t
+        assert ops.shift_right_n(t, 10**9) == \
+            _one_step_loop(ops.shift_right, t, same), t
+    assert ops.shift_left_n(TypeName("x"), 10**9) == TypeName("x")
+    # u = ()v, v = ()()u has period 3, and 10**9 + 1 = 2 (mod 3).
+    assert ops.shift_left_n(TypeName("u"), 10**9 + 1) == Next(1, TypeName("u"))
+
+
 def test_equality_is_an_equivalence(ops):
     universe = _enumerate(2)
     eq = {(a, b): ops.type_equal(a, b)
