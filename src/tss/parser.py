@@ -13,11 +13,17 @@ from .ast import (Box, Case, Close, Cut, DeclClause, DefClause, Delay, Diamond,
 from .errors import ParseError, ScopeError
 from .lexer import Token, tokenize
 
+# How deeply types, process bodies and index expressions may nest.  Every later pass walks the
+# syntax tree recursively, so a deeper term would end in a RecursionError
+# instead of an error naming this bound.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0  # nesting level of the sub-term being parsed
 
     # Token plumbing --------------------------------------------------------
     def peek(self, k: int = 0) -> Token:
@@ -42,21 +48,38 @@ class _Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col, expected)
 
+    def nested(self, parse):
+        """Parse a sub-term one nesting level down."""
+        if self.depth >= MAX_NESTING:
+            self.fail(f"terms may nest at most {MAX_NESTING} levels deep")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
+
     # Index expressions ------------------------------------------------------
+    # `a + b + c` nests to the left, so each operator of a chain counts as
+    # one more level.
     def index_expr(self) -> IndexExpr:
+        outer = self.depth
         e = self.index_term()
         while self.at("+"):
             self.next()
-            r = self.index_term()
+            r = self.nested(self.index_term)
+            self.depth += 1
             e = r + e if isinstance(e, int) and isinstance(r, int) else IAdd(e, r)
+        self.depth = outer
         return e
 
     def index_term(self) -> IndexExpr:
+        outer = self.depth
         e = self.index_factor()
         while self.at("*"):
             self.next()
-            r = self.index_factor()
+            r = self.nested(self.index_factor)
+            self.depth += 1
             e = e * r if isinstance(e, int) and isinstance(r, int) else IMul(e, r)
+        self.depth = outer
         return e
 
     def index_factor(self) -> IndexExpr:
@@ -66,7 +89,7 @@ class _Parser:
             return IVar(self.next().value)
         if self.at("("):
             self.next()
-            e = self.index_expr()
+            e = self.nested(self.index_expr)
             self.expect(")")
             return e
         self.fail("expected index expression", "NAT", "IDENT", "(")
@@ -110,24 +133,24 @@ class _Parser:
         t = self.type_tensor()
         if self.at("-o"):
             self.next()
-            return Lolli(t, self.type_())
+            return Lolli(t, self.nested(self.type_))
         return t
 
     def type_tensor(self) -> SessionType:
         t = self.type_atom()
         if self.at("*"):
             self.next()
-            return Tensor(t, self.type_tensor())
+            return Tensor(t, self.nested(self.type_tensor))
         return t
 
     def type_atom(self) -> SessionType:
         t = self.peek()
         if t.kind == "+":
             self.next()
-            return Plus(self.branches())
+            return Plus(self.nested(self.branches))
         if t.kind == "&":
             self.next()
-            return With(self.branches())
+            return With(self.nested(self.branches))
         if t.kind == "NAT":
             if t.value != "1":
                 self.fail("only the type 1 is a numeric type")
@@ -141,18 +164,18 @@ class _Parser:
                 if self.at("^"):
                     self.next()
                     count = self.next_count()
-                return next_type(count, self.type_atom())
+                return next_type(count, self.nested(self.type_atom))
             self.next()
-            inner = self.type_()
+            inner = self.nested(self.type_)
             self.expect(")")
             return inner
         if t.kind == "[":
             self.next()
             self.expect("]")
-            return Box(self.type_atom())
+            return Box(self.nested(self.type_atom))
         if t.kind == "<>":
             self.next()
-            return Diamond(self.type_atom())
+            return Diamond(self.nested(self.type_atom))
         if t.kind == "IDENT":
             self.next()
             return TypeName(t.value, self.index_args())
@@ -197,11 +220,11 @@ class _Parser:
             self.next()
             chan = self.expect("IDENT").value
             self.expect("(")
-            branches = [self.case_branch()]
+            branches = [self.nested(self.case_branch)]
             seen = {branches[0][0]}
             while self.at("|"):
                 self.next()
-                lab, body = self.case_branch()
+                lab, body = self.nested(self.case_branch)
                 if lab in seen:
                     self.fail(f"duplicate case label {lab!r}")
                 seen.add(lab)
@@ -215,13 +238,13 @@ class _Parser:
             self.next()
             chan = self.expect("IDENT").value
             self.expect(";")
-            return Wait(chan, self.proc(), pos=pos)
+            return Wait(chan, self.nested(self.proc), pos=pos)
         if t.kind == "send":
             self.next()
             chan = self.expect("IDENT").value
             payload = self.expect("IDENT").value
             self.expect(";")
-            return SendChan(chan, payload, self.proc(), pos=pos)
+            return SendChan(chan, payload, self.nested(self.proc), pos=pos)
         if t.kind == "delay":
             self.next()
             count: ast.IndexExpr = 1
@@ -230,24 +253,24 @@ class _Parser:
                 count = self.index_expr()
                 self.expect("}")
             self.expect(";")
-            return Delay(count, Origin.SOURCE, self.proc(), pos=pos)
+            return Delay(count, Origin.SOURCE, self.nested(self.proc), pos=pos)
         if t.kind == "tick":
             self.next()
             self.expect(";")
-            return Delay(1, Origin.TICK, self.proc(), pos=pos)
+            return Delay(1, Origin.TICK, self.nested(self.proc), pos=pos)
         if t.kind == "WHEN":
             self.next()
             chan = self.expect("IDENT").value
             self.expect(";")
-            return When(chan, self.proc(), pos=pos)
+            return When(chan, self.nested(self.proc), pos=pos)
         if t.kind == "NOW":
             self.next()
             chan = self.expect("IDENT").value
             self.expect(";")
-            return Now(chan, self.proc(), pos=pos)
+            return Now(chan, self.nested(self.proc), pos=pos)
         if t.kind == "(":
             self.next()
-            p = self.proc()
+            p = self.nested(self.proc)
             self.expect(")")
             return p
         if t.kind == "IDENT":
@@ -256,21 +279,21 @@ class _Parser:
                 self.next()
                 label = self.expect("IDENT").value
                 self.expect(";")
-                return SendLabel(name, label, self.proc(), pos=pos)
+                return SendLabel(name, label, self.nested(self.proc), pos=pos)
             if self.at(":"):
                 self.next()
-                annot = self.type_()
+                annot = self.nested(self.type_)
                 self.expect("<-")
-                body = self.cut_body()
+                body = self.nested(self.cut_body)
                 self.expect(";")
-                return Cut(name, annot, body, self.proc(), pos=pos)
+                return Cut(name, annot, body, self.nested(self.proc), pos=pos)
             if self.at("<-"):
                 self.next()
                 if self.at("recv"):
                     self.next()
                     chan = self.expect("IDENT").value
                     self.expect(";")
-                    return RecvChan(name, chan, self.proc(), pos=pos)
+                    return RecvChan(name, chan, self.nested(self.proc), pos=pos)
                 callee = self.expect("IDENT").value
                 args = self.index_args()
                 chans: list[str] = []
@@ -282,7 +305,7 @@ class _Parser:
                         chans.append(self.next().value)
                 if self.at(";"):
                     self.next()
-                    return Spawn(name, callee, args, tuple(chans), self.proc(), pos=pos)
+                    return Spawn(name, callee, args, tuple(chans), self.nested(self.proc), pos=pos)
                 if has_chan_arrow or args:
                     return TailCall(name, callee, args, tuple(chans), pos=pos)
                 # Bare `x <- y`: forward, unless y resolves to a process name.

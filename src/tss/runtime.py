@@ -766,6 +766,26 @@ def is_poised(config: Configuration) -> bool:
     return all(is_poised_obj(o) for o in config.objs.values())
 
 
+class _Seen:
+    """What `check_configuration` last established at one channel: the
+    object there and the channels it uses, the provider/consumer interface
+    pair last shown to be within weak subtyping, and the (provider type,
+    used-channel types) at which the object last typechecked."""
+
+    __slots__ = ("obj", "used", "gap", "verdict")
+
+    def __init__(self):
+        self.obj: Obj | None = None
+        self.used: set[str] = set()
+        self.gap = None  # (provider type, consumer type)
+        self.verdict = None  # (provider type, ((used channel, type), ...))
+
+
+# The one entry of a `check_configuration` cache that is not a verdict: the
+# channel -> `_Seen` map of the configuration checked last.
+_SEEN = object()
+
+
 def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
                         config: Configuration,
                         provides_out: dict[str, SessionType],
@@ -773,18 +793,35 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
     """Typecheck a configuration against its external interface; raises
     ConfigTypeError on the first offending object.
 
-    A caller re-checking successive configurations of one run may pass a
-    dict as `cache`: objects whose interfaces did not change are then
-    skipped (an object's verdict depends only on itself and its tracked
-    types, so this is a pure memoization)."""
+    A caller re-checking the successive configurations of one run passes
+    one dict as `cache` for the whole run (and for one `TypeOps`).  It then
+    holds, for each live channel, the object last seen there with the
+    channels it uses, the interface pair last shown within weak subtyping
+    and the interfaces at which the object last typechecked, all compared
+    by identity: an object or type that is the very value seen before is
+    not walked, hashed or re-checked.  Anything else falls back to a
+    structural memo of verdicts (an object's verdict depends only on
+    itself and the types of its channels), which gains one entry per object
+    checked with `check_process`; entries for channels no longer live are
+    dropped.  The structural checks (clients, providers, acyclicity) run on
+    every call.  Without a cache the same code runs with throwaway state."""
+    if cache is None:
+        cache = {}
+    last: dict[str, _Seen] = cache.get(_SEEN, {})
+    seen: dict[str, _Seen] = {}
+    cache[_SEEN] = seen
     objs = config.objs
     consumers: dict[str, str] = {}
-    for o in objs.values():
-        for y in free_chans(o.body) - {o.chan}:
+    for c, o in objs.items():
+        s = last.get(c) or _Seen()
+        if s.obj is not o:
+            s.obj, s.used, s.verdict = o, free_chans(o.body) - {c}, None
+        seen[c] = s
+        for y in s.used:
             if y in consumers:
                 raise ConfigTypeError(f"channel {y} has two clients "
-                                      f"({consumers[y]} and {o.chan})")
-            consumers[y] = o.chan
+                                      f"({consumers[y]} and {c})")
+            consumers[y] = c
     for y in consumers:
         if y not in objs and y not in provides_in:
             raise ConfigTypeError(f"channel {y} is consumed but not provided")
@@ -799,7 +836,7 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
             continue
         if c in consumers:
             raise ConfigTypeError(f"offered channel {c} has an internal client")
-    for c, o in objs.items():
+    for c in objs:
         if c not in consumers and c not in provides_out:
             raise ConfigTypeError(f"channel {c} is provided but never used")
 
@@ -812,8 +849,8 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
         if state.get(c) == 1:
             raise ConfigTypeError(f"cyclic channel dependency through {c}")
         state[c] = 1
-        if c in objs:
-            for y in free_chans(objs[c].body) - {c}:
+        if c in seen:
+            for y in seen[c].used:
                 visit(y)
         state[c] = 2
 
@@ -821,56 +858,65 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
         visit(c)
 
     # Interface gaps must stay within weak subtyping.
-    for c in objs:
-        prov = config.ptypes.get(c)
-        cons = config.ctypes.get(c)
+    ptypes, ctypes = config.ptypes, config.ctypes
+    for c, s in seen.items():
+        prov = ptypes.get(c)
+        cons = ctypes.get(c)
         if prov is None or cons is None:
             raise ConfigTypeError(f"no tracked interface for {c}")
+        gap = s.gap
+        if gap is not None and gap[0] is prov and gap[1] is cons:
+            continue
         if not is_weak_subtype(ops, prov, cons):
             raise ConfigTypeError(
                 f"interface gap on {c} exceeds weak subtyping: "
                 f"{fmt_type(prov)} against {fmt_type(cons)}")
+        s.gap = (prov, cons)
     for c, want in provides_out.items():
-        if c in objs and not is_weak_subtype(ops, config.ptypes[c], want):
+        if c in objs and not is_weak_subtype(ops, ptypes[c], want):
             raise ConfigTypeError(
-                f"offered channel {c} provides {fmt_type(config.ptypes[c])}, "
+                f"offered channel {c} provides {fmt_type(ptypes[c])}, "
                 f"interface demands {fmt_type(want)}")
 
     # Every object typechecks at its own time shift of the interface.
-    for c, o in objs.items():
-        used = free_chans(o.body) - {c}
+    for c, s in seen.items():
+        offered = ptypes[c]
+        verdict = s.verdict
+        if verdict is not None and verdict[0] is offered and all(
+                ctypes.get(y, provides_in.get(y)) is src
+                for y, src in verdict[1]):
+            continue
         srcs = {}
-        for y in used:
-            src = config.ctypes.get(y, provides_in.get(y))
+        for y in s.used:
+            src = ctypes.get(y, provides_in.get(y))
             if src is None:
                 raise ConfigTypeError(f"no interface for consumed channel {y}")
             srcs[y] = src
-        if cache is not None:
-            key = (o, config.ptypes[c], tuple(sorted(srcs.items())))
-            if key in cache:
-                continue
-        ctx: dict[str, SessionType] = {}
-        bad = None
-        for y, src in srcs.items():
-            local = ops.shift_left_n(src, o.time)
-            if local is None:
-                bad = y
-                break
-            ctx[y] = local
-        if bad is not None:
-            raise ConfigTypeError(
-                f"{o.render()}: used channel {bad} has no defined view at "
-                f"time {o.time}")
-        offer = ops.shift_right_n(config.ptypes[c], o.time)
-        if offer is None:
-            raise ConfigTypeError(
-                f"{o.render()}: offered type undefined at time {o.time}")
-        try:
-            check_process(ops, ctx, o.body, c, offer, call_subtyping=True)
-        except Exception as e:
-            raise ConfigTypeError(f"{o.render()}: {e}") from e
-        if cache is not None:
+        o = s.obj
+        key = (o, offered, tuple(sorted(srcs.items())))
+        if key not in cache:
+            ctx: dict[str, SessionType] = {}
+            bad = None
+            for y, src in srcs.items():
+                local = ops.shift_left_n(src, o.time)
+                if local is None:
+                    bad = y
+                    break
+                ctx[y] = local
+            if bad is not None:
+                raise ConfigTypeError(
+                    f"{o.render()}: used channel {bad} has no defined view "
+                    f"at time {o.time}")
+            offer = ops.shift_right_n(offered, o.time)
+            if offer is None:
+                raise ConfigTypeError(
+                    f"{o.render()}: offered type undefined at time {o.time}")
+            try:
+                check_process(ops, ctx, o.body, c, offer, call_subtyping=True)
+            except Exception as e:
+                raise ConfigTypeError(f"{o.render()}: {e}") from e
             cache[key] = True
+        s.verdict = (offered, tuple(srcs.items()))
 
 
 # ---------------------------------------------------------------------------

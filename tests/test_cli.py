@@ -1,5 +1,10 @@
+import pytest
+
+from fuzzgen import gen_program
 from tss.cli import main
 from tss.corpus import CORPUS_DIR
+from tss.parser import MAX_NESTING, parse_program
+from tss.printer import pretty_print
 
 
 def run(*argv):
@@ -107,3 +112,65 @@ def test_corpus_exit_status_treats_criterion_7_as_strict_xfail(capsys,
     monkeypatch.setattr(one, "fn", lambda: (False, "broken"))
     assert run("corpus", "--filter", "six") == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The nesting bound: deep input ends in a parse error, never a traceback
+
+def deep_type(depth):
+    """A type nested `depth` levels deep, and a body walking all of it."""
+    t = "1"
+    for _ in range(depth):
+        t = f"+{{ a : {t} }}"
+    return (f"type t = {t}\ndecl main : . |- (x : t)\n"
+            f"proc x <- main = {'x.a ; ' * depth}close x\n")
+
+
+def long_body(actions):
+    """A straight-line body of `actions` sends and a close."""
+    return ("type bits = +{ b0 : ()bits, $ : ()1 }\n"
+            "decl main : . |- (x : bits)\n"
+            f"proc x <- main = {'x.b0 ; ' * (actions - 1)}x.$ ; close x\n")
+
+
+def deep_delay(count):
+    """A delay whose count is the index expression `count`."""
+    return (f"type t[n] = ()^{{{count}}} 1\ndecl main : . |- (x : t[1])\n"
+            "proc x <- main = close x\n")
+
+
+@pytest.mark.parametrize("src", [deep_type(200), long_body(300),
+                                 deep_type(MAX_NESTING + 1),
+                                 long_body(MAX_NESTING + 1),
+                                 deep_delay("(" * 400 + "n" + ")" * 400),
+                                 deep_delay("+".join(["n"] * 1200)),
+                                 deep_delay("*".join(["n"] * 1200))],
+                         ids=["type", "body", "type-over", "body-over",
+                              "index-parens", "index-sum", "index-product"])
+def test_deep_input_is_a_parse_error(tmp_path, capsys, src):
+    f = tmp_path / "deep.tss"
+    f.write_text(src)
+    assert run("check", str(f), "--cost", "r") == 2
+    err = capsys.readouterr().err
+    assert f"at most {MAX_NESTING} levels" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("src", [deep_type(MAX_NESTING),
+                                 long_body(MAX_NESTING)],
+                         ids=["type", "body"])
+def test_input_at_the_nesting_bound_checks_and_runs(tmp_path, capsys, src):
+    f = tmp_path / "deep.tss"
+    f.write_text(src)
+    assert run("check", str(f), "--cost", "r") == 0
+    assert run("run", str(f), "--main", "main", "--cost", "r",
+               "--check-config") == 0
+    assert "quiescent" in capsys.readouterr().out
+
+
+def test_corpus_and_generated_programs_parse_within_the_bound():
+    for f in sorted(CORPUS_DIR.glob("*.tss")):
+        parse_program(f.read_text())
+    for seed in range(60):
+        sig = gen_program(seed)
+        assert parse_program(pretty_print(sig)) == sig

@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 
 from fuzzgen import gen_program
-from tss import corpus
-from tss.ast import Close, Fwd, SendLabel, TailCall
+from tss import corpus, runtime
+from tss.ast import (ONE, Close, Fwd, Plus, SendLabel, TailCall, Wait,
+                     free_chans)
 from tss.checker import check_signature
 from tss.cost import instrument
 from tss.errors import ConfigTypeError, RunError
@@ -309,3 +310,148 @@ def test_rematches_per_step_do_not_grow_with_the_configuration(monkeypatch):
         assert status == "quiescent"
         per_step[n] = calls[0] / steps[0]
     assert per_step[32] <= 2 * per_step[8], per_step
+
+
+# ---------------------------------------------------------------------------
+# The incremental configuration check against a cold one
+
+ODD = Plus((("zz", ONE),))  # no tracked type is weakly above or below it
+
+
+def _outcome(ops, cfg, declared, cache=None):
+    try:
+        check_configuration(ops, {}, cfg, declared, cache)
+    except ConfigTypeError as e:
+        return str(e)
+    return None
+
+
+def _faulty_copies(cfg):
+    """Copies of a well-typed configuration, each with one fault."""
+    def copy(*objs):
+        out = cfg.copy()
+        for o in objs:
+            out.objs[o.chan] = o
+            out.ptypes.setdefault(o.chan, ONE)
+            out.ctypes.setdefault(o.chan, ONE)
+        return out
+
+    victim = cfg.order[len(cfg.order) // 2]
+    o = cfg.objs[victim]
+    faults = []
+    # An incompatible interface entry on either side.
+    for side in ("ptypes", "ctypes"):
+        faults.append(copy())
+        getattr(faults[-1], side)[victim] = ODD
+    # The victim's channel reused by a different object, which cannot
+    # typecheck.
+    faults.append(copy(Obj(o.kind, victim, o.time,
+                           SendLabel(victim, "zz", o.body))))
+    # A cycle.
+    faults.append(copy(Obj("proc", "z1", 0, Wait("z2", Close("z1"))),
+                       Obj("proc", "z2", 0, Wait("z1", Close("z2")))))
+    client = {y: c for c, p in cfg.objs.items()
+              for y in free_chans(p.body) - {c}}
+    if client:
+        y = next(iter(client))
+        # A second client of y.
+        faults.append(copy(Obj("proc", "z3", 0, Wait(y, Close("z3")))))
+        # The channel of y's client reused by an object that also uses a
+        # channel with a client already.
+        c = client[y]
+        other = next((z for z, d in client.items() if d != c), None)
+        if other is not None:
+            p = cfg.objs[c]
+            faults.append(copy(Obj(p.kind, c, p.time, Wait(other, p.body))))
+        # A missing provider of y.
+        faults.append(copy())
+        del faults[-1].objs[y]
+    return faults
+
+
+def _check_warm_against_cold(sig, ops, main, steps):
+    for sched, seed in (("rr", 0), ("rand", 3), ("sync", 0)):
+        cfg = init_config(sig, main)
+        declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+        cache: dict = {}
+        count = [0]
+
+        def on_step(c):
+            assert _outcome(ops, c, declared, cache) is None
+            assert _outcome(ops, c, declared) is None
+            count[0] += 1
+            if count[0] >= 4 and count[0] & (count[0] - 1) == 0:
+                # At steps 4, 8, 16, ...: faults in copies of this
+                # configuration, each checked with the cache the earlier
+                # steps (and faults) warmed.
+                for broken in _faulty_copies(c):
+                    cold = _outcome(ops, broken, declared)
+                    assert cold is not None
+                    assert _outcome(ops, broken, declared, cache) == cold
+                assert _outcome(ops, c, declared, cache) is None
+
+        on_step(cfg)
+        Engine(sig, ops).run(cfg, make_scheduler(sched, seed), steps,
+                             on_step=on_step)
+
+
+@pytest.mark.parametrize("spec", corpus.run_specs(),
+                         ids=lambda s: f"{s.file}:{s.main}{s.bind}")
+def test_warm_configuration_check_agrees_with_cold_on_corpus_runs(spec):
+    elab, ops, main = corpus.prepare_run(spec)
+    _check_warm_against_cold(elab, ops, main, spec.steps)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_warm_configuration_check_agrees_with_cold_on_generated_programs(seed):
+    sig = gen_program(seed)
+    _check_warm_against_cold(sig, TypeOps(sig), "main", 3000)
+
+
+def test_warm_check_rechecks_an_object_whose_interface_changed(six):
+    # The object is the very one checked before, but both sides of its
+    # interface (and the offer) changed: its verdict must be re-derived.
+    _, ops = six
+    obj = Obj("msg", "c0", 0, Close("c0"))
+    cfg = Configuration({"c0": obj}, ["c0"], 1, {"c0": ONE}, {"c0": ONE})
+    cache: dict = {}
+    assert _outcome(ops, cfg, {"c0": ONE}, cache) is None
+    odd = Configuration({"c0": obj}, ["c0"], 1, {"c0": ODD}, {"c0": ODD})
+    cold = _outcome(ops, odd, {"c0": ODD})
+    assert cold is not None
+    assert _outcome(ops, odd, {"c0": ODD}, cache) == cold
+
+
+def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
+    # A deterministic stand-in for the cost of a checked step: the used-
+    # channel walks and weak-subtyping calls `check_configuration` makes.
+    # Re-deriving them for every object grows with n.
+    calls = {"free_chans": 0, "is_weak_subtype": 0}
+    checking = [False]
+    for name in calls:
+        def counting(*args, _real=getattr(runtime, name), _name=name):
+            calls[_name] += checking[0]
+            return _real(*args)
+        monkeypatch.setattr(runtime, name, counting)
+    per_step = {}
+    for n in (8, 32):
+        elab, ops, main = corpus.prepare_run(
+            corpus.RunSpec("queue_rs.tss", "rs", "qmain", {"n": n}, 0))
+        cfg = init_config(elab, main)
+        declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+        cache: dict = {}
+        steps = [0]
+        calls.update(dict.fromkeys(calls, 0))
+
+        def on_step(c):
+            steps[0] += 1
+            checking[0] = True
+            check_configuration(ops, {}, c, declared, cache)
+            checking[0] = False
+
+        _, status = Engine(elab, ops).run(cfg, make_scheduler("rr"), 100_000,
+                                          on_step=on_step)
+        assert status == "quiescent"
+        per_step[n] = {k: v / steps[0] for k, v in calls.items()}
+    for name in calls:
+        assert per_step[32][name] <= 2 * per_step[8][name], per_step
