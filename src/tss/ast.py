@@ -1,37 +1,81 @@
 """AST for the timed session language: index arithmetic, session types,
 process expressions, and signatures.
 
-All nodes are frozen dataclasses, so ground (parameter-free) terms are
-hashable and can be used directly as memo keys.  Source positions are
-carried on process nodes but excluded from equality.
+Index and session-type nodes are hash-consed (Filliatre and Conchon,
+"Type-safe modular hash-consing", ML Workshop 2006): each class builds its
+nodes through one table keyed by their fields, so two structurally equal
+types are the same object.  Their `==` and `hash` are the identity-based
+`object` defaults, and any type is a cheap memo key.  The tables are
+process-global and never shrink: they hold one node per distinct type or
+index expression built.
+
+Process nodes are frozen dataclasses that carry source positions excluded
+from equality, so they are not interned; each computes its structural hash
+once.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import inspect
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Union, get_args
 
 from .errors import EvalError
 
 Pos = tuple[int, int]
 
 
+def _hash_consed(cls):
+    """Make `cls` a frozen dataclass whose constructor returns the one node
+    with the given fields, building it only on the first request.  Defaults
+    and keywords are normalized first, so `TypeName("X") is
+    TypeName(name="X", args=())`.  Copying or unpickling a node rebuilds it
+    through the constructor, which returns the interned node again."""
+    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    bind = inspect.Signature([
+        inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=inspect.Parameter.empty
+                          if f.default is MISSING else f.default)
+        for f in fields(cls)]).bind
+    table: dict = {}
+
+    def __new__(klass, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            bound = bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        node = table.get(args)
+        if node is None:
+            node = table[args] = object.__new__(klass)
+            for name, value in zip(names, args):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in names)
+
+    cls.__new__ = staticmethod(__new__)
+    cls.__reduce__ = __reduce__
+    return cls
+
+
 # --------------------------------------------------------------------------
 # Index arithmetic over naturals (no subtraction).  Plain ints are literals.
 
-@dataclass(frozen=True)
+@_hash_consed
 class IVar:
     name: str
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class IAdd:
     left: "IndexExpr"
     right: "IndexExpr"
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class IMul:
     left: "IndexExpr"
     right: "IndexExpr"
@@ -83,50 +127,50 @@ def fmt_index(e: IndexExpr, prec: int = 0) -> str:
 # --------------------------------------------------------------------------
 # Session types
 
-@dataclass(frozen=True)
+@_hash_consed
 class Plus:
     branches: tuple[tuple[str, "SessionType"], ...]
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class With:
     branches: tuple[tuple[str, "SessionType"], ...]
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class One:
     pass
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Tensor:
     left: "SessionType"
     right: "SessionType"
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Lolli:
     arg: "SessionType"
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Next:
     count: IndexExpr  # >= 1 once ground; inner is never itself a Next
     inner: "SessionType"
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Box:
     inner: "SessionType"
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class Diamond:
     inner: "SessionType"
 
 
-@dataclass(frozen=True)
+@_hash_consed
 class TypeName:
     name: str
     args: tuple[IndexExpr, ...] = ()
@@ -134,26 +178,6 @@ class TypeName:
 
 SessionType = Union[Plus, With, One, Tensor, Lolli, Next, Box, Diamond, TypeName]
 
-
-def _cache_hash(cls):
-    """Memoize the recursive dataclass hash; type nodes are immutable and
-    get used heavily as memo keys."""
-    base = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = base(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-for _cls in (Plus, With, One, Tensor, Lolli, Next, Box, Diamond, TypeName,
-             IVar, IAdd, IMul):
-    _cache_hash(_cls)
 
 ONE = One()
 
@@ -314,6 +338,27 @@ class Now:
 
 ProcExpr = Union[Spawn, TailCall, Cut, Fwd, SendLabel, Case, Close, Wait,
                  SendChan, RecvChan, Delay, When, Now]
+
+
+def memo_hash(cls):
+    """Compute a frozen dataclass's structural hash once per node and keep
+    it on the node: process nodes and runtime objects are immutable and get
+    hashed again and again as memo keys."""
+    base = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = base(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+for _cls in get_args(ProcExpr):
+    memo_hash(_cls)
 
 
 def free_chans(p: ProcExpr) -> set[str]:

@@ -17,7 +17,7 @@ from .cost import instrument
 from .errors import ParseError, TssError
 from .instantiate import (instantiate_many, mangled_name,
                           signature_is_parameterized)
-from .parser import _Parser, parse_program
+from .parser import parse_program, parse_type
 from .printer import pretty_print
 from .reconstruct import elaborate_signature
 from .runtime import (Engine, Trace, check_configuration, init_config,
@@ -145,16 +145,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_subtype(args) -> int:
-    sig = Signature()
-
-    def parse_type(text: str):
-        p = _Parser(text)
-        t = p.type_()
-        p.expect("EOF")
-        return t
-
     a, b = parse_type(args.left), parse_type(args.right)
-    ops = TypeOps(sig)
+    ops = TypeOps(Signature())
     trace: list[str] = []
     verdict = is_subtype(ops, a, b, trace=trace)
     print("true" if verdict else "false")

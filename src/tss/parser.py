@@ -517,3 +517,12 @@ def resolve(sig: Signature) -> Signature:
 def parse_program(text: str) -> Signature:
     """Parse and resolve a whole program; raises ParseError/ScopeError."""
     return resolve(_Parser(text).program())
+
+
+def parse_type(text: str) -> SessionType:
+    """Parse one session type, such as a `tss subtype` operand; raises
+    ParseError."""
+    p = _Parser(text)
+    t = p.type_()
+    p.expect("EOF")
+    return t

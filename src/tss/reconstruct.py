@@ -166,7 +166,8 @@ class _Elab:
             shifted = self._shift_all(ctx, offer)
             if shifted is not None:
                 sctx, soff = shifted
-                progress = soff != offer or any(sctx[c] != ctx[c] for c in ctx)
+                progress = soff is not offer or any(sctx[c] is not ctx[c]
+                                                    for c in ctx)
                 if progress:
                     out.append(("delay", None, (sctx, soff)))
         return out
@@ -545,13 +546,6 @@ class FwdElaborator:
 
     def check(self, a: SessionType, b: SessionType) -> bool:
         return self._engine.elab({"y": a}, self._fwd, "x", b, 0) is not None
-
-
-def forwarding_elaborates(ops: TypeOps, a: SessionType, b: SessionType,
-                          budget: int = 10_000) -> bool:
-    """Does `y:a |- x <- y :: (x:b)` reconstruct?  (The identity-coercion
-    reading of subtyping.)"""
-    return FwdElaborator(ops, budget).check(a, b)
 
 
 def elaborate_signature(sig: Signature, ops: TypeOps | None = None,

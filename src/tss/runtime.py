@@ -28,7 +28,8 @@ from typing import Callable, Optional
 from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
                   Plus, ProcExpr, RecvChan, SendChan, SendLabel, SessionType,
                   Signature, Spawn, TailCall, Tensor, Wait, When, With,
-                  branch_get, free_chans, next_type, rename_chans)
+                  branch_get, free_chans, memo_hash, next_type,
+                  rename_chans)
 from .checker import check_process
 from .errors import ConfigTypeError, RunError, StuckError
 from .printer import fmt_proc, fmt_type
@@ -36,6 +37,7 @@ from .subtyping import is_weak_subtype
 from .typeops import TypeOps
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Obj:
     kind: str  # "proc" | "msg"

@@ -35,6 +35,7 @@ class TypeOps:
         self.budget = budget
         self._eq_true: set = set()
         self._eq_false: set = set()
+        self._strip: dict = {}
 
     # -- unfolding ----------------------------------------------------------
 
@@ -47,8 +48,13 @@ class TypeOps:
     def strip(self, t: SessionType) -> tuple[int, SessionType]:
         """Head-normalize to (delay count, base) with base neither a Next nor
         a defined name, unless the type is an infinite delay tower
-        (`x = ()x`), in which case base is the looping name."""
-        n = 0
+        (`x = ()x`), in which case base is the looping name.  The result
+        depends on the signature, so it is cached per node on this
+        instance."""
+        hit = self._strip.get(t)
+        if hit is not None:
+            return hit
+        top, n = t, 0
         seen: set[str] = set()
         while True:
             if isinstance(t, Next):
@@ -56,16 +62,18 @@ class TypeOps:
                 t = t.inner
             elif isinstance(t, TypeName):
                 if t.name in seen:
-                    return n, t
+                    break
                 seen.add(t.name)
                 t = self.sig.type_body(t.name)
             else:
-                return n, t
+                break
+        hit = self._strip[top] = (n, t)
+        return hit
 
     def expose(self, t: SessionType) -> Optional[SessionType]:
         """The structural head usable right now: None if delayed (or an
         infinite delay tower)."""
-        n, base = self.strip(t)
+        n, base = self._strip.get(t) or self.strip(t)
         if n > 0 or isinstance(base, TypeName):
             return None
         return base
@@ -79,6 +87,8 @@ class TypeOps:
         add equalities, so a failure is unconditional).  Goals visited by a
         successful run form a bisimulation and are all cached as equal when
         the top-level query succeeds."""
+        if a is b:
+            return True
         steps = [0]
         assumed: set = set()
         candidates: set = set()
@@ -115,7 +125,7 @@ class TypeOps:
             return False
 
         def eq(a: SessionType, b: SessionType) -> bool:
-            if a == b:
+            if a is b:
                 return True
             na, ta = self.strip(a)
             nb, tb = self.strip(b)
@@ -211,7 +221,7 @@ class TypeOps:
         """side='box': t is ()^n [] _ (tolerates waiting as an antecedent);
         side='diamond': t is ()^n <> _ (tolerates waiting as the offer)."""
         assert side in ("box", "diamond")
-        _, base = self.strip(t)
+        _, base = self._strip.get(t) or self.strip(t)
         if side == "box":
             return isinstance(base, Box)
         return isinstance(base, Diamond)

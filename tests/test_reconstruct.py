@@ -6,8 +6,8 @@ from tss.cost import instrument
 from tss.errors import ReconstructionError
 from tss.parser import parse_program
 from tss.printer import fmt_proc
-from tss.reconstruct import (elaborate_signature, erase_reconstructed,
-                             forwarding_elaborates)
+from tss.reconstruct import (FwdElaborator, elaborate_signature,
+                             erase_reconstructed)
 from tss.typeops import TypeOps
 
 COMPRESS = """
@@ -136,10 +136,10 @@ def test_forwarding_identity_examples():
     ops = TypeOps(sig)
     sb = TypeName("sbits")
     from tss.ast import Box, Diamond, Next, One
-    assert forwarding_elaborates(ops, Next(1, Diamond(sb)), Diamond(sb))
-    assert not forwarding_elaborates(ops, Diamond(sb), Next(1, Diamond(sb)))
-    assert forwarding_elaborates(ops, Box(One()), Next(1, Box(One())))
-    assert not forwarding_elaborates(ops, One(), Next(1, One()))
+    assert FwdElaborator(ops).check(Next(1, Diamond(sb)), Diamond(sb))
+    assert not FwdElaborator(ops).check(Diamond(sb), Next(1, Diamond(sb)))
+    assert FwdElaborator(ops).check(Box(One()), Next(1, Box(One())))
+    assert not FwdElaborator(ops).check(One(), Next(1, One()))
 
 
 def test_budget_exhaustion_reports_deepest_goal():
