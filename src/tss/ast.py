@@ -39,13 +39,18 @@ def _hash_consed(cls):
                           default=inspect.Parameter.empty
                           if f.default is MISSING else f.default)
         for f in fields(cls)]).bind
+    defaults = tuple(f.default for f in fields(cls))
+    required = sum(f.default is MISSING for f in fields(cls))
     table: dict = {}
 
     def __new__(klass, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            bound = bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())
+            if not kwargs and required <= len(args) < len(names):
+                args += defaults[len(args):]
+            else:
+                bound = bind(*args, **kwargs)
+                bound.apply_defaults()
+                args = tuple(bound.arguments.values())
         node = table.get(args)
         if node is None:
             node = table[args] = object.__new__(klass)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
                   One, Plus, ProcExpr, RecvChan, SendChan, SendLabel,
-                  SessionType, Signature, Spawn, TailCall, Tensor, Wait,
-                  When, With, branch_get, branch_labels, free_chans)
+                  SessionType, Signature, Spawn, TailCall, Tensor, TypeName,
+                  Wait, When, With, branch_get, branch_labels, free_chans)
 from .errors import SessionTypeError
 from .printer import fmt_type
 from .typeops import TypeOps
@@ -207,9 +207,7 @@ class Checker:
                 if not isinstance(count, int) or count < 1:
                     raise _err(f"delay count must be a ground positive natural,"
                                f" got {count!r}", "()LR", p)
-                ctx2, off2 = ctx, offer_type
-                for _ in range(count):
-                    ctx2, off2 = self._shift_all(ctx2, off2, p)
+                ctx2, off2 = self._shift_all(ctx, offer_type, p, count)
                 self.check(ctx2, cont, offer_chan, off2)
 
             case Now(chan, cont):
@@ -265,7 +263,30 @@ class Checker:
                 raise _err(f"channel {c} cannot wait indefinitely", rule, p,
                            expected="()^n [] _", found=fmt_type(t))
 
-    def _shift_all(self, ctx: Ctx, offer_type: SessionType, p):
+    def _shift_all(self, ctx: Ctx, offer_type: SessionType, p, n: int):
+        """Every type shifted n units, in time independent of n.  When a
+        shift is undefined, the error is the one the unit-by-unit loop
+        raises: the types are shifted as far as all of them allow, and the
+        next unit is taken on its own."""
+        if n == 1:
+            return self._shift_unit(ctx, offer_type, p)
+        ops = self.ops
+        ctx2 = {c: ops.shift_left_n(t, n) for c, t in ctx.items()}
+        off = ops.shift_right_n(offer_type, n)
+        if off is not None and None not in ctx2.values():
+            return ctx2, off
+        safe = min([self._delay_room(t, Box) for t in ctx.values()]
+                   + [self._delay_room(offer_type, Diamond)])
+        ctx = {c: ops.shift_left_n(t, safe) for c, t in ctx.items()}
+        return self._shift_unit(ctx, ops.shift_right_n(offer_type, safe), p)
+
+    def _delay_room(self, t: SessionType, keeps) -> float:
+        """How many unit shifts t allows: its leading delays, unless a
+        `keeps` head or an infinite delay tower allows any number."""
+        count, base = self.ops.strip(t)
+        return float("inf") if isinstance(base, (keeps, TypeName)) else count
+
+    def _shift_unit(self, ctx: Ctx, offer_type: SessionType, p):
         ctx2: Ctx = {}
         for c, t in ctx.items():
             s = self.ops.shift_left(t)

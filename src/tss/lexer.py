@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -14,8 +14,7 @@ _PUNCT = ["|-", "-o", "<-", "<>", "=>", "=", ":", ",", ";", ".", "(", ")",
           "{", "}", "[", "]", "+", "&", "*", "|", "^"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, NAT, keyword, punctuation, WHEN, NOW, EOF
     value: str
     line: int

@@ -8,6 +8,14 @@ side conditions the explicit checker enforces.  Choice points (now! against
 delay, and so on) backtrack; failed goals are memoized; delays are placed as
 late as possible by trying every action-free candidate before a delay.
 
+A delay is always the last candidate, so a goal that takes one returns what
+its shifted goal returns behind one more delay unit: `_Elab.elab` follows a
+run of delays in a loop and emits it as one merged delay node.  When the
+head is a forward or acts on a single channel and every type is delayed,
+the next goals are forced and fail silently until the least leading delay
+runs out, so that silent run is taken in one jump.  The search budget counts
+the goals examined, a jump counting as one.
+
 Process invocations compare actual argument types against the declared ones
 with the subtype relation; a tail call whose offered type differs from the
 declared one is expanded into a spawn followed by a bridged forward.
@@ -52,36 +60,6 @@ def _validate_source(p: ProcExpr) -> None:
             pass
 
 
-def merge_delays(p: ProcExpr) -> ProcExpr:
-    """Collapse runs of reconstruction-inserted unit delays into one node."""
-    match p:
-        case Delay(c1, o1, Delay(c2, o2, cont)) if o1 is o2 is Origin.RECON:
-            return merge_delays(Delay(c1 + c2, Origin.RECON, cont, p.pos))
-        case Delay(count, origin, cont):
-            return Delay(count, origin, merge_delays(cont), p.pos)
-        case Case(chan, branches):
-            return Case(chan, tuple((lab, merge_delays(b)) for lab, b in branches),
-                        p.pos)
-        case Cut(dest, annot, body, cont):
-            return Cut(dest, annot, merge_delays(body), merge_delays(cont), p.pos)
-        case Spawn(dest, proc, args, chans, cont, via):
-            return Spawn(dest, proc, args, chans, merge_delays(cont), via, p.pos)
-        case SendLabel(chan, label, cont):
-            return SendLabel(chan, label, merge_delays(cont), p.pos)
-        case Wait(chan, cont):
-            return Wait(chan, merge_delays(cont), p.pos)
-        case SendChan(chan, payload, cont):
-            return SendChan(chan, payload, merge_delays(cont), p.pos)
-        case RecvChan(bind, chan, cont):
-            return RecvChan(bind, chan, merge_delays(cont), p.pos)
-        case When(chan, cont):
-            return When(chan, merge_delays(cont), p.pos)
-        case Now(chan, cont):
-            return Now(chan, merge_delays(cont), p.pos)
-        case _:
-            return p
-
-
 def erase_reconstructed(p: ProcExpr) -> ProcExpr:
     """Drop inserted nodes, recovering the pre-elaboration term."""
     match p:
@@ -114,38 +92,85 @@ def erase_reconstructed(p: ProcExpr) -> ProcExpr:
             return p
 
 
+# Heads that act on one channel or forward: with every type delayed, their
+# goal can only take the delay step and records no failure.
+_SILENT_HEADS = (Fwd, SendLabel, SendChan, RecvChan, Case, Close, Wait)
+
+
 class _Elab:
     def __init__(self, ops: TypeOps, budget: int):
         self.ops = ops
         self.budget = budget
         self.done: dict = {}  # goal -> elaborated term or None
+        self.bridges: dict[int, Fwd] = {}  # id(tail call) -> bridging forward
         self.best_depth = -1
-        self.best_msg = "no goal attempted"
+        self._best = None  # (node or None, message or message thunk)
 
-    def _give_up(self, depth: int, msg: str) -> None:
+    def _give_up(self, depth: int, p, msg) -> None:
+        """Record a failure at `depth`.  `msg` is a string or a function
+        returning one; it is formatted only when `best_msg` is read."""
         if depth >= self.best_depth:
             self.best_depth = depth
-            self.best_msg = msg
+            self._best = (p, msg)
+
+    @property
+    def best_msg(self) -> str:
+        """The deepest failure, placed at its node when it has one."""
+        if self._best is None:
+            return "no goal attempted"
+        p, msg = self._best
+        if callable(msg):
+            msg = msg()
+        if p is None:
+            return msg
+        return f"{msg} [at {type(p).__name__}{' ' + str(p.pos) if p.pos else ''}]"
 
     # ------------------------------------------------------------------
     def elab(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
              offer: SessionType, depth: int) -> ProcExpr | None:
-        if self.budget <= 0:
-            raise ReconstructionError(
-                f"search budget exhausted; deepest goal: {self.best_msg}")
-        self.budget -= 1
-        key = (id(p), frozenset(ctx.items()), offer)
-        if key in self.done:
-            return self.done[key]
-        out = self._goal(ctx, p, offer_chan, offer, depth)
-        self.done[key] = out
+        """Elaborate one goal.  A goal whose only way on is a delay hands
+        back the shifted goal, which this loop takes next at one budget
+        unit per goal examined and one depth level per delay unit.  When
+        the run ends, every goal it passed is stored with the result behind
+        one merged delay."""
+        run = None
+        while True:
+            if self.budget <= 0:
+                raise ReconstructionError(
+                    f"search budget exhausted; deepest goal: {self.best_msg}")
+            self.budget -= 1
+            key = (id(p), frozenset(ctx.items()), offer)
+            if key in self.done:
+                out = self.done[key]
+                break
+            out = self._goal(ctx, p, offer_chan, offer, depth)
+            if type(out) is not tuple:
+                self.done[key] = out
+                break
+            units, ctx, offer = out
+            depth += units
+            if run is None:
+                run = []
+            run.append((key, units))
+        if run is not None:
+            for key, units in reversed(run):
+                if out is not None:
+                    if type(out) is Delay and out.origin is Origin.RECON:
+                        units += out.count
+                        out = out.cont
+                    out = Delay(units, Origin.RECON, out)
+                self.done[key] = out
         return out
 
     # ------------------------------------------------------------------
-    def _temporals(self, ctx: Ctx, offer_chan: str, offer: SessionType,
-                   targets: frozenset[str], with_delay: bool = True):
+    def _temporals(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
+                   offer: SessionType, with_delay: bool):
         """Applicable temporal steps.  Steps aimed at a channel the head
-        action needs come first, every action-free step precedes a delay."""
+        action needs come first, every action-free step precedes a delay.
+        A delay's data is (units, shifted ctx, shifted offer): when it is
+        the only step of a silent head, the goals of the next m - 1 units
+        (m the least leading-delay count) would be forced the same way, so
+        it shifts m units at once."""
         ops = self.ops
         out = []
         ob = ops.expose(offer)
@@ -161,7 +186,9 @@ class _Elab:
                 if ops.patient(offer, "diamond") and \
                         all(ops.patient(t, "box") for c, t in ctx.items() if c != y):
                     out.append(("when_ctx", y, base.inner))
-        out.sort(key=lambda c: c[1] not in targets)
+        if len(out) > 1:
+            targets = self._head_targets(ctx, p, offer_chan)
+            out.sort(key=lambda c: c[1] not in targets)
         if with_delay:
             shifted = self._shift_all(ctx, offer)
             if shifted is not None:
@@ -169,18 +196,26 @@ class _Elab:
                 progress = soff is not offer or any(sctx[c] is not ctx[c]
                                                     for c in ctx)
                 if progress:
-                    out.append(("delay", None, (sctx, soff)))
+                    units = 1
+                    if not out and isinstance(p, _SILENT_HEADS):
+                        # Every shift was defined and nothing is exposed,
+                        # so every type has a leading delay.
+                        units = min(ops.strip(t)[0]
+                                    for t in (offer, *ctx.values()))
+                        if units > 1:
+                            sctx, soff = self._shift_all(ctx, offer, units)
+                    out.append(("delay", None, (units, sctx, soff)))
         return out
 
-    def _shift_all(self, ctx: Ctx, offer: SessionType):
+    def _shift_all(self, ctx: Ctx, offer: SessionType, n: int = 1):
         ops = self.ops
         sctx: Ctx = {}
         for c, t in ctx.items():
-            s = ops.shift_left(t)
+            s = ops.shift_left(t) if n == 1 else ops.shift_left_n(t, n)
             if s is None:
                 return None
             sctx[c] = s
-        soff = ops.shift_right(offer)
+        soff = ops.shift_right(offer) if n == 1 else ops.shift_right_n(offer, n)
         if soff is None:
             return None
         return sctx, soff
@@ -204,9 +239,10 @@ class _Elab:
 
     def _try_temporals(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
                        offer: SessionType, depth: int,
-                       with_delay: bool = True) -> ProcExpr | None:
-        targets = self._head_targets(ctx, p, offer_chan)
-        for kind, y, data in self._temporals(ctx, offer_chan, offer, targets,
+                       with_delay: bool = True):
+        """The first temporal step that elaborates, or, when only the delay
+        is left, its (units, ctx, offer) for `elab` to continue with."""
+        for kind, y, data in self._temporals(ctx, p, offer_chan, offer,
                                              with_delay):
             if kind == "now_offer":
                 sub = self.elab(ctx, p, offer_chan, data, depth + 1)
@@ -228,21 +264,27 @@ class _Elab:
                 sub = self.elab(ctx2, p, offer_chan, offer, depth + 1)
                 if sub is not None:
                     return When(y, sub)
-            else:  # delay
-                sctx, soff = data
-                sub = self.elab(sctx, p, offer_chan, soff, depth + 1)
-                if sub is not None:
-                    return Delay(1, Origin.RECON, sub)
+            else:  # delay, always the last step
+                return data
         return None
+
+    def _bridge(self, p: TailCall) -> Fwd:
+        """The forward bridging a tail call's declared offer to the wanted
+        one, built once per call node: its fresh name depends only on the
+        call's `dest` and `chans`, which are then the whole goal."""
+        fwd = self.bridges.get(id(p))
+        if fwd is None:
+            fresh = p.dest + "'"
+            while fresh in p.chans:
+                fresh += "'"
+            fwd = self.bridges[id(p)] = Fwd(p.dest, fresh, pos=p.pos)
+        return fwd
 
     # ------------------------------------------------------------------
     def _goal(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
-              offer: SessionType, depth: int) -> ProcExpr | None:
+              offer: SessionType, depth: int):
         ops = self.ops
-
-        def fail(msg: str) -> None:
-            self._give_up(depth, f"{msg} [at {type(p).__name__}"
-                          f"{' ' + str(p.pos) if p.pos else ''}]")
+        fail = self._give_up
 
         match p:
             case Delay(count, origin, cont):
@@ -256,7 +298,7 @@ class _Elab:
                     if sub is not None:
                         return Delay(1, Origin.TICK, sub, p.pos)
                 else:
-                    fail("a tick is not permitted here")
+                    fail(depth, p, "a tick is not permitted here")
                 return self._try_temporals(ctx, p, offer_chan, offer, depth,
                                            with_delay=False)
 
@@ -266,13 +308,13 @@ class _Elab:
 
             case Fwd(dest, src):
                 if dest != offer_chan:
-                    fail(f"forward must provide {offer_chan}")
+                    fail(depth, p, f"forward must provide {offer_chan}")
                     return None
                 if src not in ctx:
-                    fail(f"forward source {src} is not available")
+                    fail(depth, p, f"forward source {src} is not available")
                     return None
-                if set(ctx) != {src}:
-                    fail("forward leaves channels unconsumed")
+                if len(ctx) != 1:
+                    fail(depth, p, "forward leaves channels unconsumed")
                     return None
                 if ops.type_equal(ctx[src], offer):
                     return p
@@ -284,8 +326,8 @@ class _Elab:
                     if isinstance(base, Plus):
                         nxt = branch_get(base.branches, label)
                         if nxt is None:
-                            fail(f"label {label} is not offered by "
-                                 f"{fmt_type(offer)}")
+                            fail(depth, p, lambda: f"label {label} is not "
+                                 f"offered by {fmt_type(offer)}")
                         else:
                             sub = self.elab(ctx, cont, offer_chan, nxt, depth + 1)
                             if sub is not None:
@@ -295,7 +337,8 @@ class _Elab:
                     if isinstance(base, With):
                         nxt = branch_get(base.branches, label)
                         if nxt is None:
-                            fail(f"label {label} is not accepted on {chan}")
+                            fail(depth, p,
+                                 f"label {label} is not accepted on {chan}")
                         else:
                             ctx2 = dict(ctx)
                             ctx2[chan] = nxt
@@ -304,7 +347,7 @@ class _Elab:
                             if sub is not None:
                                 return SendLabel(chan, label, sub, p.pos)
                 else:
-                    fail(f"unknown channel {chan}")
+                    fail(depth, p, f"unknown channel {chan}")
                     return None
                 return self._try_temporals(ctx, p, offer_chan, offer, depth)
 
@@ -324,24 +367,24 @@ class _Elab:
                         if got is not None:
                             return got
                 else:
-                    fail(f"unknown channel {chan}")
+                    fail(depth, p, f"unknown channel {chan}")
                     return None
                 return self._try_temporals(ctx, p, offer_chan, offer, depth)
 
             case Close(chan):
                 if chan != offer_chan:
-                    fail(f"close must act on {offer_chan}")
+                    fail(depth, p, f"close must act on {offer_chan}")
                     return None
                 if isinstance(ops.expose(offer), One):
                     if not ctx:
                         return p
-                    fail("close with channels left in the context")
+                    fail(depth, p, "close with channels left in the context")
                     return None
                 return self._try_temporals(ctx, p, offer_chan, offer, depth)
 
             case Wait(chan, cont):
                 if chan not in ctx:
-                    fail(f"unknown channel {chan}")
+                    fail(depth, p, f"unknown channel {chan}")
                     return None
                 if isinstance(ops.expose(ctx[chan]), One):
                     ctx2 = dict(ctx)
@@ -353,7 +396,7 @@ class _Elab:
 
             case SendChan(chan, payload, cont):
                 if payload not in ctx:
-                    fail(f"unknown payload channel {payload}")
+                    fail(depth, p, f"unknown payload channel {payload}")
                     return None
                 pt = ctx[payload]
                 if chan == offer_chan:
@@ -366,8 +409,9 @@ class _Elab:
                         if sub is not None:
                             return SendChan(chan, payload, sub, p.pos)
                     elif isinstance(base, Tensor):
-                        fail(f"payload {payload} : {fmt_type(pt)} does not "
-                             f"match {fmt_type(base.left)}")
+                        fail(depth, p, lambda: f"payload {payload} : "
+                             f"{fmt_type(pt)} does not match "
+                             f"{fmt_type(base.left)}")
                 elif chan in ctx:
                     base = ops.expose(ctx[chan])
                     if isinstance(base, Lolli) and ops.type_equal(pt, base.arg):
@@ -378,16 +422,18 @@ class _Elab:
                         if sub is not None:
                             return SendChan(chan, payload, sub, p.pos)
                     elif isinstance(base, Lolli):
-                        fail(f"payload {payload} : {fmt_type(pt)} does not "
-                             f"match {fmt_type(base.arg)}")
+                        fail(depth, p, lambda: f"payload {payload} : "
+                             f"{fmt_type(pt)} does not match "
+                             f"{fmt_type(base.arg)}")
                 else:
-                    fail(f"unknown channel {chan}")
+                    fail(depth, p, f"unknown channel {chan}")
                     return None
                 return self._try_temporals(ctx, p, offer_chan, offer, depth)
 
             case RecvChan(bind, chan, cont):
                 if bind in ctx or bind == offer_chan:
-                    fail(f"received channel name {bind} shadows a live channel")
+                    fail(depth, p,
+                         f"received channel name {bind} shadows a live channel")
                     return None
                 if chan == offer_chan:
                     base = ops.expose(offer)
@@ -408,17 +454,17 @@ class _Elab:
                         if sub is not None:
                             return RecvChan(bind, chan, sub, p.pos)
                 else:
-                    fail(f"unknown channel {chan}")
+                    fail(depth, p, f"unknown channel {chan}")
                     return None
                 return self._try_temporals(ctx, p, offer_chan, offer, depth)
 
             case Cut(dest, annot, body, cont):
                 if dest in ctx or dest == offer_chan:
-                    fail(f"cut channel {dest} shadows a live channel")
+                    fail(depth, p, f"cut channel {dest} shadows a live channel")
                     return None
                 used = free_chans(body) - {dest}
                 if not used <= set(ctx):
-                    fail(f"cut body uses unknown channels "
+                    fail(depth, p, f"cut body uses unknown channels "
                          f"{', '.join(sorted(used - set(ctx)))}")
                     return None
                 ctx_body = {c: t for c, t in ctx.items() if c in used}
@@ -434,9 +480,10 @@ class _Elab:
 
             case Spawn(dest, proc, args, chans, cont, via):
                 if dest in ctx or dest == offer_chan:
-                    fail(f"spawned channel {dest} shadows a live channel")
+                    fail(depth, p,
+                         f"spawned channel {dest} shadows a live channel")
                     return None
-                ctx2 = self._consume(ctx, proc, chans, fail)
+                ctx2 = self._consume(ctx, p, proc, chans, depth)
                 if ctx2 is not None:
                     decl = ops.sig.decl(proc)
                     ctx2[dest] = decl.offer_type
@@ -447,29 +494,27 @@ class _Elab:
 
             case TailCall(dest, proc, args, chans):
                 if dest != offer_chan:
-                    fail(f"tail call must provide {offer_chan}")
+                    fail(depth, p, f"tail call must provide {offer_chan}")
                     return None
                 if set(ctx) != set(chans):
-                    fail("tail call does not consume the context exactly")
+                    fail(depth, p,
+                         "tail call does not consume the context exactly")
                     return None
-                ctx2 = self._consume(ctx, proc, chans, fail)
+                ctx2 = self._consume(ctx, p, proc, chans, depth)
                 if ctx2 is not None:
                     decl = ops.sig.decl(proc)
                     if ops.type_equal(decl.offer_type, offer):
                         return p
                     # Bridge the offered type through an explicit forward.
-                    fresh = dest + "'"
-                    while fresh in ctx or fresh == offer_chan:
-                        fresh += "'"
-                    bridge = self.elab({fresh: decl.offer_type},
-                                       Fwd(dest, fresh, pos=p.pos), offer_chan,
-                                       offer, depth + 1)
+                    fwd = self._bridge(p)
+                    bridge = self.elab({fwd.src: decl.offer_type}, fwd,
+                                       offer_chan, offer, depth + 1)
                     if bridge is not None:
-                        return Spawn(fresh, proc, args, chans, bridge, True,
+                        return Spawn(fwd.src, proc, args, chans, bridge, True,
                                      p.pos)
-                    fail(f"offered type of {proc} "
-                         f"({fmt_type(decl.offer_type)}) cannot be bridged to "
-                         f"{fmt_type(offer)}")
+                    fail(depth, p, lambda: f"offered type of {proc} "
+                         f"({fmt_type(decl.offer_type)}) cannot be bridged "
+                         f"to {fmt_type(offer)}")
                 return self._try_temporals(ctx, p, offer_chan, offer, depth)
 
         raise AssertionError(f"unknown process node {p!r}")
@@ -480,7 +525,7 @@ class _Elab:
         want = set(branch_labels(base.branches))
         have = {lab for lab, _ in branches}
         if want != have:
-            self._give_up(depth, f"case on {chan} has branches "
+            self._give_up(depth, None, lambda: f"case on {chan} has branches "
                           f"{sorted(have)} but the protocol offers "
                           f"{sorted(want)}")
             return None
@@ -498,23 +543,26 @@ class _Elab:
             out.append((lab, sub))
         return Case(chan, tuple(out), p.pos)
 
-    def _consume(self, ctx: Ctx, proc: str, chans, fail):
+    def _consume(self, ctx: Ctx, p: ProcExpr, proc: str, chans, depth: int):
         decl = self.ops.sig.decl(proc)
         if len(chans) != len(decl.ctx):
-            fail(f"{proc} takes {len(decl.ctx)} channel(s), got {len(chans)}")
+            self._give_up(depth, p, f"{proc} takes {len(decl.ctx)} channel(s), "
+                          f"got {len(chans)}")
             return None
         if len(set(chans)) != len(chans):
-            fail("a channel is passed twice to a call")
+            self._give_up(depth, p, "a channel is passed twice to a call")
             return None
         ctx2 = dict(ctx)
         for actual, (formal, want) in zip(chans, decl.ctx):
             if actual not in ctx:
-                fail(f"unknown channel {actual}")
+                self._give_up(depth, p, f"unknown channel {actual}")
                 return None
-            if not is_subtype(self.ops, ctx[actual], want):
-                fail(f"argument {actual} : {fmt_type(ctx[actual])} is not a "
-                     f"subtype of {fmt_type(want)} (parameter {formal} of "
-                     f"{proc})")
+            got = ctx[actual]
+            if not is_subtype(self.ops, got, want):
+                self._give_up(depth, p, lambda: f"argument {actual} : "
+                              f"{fmt_type(got)} is not a subtype of "
+                              f"{fmt_type(want)} (parameter {formal} of "
+                              f"{proc})")
                 return None
             del ctx2[actual]
         return ctx2
@@ -532,7 +580,7 @@ def elaborate_process(ops: TypeOps, ctx: Ctx, p: ProcExpr, offer_chan: str,
         raise ReconstructionError(
             f"no temporal elaboration exists; deepest failing goal: "
             f"{engine.best_msg}")
-    return merge_delays(out)
+    return out
 
 
 class FwdElaborator:

@@ -89,6 +89,14 @@ class TypeOps:
         the top-level query succeeds."""
         if a is b:
             return True
+        na, ta = self._strip.get(a) or self.strip(a)
+        nb, tb = self._strip.get(b) or self.strip(b)
+        m = min(na, nb)
+        key = (na - m, ta, nb - m, tb)
+        if key in self._eq_true:
+            return True
+        if key in self._eq_false:
+            return False
         steps = [0]
         assumed: set = set()
         candidates: set = set()

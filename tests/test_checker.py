@@ -184,3 +184,61 @@ proc x <- skip1s <- y =
          | b1 => tick ; x2 : ()<>sbits <- (x2 <- skip1s <- y) ; x <- idle <- x2
          | $  => tick ; now! x ; x.$ ; wait y ; tick ; close x )
 """)
+
+
+def test_a_huge_delay_checks_in_constant_time():
+    check_ok("""
+decl f : . |- (x : ()^{1000000000} 1)
+proc x <- f = delay{1000000000} ; close x
+""")
+
+
+def test_a_huge_delay_fails_where_the_unit_loop_fails():
+    # The offer runs out of delays one unit before the delay does.
+    err = first_error("""
+decl f : (y : ()^{1000000000} []1) |- (x : ()^{999999999} 1)
+proc x <- f <- y = delay{1000000000} ; close x
+""")
+    assert err.rule == "()LR"
+    assert str(err).endswith("offered type does not allow a delay "
+                             "(expected ?, found 1)")
+
+
+def test_delay_of_n_units_matches_n_unit_delays():
+    # The n-unit shift of a Delay node returns the unit loop's context, or
+    # raises its error: same rule, same message, same channel, same type.
+    from tss.ast import Box, Diamond, One, next_type
+    from tss.checker import Checker
+    sig = parse_program("""
+type x = ()x
+type u = ()v
+type v = ()()u
+type a = ()b
+type b = ()^2 []1
+type d = ()<>1
+""")
+    checker = Checker(TypeOps(sig))
+    bases = [One(), Box(One()), Diamond(One()), TypeName("x"), TypeName("u"),
+             TypeName("a"), TypeName("d")]
+    types = [next_type(k, b) for k in range(4) for b in bases]
+    node = Delay(1, Origin.SOURCE, None)
+
+    def outcome(shift):
+        try:
+            return shift()
+        except SessionTypeError as e:
+            return str(e), e.rule, e.found
+
+    def unit_loop(ctx, offer, n):
+        for _ in range(n):
+            ctx, offer = checker._shift_unit(ctx, offer, node)
+        return ctx, offer
+
+    for i, left in enumerate(types):
+        for right in types[i % 5::5]:
+            for offer in types[i % 3::3]:
+                ctx = {"y": left, "z": right}
+                for n in range(1, 8):
+                    assert outcome(lambda: checker._shift_all(
+                        ctx, offer, node, n)) == outcome(
+                        lambda: unit_loop(ctx, offer, n))

@@ -174,3 +174,18 @@ def test_corpus_and_generated_programs_parse_within_the_bound():
     for seed in range(60):
         sig = gen_program(seed)
         assert parse_program(pretty_print(sig)) == sig
+
+
+def test_huge_delays_check_without_a_traceback(tmp_path, capsys):
+    huge = tmp_path / "huge.tss"
+    huge.write_text("decl f : . |- (x : ()^{1000000000} 1)\n"
+                    "proc x <- f = close x\n")
+    assert run("check", str(huge)) == 0
+    long_bridge = tmp_path / "bridge.tss"
+    long_bridge.write_text("decl g : . |- (x : 1)\nproc x <- g = close x\n"
+                           "decl f : . |- (x : ()^{200000} 1)\n"
+                           "proc x <- f = x <- g\n")
+    assert run("check", str(long_bridge)) == 1
+    err = capsys.readouterr().err
+    assert "search budget exhausted; deepest goal:" in err
+    assert "Traceback" not in err

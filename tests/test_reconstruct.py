@@ -1,12 +1,20 @@
+import gc
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from tss.ast import TypeName
+from fuzzgen import gen_program, strip_temporal
+from tss import reconstruct
+from tss.ast import (Close, DefClause, Delay, Origin, ProcDef, Signature,
+                     TailCall, TypeName)
 from tss.checker import check_signature
+from tss.corpus import check_specs, source
 from tss.cost import instrument
 from tss.errors import ReconstructionError
+from tss.instantiate import instantiate_many
 from tss.parser import parse_program
-from tss.printer import fmt_proc
-from tss.reconstruct import (FwdElaborator, elaborate_signature,
+from tss.printer import fmt_proc, pretty_print
+from tss.reconstruct import (FwdElaborator, _Elab, elaborate_signature,
                              erase_reconstructed)
 from tss.typeops import TypeOps
 
@@ -194,3 +202,137 @@ def test_reelaboration_of_erased_output_is_idempotent():
     for name in elab.procdefs:
         assert elab2.procdefs[name].clauses[0].body == \
             elab.procdefs[name].clauses[0].body
+
+
+def _nodes(term):
+    """Every node reachable from a term, through fields and tuples."""
+    todo, out = [term], []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            todo.extend(node)
+        elif is_dataclass(node):
+            out.append(node)
+            todo.extend(getattr(node, f.name) for f in fields(node))
+    return out
+
+
+def _recon_runs(term):
+    """Pairs of directly nested reconstruction delays in a term."""
+    return [n for n in _nodes(term) if isinstance(n, Delay)
+            and n.origin is Origin.RECON and isinstance(n.cont, Delay)
+            and n.cont.origin is Origin.RECON]
+
+
+def _elaborate_goals(sig):
+    """(source body, finished engine, raw result) per definition, straight
+    from the search engine."""
+    ops = TypeOps(sig)
+    for name, pdef in sig.procdefs.items():
+        decl = sig.procdecls[name].clauses[0]
+        cl = pdef.clauses[0]
+        engine = _Elab(ops, 100_000)
+        ctx = {c: t for c, (_, t) in zip(cl.chans, decl.ctx)}
+        out = engine.elab(ctx, cl.body, cl.dest, decl.offer_type, 0)
+        yield cl.body, engine, out
+
+
+def test_memo_keys_name_live_nodes():
+    # A goal is keyed by id(node): every key must name a node that is
+    # still alive, a source node or the one cached bridge of a tail call,
+    # or a later node could reuse the id.
+    bridged = 0
+    for body, engine, out in _elaborate_goals(
+            instrument(parse_program(COMPRESS), "r")):
+        assert out is not None
+        gc.collect()
+        bridges = getattr(engine, "bridges", {}).values()
+        live = {id(n) for n in _nodes(body)} | {id(f) for f in bridges}
+        assert {key[0] for key in engine.done} <= live
+        for call in _nodes(body):
+            if isinstance(call, TailCall) and id(call) in engine.bridges:
+                cached = engine.bridges[id(call)]
+                assert engine._bridge(call) is cached
+                bridged += 1
+    assert bridged
+
+
+@pytest.mark.parametrize("r", [4, 20])
+def test_large_delay_exponents_reconstruct(r):
+    # append_rs declares ()^{(r+4)n+2}: 514 units at r=4, 1538 at r=20,
+    # well past the default recursion limit.
+    ground = instantiate_many(parse_program(source("append_rs.tss")),
+                              ["amain"], {"n": 64, "k": 64, "r": r})
+    elab, errors = elaborate_signature(instrument(ground, "rs"))
+    assert not errors, [str(e) for e in errors]
+    assert not check_signature(elab, call_subtyping=True)
+    body = fmt_proc(elab.procdefs["dsrc$64$64"].clauses[0].body)
+    assert f"delay{{{(r + 4) * 64 + 2}}}" in body
+
+
+def test_a_huge_offered_delay_is_one_jump():
+    elab, _ = elaborate("""
+decl f : . |- (x : ()^{1000000000} 1)
+proc x <- f = close x
+""")
+    assert elab.procdefs["f"].clauses[0].body == \
+        Delay(10**9, Origin.RECON, Close("x"))
+
+
+LONG_BRIDGE = """
+decl g : . |- (x : 1)
+proc x <- g = close x
+decl f : . |- (x : ()^{200000} 1)
+proc x <- f = x <- g
+"""
+
+
+def test_a_long_bridge_search_runs_out_of_budget():
+    # Each unit of the tail call's delay run tries the bridge again, so the
+    # run is taken unit by unit until the budget ends it.
+    _, errors = elaborate_signature(parse_program(LONG_BRIDGE))
+    assert len(errors) == 1 and isinstance(errors[0], ReconstructionError)
+    msg = str(errors[0])
+    assert msg.startswith("in f: search budget exhausted; deepest goal: "
+                          "offered type of g (1) cannot be bridged to ()^")
+
+
+def test_no_adjacent_reconstruction_delays():
+    # The search itself merges a delay run into one node.
+    sigs = []
+    for spec in check_specs():
+        ground = instantiate_many(parse_program(source(spec.file)),
+                                  [spec.root], spec.bind)
+        sigs.append(instrument(ground, spec.cost))
+    for seed in range(60):
+        sig = gen_program(seed)
+        cl = sig.procdefs["main"].clauses[0]
+        skeleton = Signature(dict(sig.typedefs), dict(sig.procdecls), {})
+        skeleton.procdefs["main"] = ProcDef(
+            "main", [DefClause((), cl.dest, cl.chans,
+                               strip_temporal(cl.body))])
+        sigs.append(skeleton)
+    elaborated = 0
+    for sig in sigs:
+        for _, _, out in _elaborate_goals(sig):
+            if out is not None:
+                assert not _recon_runs(out)
+                elaborated += 1
+    assert elaborated >= 60
+
+
+def test_silent_runs_jump_to_the_same_elaboration(monkeypatch):
+    # Taking every delay run one unit at a time gives the same terms and
+    # the same errors as jumping over the silent runs.
+    def outcomes():
+        out = []
+        for spec in check_specs():
+            ground = instantiate_many(parse_program(source(spec.file)),
+                                      [spec.root], spec.bind)
+            elab, errors = elaborate_signature(instrument(ground, spec.cost))
+            out.append((pretty_print(elab), [str(e) for e in errors]))
+        return out
+
+    jumped = outcomes()
+    monkeypatch.setattr(reconstruct, "_SILENT_HEADS", ())
+    assert outcomes() == jumped
