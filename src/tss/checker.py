@@ -268,8 +268,6 @@ class Checker:
         shift is undefined, the error is the one the unit-by-unit loop
         raises: the types are shifted as far as all of them allow, and the
         next unit is taken on its own."""
-        if n == 1:
-            return self._shift_unit(ctx, offer_type, p)
         ops = self.ops
         ctx2 = {c: ops.shift_left_n(t, n) for c, t in ctx.items()}
         off = ops.shift_right_n(offer_type, n)

@@ -211,11 +211,11 @@ class _Elab:
         ops = self.ops
         sctx: Ctx = {}
         for c, t in ctx.items():
-            s = ops.shift_left(t) if n == 1 else ops.shift_left_n(t, n)
+            s = ops.shift_left_n(t, n)
             if s is None:
                 return None
             sctx[c] = s
-        soff = ops.shift_right(offer) if n == 1 else ops.shift_right_n(offer, n)
+        soff = ops.shift_right_n(offer, n)
         if soff is None:
             return None
         return sctx, soff

@@ -89,10 +89,7 @@ class TypeOps:
         the top-level query succeeds."""
         if a is b:
             return True
-        na, ta = self._strip.get(a) or self.strip(a)
-        nb, tb = self._strip.get(b) or self.strip(b)
-        m = min(na, nb)
-        key = (na - m, ta, nb - m, tb)
+        key = self._eq_key(a, b)
         if key in self._eq_true:
             return True
         if key in self._eq_false:
@@ -105,8 +102,6 @@ class TypeOps:
             steps[0] += 1
             if steps[0] > self.budget:
                 raise BudgetExceededError("type equality budget exceeded")
-            m = min(na, nb)
-            na, nb = na - m, nb - m
             la, lb = isinstance(ta, TypeName), isinstance(tb, TypeName)
             if la and lb:
                 # Two infinite delay towers never communicate: equal.
@@ -135,16 +130,17 @@ class TypeOps:
         def eq(a: SessionType, b: SessionType) -> bool:
             if a is b:
                 return True
-            na, ta = self.strip(a)
-            nb, tb = self.strip(b)
-            m = min(na, nb)
-            key = (na - m, ta, nb - m, tb)
+            key = self._eq_key(a, b)
             if key in self._eq_true or key in assumed:
                 return True
             if key in self._eq_false:
                 return False
+            return settle(key)
+
+        def settle(key: tuple) -> bool:
+            """Decide a goal found in neither memo nor the assumptions."""
             assumed.add(key)
-            ok = states_eq(na, ta, nb, tb)
+            ok = states_eq(*key)
             assumed.discard(key)
             if ok:
                 candidates.add(key)
@@ -152,10 +148,18 @@ class TypeOps:
                 self._eq_false.add(key)
             return ok
 
-        result = eq(a, b)
+        result = settle(key)
         if result:
             self._eq_true |= candidates
         return result
+
+    def _eq_key(self, a: SessionType, b: SessionType) -> tuple:
+        """The memo key of an equality goal: both sides stripped, with their
+        common leading delays removed."""
+        na, ta = self._strip.get(a) or self.strip(a)
+        nb, tb = self._strip.get(b) or self.strip(b)
+        m = min(na, nb)
+        return (na - m, ta, nb - m, tb)
 
     # -- one-step time shifts ------------------------------------------------
 
@@ -198,29 +202,32 @@ class TypeOps:
         a `keeps` head absorbs the remaining steps, and on reaching a defined
         name again (an infinite delay tower such as `x = ()x`) n is reduced
         modulo the tower's period."""
-        seen: dict[TypeName, int] = {}
+        seen: Optional[dict[TypeName, int]] = None
         while n > 0:
             if isinstance(t, TypeName):
-                if t in seen:
+                if seen is None:
+                    seen = {}
+                elif t in seen:
                     n %= seen[t] - n
                     seen.clear()
                     continue
                 seen[t] = n
                 t = self.unfold(t)
-            match t:
-                case Next(count, Next()):
+            if isinstance(t, Next):
+                count, inner = t.count, t.inner
+                if isinstance(inner, Next):
                     # Not normalized: one step merges a level, as the loop's.
-                    t = next_type(count - 1, t.inner)
+                    t = next_type(count - 1, inner)
                     n -= 1
-                case Next(count, inner):
-                    if count > n:
-                        return Next(count - n, inner)
+                elif count > n:
+                    return Next(count - n, inner)
+                else:
                     n -= count
                     t = inner
-                case _ if isinstance(t, keeps):
-                    return t
-                case _:
-                    return None
+            elif isinstance(t, keeps):
+                return t
+            else:
+                return None
         return t
 
     # -- patience ------------------------------------------------------------
