@@ -10,13 +10,9 @@ from typing import Callable
 
 from . import corpus
 from .ast import ONE, Box, Diamond, SessionType, Signature, next_type
-from .checker import check_signature
-from .errors import ReconstructionError
-from .instantiate import mangled_name
 from .printer import pretty_print
 from .reconstruct import FwdElaborator, erase_reconstructed
-from .runtime import (Engine, check_configuration, init_config, is_poised,
-                      make_scheduler, root_chain)
+from .runtime import Trace, is_poised
 from .subtyping import is_subtype, is_weak_subtype, subtype_oracle
 from .typeops import TypeOps
 
@@ -71,17 +67,6 @@ class _Universe:
         return cls._instance
 
 
-def _run_main(file: str, main: str, bind: dict[str, int], cost: str,
-              steps: int = 10_000, sched: str = "rr", seed: int = 0):
-    sig = corpus.parse(file)
-    elab, _ = corpus.prepare(sig, [main], bind, cost)
-    ops = TypeOps(elab)
-    eng = Engine(elab, ops)
-    cfg = init_config(elab, mangled_name(sig, main, bind))
-    final, status = eng.run(cfg, make_scheduler(sched, seed), steps)
-    return root_chain(final, cfg.order[0]), status
-
-
 def expected_schedule(ops: TypeOps, t: SessionType, start: int = 0,
                       limit: int = 64) -> list[tuple[str, int]]:
     """Walk a ground offered type and read off when each message must
@@ -113,12 +98,20 @@ def expected_schedule(ops: TypeOps, t: SessionType, start: int = 0,
     return out
 
 
+class _StepCount(Trace):
+    """A trace that only counts the steps of a run."""
+    count = 0
+
+    def add(self, *_) -> None:
+        self.count += 1
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 
 def criterion_1():
     """six under r: five chain messages at 0..4 carrying b0,b1,b1,$,close."""
-    chain, status = _run_main("six_r.tss", "six", {}, "r")
+    _, status, chain = corpus.load("six_r.tss", "six", {}, "r").run()
     want = [("label", "b0", 0), ("label", "b1", 1), ("label", "b1", 2),
             ("label", "$", 3), ("close", "", 4)]
     ok = status == "quiescent" and chain == want
@@ -139,13 +132,7 @@ def criterion_2():
         ("counter_r.tss", "bit1", "ok"),
         ("counter_r.tss", "empty", "ok"),
     ]:
-        sig = corpus.parse(file)
-        try:
-            elab, _ = corpus.prepare(sig, [root], {}, "r")
-            verdict = "ok" if not check_signature(elab, call_subtyping=True) \
-                else "type_error"
-        except ReconstructionError:
-            verdict = "recon_error"
+        verdict = corpus.load(file, root, {}, "r").verdict
         results.append((file, root, expect, verdict))
     bad = [r for r in results if r[2] != r[3]]
     return not bad, f"{len(results) - len(bad)}/{len(results)} verdicts match" + \
@@ -159,9 +146,8 @@ def criterion_3():
     for main_name, file, slope in (("smain", "stack_rs.tss", 2),
                                    ("qmain", "queue_rs.tss", 4)):
         for n in (1, 2, 3):
-            chain, status = _run_main(file, main_name, {"n": n}, "rs")
-            want = [("chan", chain[0][1] if chain else "?", slope * n),
-                    ("close", "", slope * n + 1)]
+            _, status, chain = corpus.load(file, main_name, {"n": n},
+                                           "rs").run()
             good = (status == "quiescent" and len(chain) == 2
                     and chain[0][0] == "chan" and chain[0][2] == slope * n
                     and chain[1] == ("close", "", slope * n + 1))
@@ -175,22 +161,17 @@ def criterion_3():
 def criterion_4():
     """Append typechecks and emits on the type's schedule for the whole
     (n, k, r) grid."""
-    sig = corpus.parse("append_rs.tss")
     checked = 0
     for n in range(4):
         for k in range(4):
             for r in range(3):
                 bind = {"n": n, "k": k, "r": r}
-                elab, _ = corpus.prepare(sig, ["amain"], bind, "rs")
-                if check_signature(elab, call_subtyping=True):
+                prog = corpus.load("append_rs.tss", "amain", bind, "rs")
+                if prog.verdict != "ok":
                     return False, f"typecheck failed at {bind}"
-                ops = TypeOps(elab)
-                main = mangled_name(sig, "amain", bind)
-                eng = Engine(elab, ops)
-                cfg = init_config(elab, main)
-                final, status = eng.run(cfg, make_scheduler("rr"), 10_000)
-                chain = root_chain(final, cfg.order[0])
-                want = expected_schedule(ops, elab.decl(main).offer_type)
+                _, status, chain = prog.run()
+                want = expected_schedule(
+                    prog.ops, prog.elab.decl(prog.main).offer_type)
                 got = [(("label:" + m[1]) if m[0] == "label" else m[0], m[2])
                        for m in chain]
                 if status != "quiescent" or got != want:
@@ -202,18 +183,12 @@ def criterion_4():
 def criterion_5():
     """Alternate: k = 0 specialization and k in {1, 2}; first six outputs
     at the rate the output type prescribes."""
-    sig = corpus.parse("alternate_rs.tss")
     for k in (0, 1, 2):
-        bind = {"k": k}
-        elab, _ = corpus.prepare(sig, ["altmain"], bind, "rs")
-        if check_signature(elab, call_subtyping=True):
+        prog = corpus.load("alternate_rs.tss", "altmain", {"k": k}, "rs")
+        if prog.verdict != "ok":
             return False, f"typecheck failed at k={k}"
-        main = mangled_name(sig, "altmain", bind)
-        eng = Engine(elab, TypeOps(elab))
-        cfg = init_config(elab, main)
-        final, _ = eng.run(cfg, make_scheduler("rr"), 400)
-        times = [t for kind, _, t in root_chain(final, cfg.order[0])
-                 if kind == "chan"][:6]
+        _, _, chain = prog.run(steps=400)
+        times = [t for kind, _, t in chain if kind == "chan"][:6]
         want = [1 + i * (k + 2) for i in range(6)]
         if times != want:
             return False, f"k={k}: outputs at {times}, typed schedule {want}"
@@ -223,18 +198,16 @@ def criterion_5():
 def criterion_6():
     """Tree parity: answer at 5h+3 under rs for h in 0..4; the xor-only
     model answers at h (checked by typechecking and running tree_free)."""
-    sig = corpus.parse("tree_rs.tss")
     for h in range(5):
-        chain, status = _run_main("tree_rs.tss", "tmain", {"h": h}, "rs")
+        _, status, chain = corpus.load("tree_rs.tss", "tmain", {"h": h},
+                                       "rs").run()
         if status != "quiescent" or not chain or chain[0][2] != 5 * h + 3:
             return False, f"rs model, h={h}: {chain}"
-    free = corpus.parse("tree_free.tss")
     for h in range(5):
-        bind = {"h": h}
-        elab, _ = corpus.prepare(free, ["tmain"], bind, "free")
-        if check_signature(elab, call_subtyping=True):
+        prog = corpus.load("tree_free.tss", "tmain", {"h": h}, "free")
+        if prog.verdict != "ok":
             return False, f"xor-only model fails to typecheck at h={h}"
-        chain, status = _run_main("tree_free.tss", "tmain", bind, "free")
+        _, status, chain = prog.run()
         if status != "quiescent" or not chain or chain[0][2] != h:
             return False, f"xor-only model, h={h}: {chain}"
     return True, "boolean at 5h+3 (rs) and h (xor-only) for h in 0..4"
@@ -245,24 +218,18 @@ def criterion_7():
     costs k+6 units (six charged actions plus the combine latency), so the
     stated bound is unattainable for n >= 1; see "Criterion 7: the fold
     bound" in README.md."""
-    sig = corpus.parse("fold_paper_rs.tss")
     rows = []
     ok = True
     for n in range(4):
         for k in (0, 2):
             bind = {"n": n, "k": k}
             want = (k + 5) * n + 4
-            try:
-                elab, _ = corpus.prepare(sig, ["fmain"], bind, "rs")
-            except ReconstructionError:
+            prog = corpus.load("fold_paper_rs.tss", "fmain", bind, "rs")
+            if prog.verdict == "recon_error":
                 rows.append(f"n={n},k={k}: no elaboration at ()^{want}")
                 ok = False
                 continue
-            main = mangled_name(sig, "fmain", bind)
-            eng = Engine(elab, TypeOps(elab))
-            cfg = init_config(elab, main)
-            final, status = eng.run(cfg, make_scheduler("rr"), 10_000)
-            chain = root_chain(final, cfg.order[0])
+            _, status, chain = prog.run()
             got = chain[0][2] if chain else None
             # The result type is ()^{(k+5)n+4} B with B = ()bb: the label
             # message lands one unit after the declared bound.
@@ -339,22 +306,11 @@ def criterion_10():
     every corpus run under all three schedulers."""
     steps_checked = 0
     for spec in corpus.run_specs():
-        elab, ops, main = corpus.prepare_run(spec)
+        prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
         for sched in ("rr", "rand", "sync"):
-            eng = Engine(elab, ops)
-            cfg = init_config(elab, main)
-            declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
-            cache: dict = {}
-            check_configuration(ops, {}, cfg, declared, cache)
-            counter = [0]
-
-            def on_step(c):
-                counter[0] += 1
-                check_configuration(ops, {}, c, declared, cache)
-
-            eng.run(cfg, make_scheduler(sched, seed=1), spec.steps,
-                    on_step=on_step)
-            steps_checked += counter[0]
+            steps = _StepCount()
+            prog.run(sched, 1, spec.steps, trace=steps, check=True)
+            steps_checked += steps.count
     return True, f"{steps_checked} configurations checked, zero violations"
 
 
@@ -362,23 +318,21 @@ def criterion_11():
     """Progress: no run gets stuck non-poised; quiescence implies poised.
     Observables agree across schedulers for terminating programs."""
     for spec in corpus.run_specs():
-        elab, ops, main = corpus.prepare_run(spec)
+        prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
         outcomes = []
         for sched, seed in (("rr", 0), ("rand", 1), ("rand", 99), ("sync", 0)):
-            eng = Engine(elab, ops)
-            cfg = init_config(elab, main)
-            final, status = eng.run(cfg, make_scheduler(sched, seed),
-                                    spec.steps)
+            final, status, chain = prog.run(sched, seed, spec.steps)
             if status == "quiescent":
                 if not is_poised(final):
-                    return False, f"{spec.file}/{main}: quiescent but not poised"
+                    return False, (f"{spec.file}/{prog.main}: quiescent but "
+                                   f"not poised")
                 # Fresh channel names depend on allocation order; the
                 # observation is the role, label, and timestamp only.
-                obs = [(k, lab if k == "label" else "", t)
-                       for k, lab, t in root_chain(final, cfg.order[0])]
-                outcomes.append(obs)
+                outcomes.append([(k, lab if k == "label" else "", t)
+                                 for k, lab, t in chain])
         if outcomes and any(o != outcomes[0] for o in outcomes):
-            return False, f"{spec.file}/{main}: observables differ by scheduler"
+            return False, (f"{spec.file}/{prog.main}: observables differ by "
+                           f"scheduler")
     return True, "no stuck states; observables scheduler-independent"
 
 
@@ -389,18 +343,17 @@ def criterion_12():
     for spec in corpus.check_specs():
         if spec.expect != "ok":
             continue
-        sig = corpus.parse(spec.file)
-        elab, ticked = corpus.prepare(sig, [spec.root], spec.bind, spec.cost)
-        errs = check_signature(elab, call_subtyping=True)
-        if errs:
-            return False, f"{spec.file}: explicit check failed: {errs[0]}"
+        prog = corpus.load(spec.file, spec.root, spec.bind, spec.cost)
+        if prog.errors:
+            return False, f"{spec.file}: {prog.verdict}: {prog.errors[0]}"
+        elab = prog.elab
         erased = Signature(dict(elab.typedefs), dict(elab.procdecls), {})
         for name, pdef in elab.procdefs.items():
             cl = pdef.clauses[0]
             erased.procdefs[name] = type(pdef)(
                 name, [type(cl)(cl.patterns, cl.dest, cl.chans,
                                 erase_reconstructed(cl.body))])
-        if pretty_print(erased) != pretty_print(ticked):
+        if pretty_print(erased) != pretty_print(prog.ticked):
             return False, f"{spec.file}: erasure does not reproduce the source"
         programs += 1
     return True, f"{programs} program instantiations round-trip byte-exactly"

@@ -21,7 +21,7 @@ import inspect
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union, get_args
 
-from .errors import EvalError
+from .errors import EvalError, SessionTypeError
 
 Pos = tuple[int, int]
 
@@ -566,3 +566,16 @@ class Signature:
 
     def proc_body(self, name: str) -> DefClause:
         return self.procdefs[name].clauses[0]
+
+    def def_goal(self, name: str
+                 ) -> tuple[DefClause, dict[str, SessionType], SessionType]:
+        """What a ground definition must establish: its clause, the context
+        its channels take from the declaration, and the offered type.
+        Raises SessionTypeError if the two disagree on the channel count."""
+        dcl, decl = self.proc_body(name), self.decl(name)
+        if len(dcl.chans) != len(decl.ctx):
+            raise SessionTypeError(
+                f"definition of {name} binds {len(dcl.chans)} channels, "
+                f"decl has {len(decl.ctx)}")
+        ctx = {actual: t for actual, (_, t) in zip(dcl.chans, decl.ctx)}
+        return dcl, ctx, decl.offer_type

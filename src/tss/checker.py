@@ -329,18 +329,10 @@ def check_signature(sig: Signature, call_subtyping: bool = False,
     ops = ops or TypeOps(sig)
     checker = Checker(ops, call_subtyping)
     errors: list[SessionTypeError] = []
-    for name, pdef in sig.procdefs.items():
-        decl = sig.procdecls[name].clauses[0]
-        dcl = pdef.clauses[0]
-        chan_map = dict(zip(dcl.chans, decl.ctx))
-        ctx = {actual: t for actual, (_, t) in chan_map.items()}
-        body = dcl.body
+    for name in sig.procdefs:
         try:
-            if len(dcl.chans) != len(decl.ctx):
-                raise SessionTypeError(
-                    f"definition of {name} binds {len(dcl.chans)} channels, "
-                    f"decl has {len(decl.ctx)}")
-            checker.check(ctx, body, dcl.dest, decl.offer_type)
+            dcl, ctx, offer = sig.def_goal(name)
+            checker.check(ctx, dcl.body, dcl.dest, offer)
         except SessionTypeError as e:
             wrapped = SessionTypeError(f"in {name}: {e}")
             wrapped.rule = e.rule

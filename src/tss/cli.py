@@ -1,29 +1,27 @@
-"""Command-line entry point: parse -> instantiate -> instrument ->
-reconstruct -> check -> run, plus subtype queries and the bundled corpus.
+"""Command-line entry point to the `pipeline` (parse -> instantiate ->
+instrument -> reconstruct -> check -> run), plus subtype queries and the
+bundled corpus.
 
 Exit status: 0 on success, 1 on a verdict failure, 2 on usage or parse
-errors.
+errors and on files that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import acceptance
 from .ast import Signature
-from .checker import check_signature
-from .cost import instrument
 from .errors import ParseError, TssError
-from .instantiate import (instantiate_many, mangled_name,
-                          signature_is_parameterized)
+from .instantiate import instantiate_many
 from .parser import parse_program, parse_type
+from .pipeline import load
 from .printer import pretty_print
-from .reconstruct import elaborate_signature
-from .runtime import (Engine, Trace, check_configuration, init_config,
-                      is_poised, make_scheduler, root_chain)
+from .runtime import Trace, is_poised
 from .subtyping import is_subtype
-from .typeops import TypeOps, check_contractive
+from .typeops import TypeOps
 
 
 def _read(path: str) -> str:
@@ -31,111 +29,67 @@ def _read(path: str) -> str:
         return f.read()
 
 
+def _write(path: str, text: str) -> None:
+    """Write `text` to the file `path`, or to stdout if `path` is '-'."""
+    if path == "-":
+        print(text, end="")
+    else:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
 def _parse_bind(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        name, _, value = item.partition("=")
-        out[name.strip()] = int(value)
+    for item in text.split(",") if text else []:
+        m = re.fullmatch(r"\s*(\w+)\s*=\s*(-?\d+)\s*", item)
+        if m is None:
+            raise argparse.ArgumentTypeError(
+                f"malformed binding {item!r}; expected name=integer")
+        out[m[1]] = int(m[2])
     return out
 
 
-def _load(path: str, bind: dict[str, int], roots: list[str]) -> Signature:
-    sig = parse_program(_read(path))
-    check_contractive(sig)
-    if roots:
-        return instantiate_many(sig, roots, bind)
-    if signature_is_parameterized(sig):
-        # Without an explicit root, ground every parameter-free process.
-        names = [n for n, pd in sig.procdecls.items() if pd.arity == 0]
-        if not names:
-            raise TssError("program is parameterized; pass --def/--main "
-                           "with --bind to pick an instance")
-        return instantiate_many(sig, names, bind)
-    return sig
-
-
-def _pipeline(sig: Signature, cost: str, explicit: bool):
-    ticked = instrument(sig, cost)
-    if explicit:
-        return ticked, check_signature(ticked)
-    elab, errors = elaborate_signature(ticked)
-    if errors:
-        return elab, errors
-    return elab, check_signature(elab, call_subtyping=True)
+def _report(errors: list) -> bool:
+    """Print `errors` to stderr; True if there were any."""
+    for e in errors:
+        print(e, file=sys.stderr)
+    return bool(errors)
 
 
 def cmd_check(args) -> int:
-    roots = [args.def_] if args.def_ else []
-    sig = _load(args.file, _parse_bind(args.bind), roots)
-    _, errors = _pipeline(sig, args.cost, args.explicit)
-    for e in errors:
-        print(e, file=sys.stderr)
-    if errors:
+    prog = load(_read(args.file), [args.def_] if args.def_ else [],
+                args.bind, args.cost, args.explicit)
+    if _report(prog.errors):
         return 1
-    print(f"ok: {len(sig.procdefs)} definition(s) check")
+    print(f"ok: {len(prog.ticked.procdefs)} definition(s) check")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    roots = [args.def_] if args.def_ else []
-    sig = _load(args.file, _parse_bind(args.bind), roots)
-    ticked = instrument(sig, args.cost)
-    elab, errors = elaborate_signature(ticked)
-    for e in errors:
-        print(e, file=sys.stderr)
-    if errors:
+    # The elaboration is printed even if the explicit check rejects it.
+    prog = load(_read(args.file), [args.def_] if args.def_ else [],
+                args.bind, args.cost)
+    if prog.verdict == "recon_error":
+        _report(prog.errors)
         return 1
-    text = pretty_print(elab)
-    if args.output == "-":
-        print(text, end="")
-    else:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+    _write(args.output, pretty_print(prog.elab))
     return 0
 
 
 def cmd_run(args) -> int:
-    bind = _parse_bind(args.bind)
-    src = parse_program(_read(args.file))
-    check_contractive(src)
-    sig = instantiate_many(src, [args.main], bind)
-    main = mangled_name(src, args.main, bind)
-    elab, errors = _pipeline(sig, args.cost, args.explicit)
-    if errors:
-        for e in errors:
-            print(e, file=sys.stderr)
+    prog = load(_read(args.file), [args.main], args.bind, args.cost,
+                args.explicit)
+    if _report(prog.errors):
         return 1
-    ops = TypeOps(elab)
-    eng = Engine(elab, ops)
-    cfg = init_config(elab, main)
-    root = cfg.order[0]
-    declared = {root: cfg.ptypes[root]}
     trace = Trace() if (args.trace or args.trace_json) else None
-    cache: dict = {}
-    on_step = None
-    if args.check_config:
-        check_configuration(ops, {}, cfg, declared, cache)
-
-        def on_step(c):
-            check_configuration(ops, {}, c, declared, cache)
-
-    final, status = eng.run(cfg, make_scheduler(args.sched, args.seed),
-                            args.steps, trace=trace, on_step=on_step)
-    if trace is not None:
-        for path, text in ((args.trace, trace.to_text()),
-                           (args.trace_json, trace.to_json())):
-            if not path:
-                continue
-            if path == "-":
-                print(text, end="")
-            else:
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(text)
-    print(f"{status} after {len(trace.steps) if trace else '?'} steps"
-          if trace else status)
-    for kind, payload, t in root_chain(final, root):
+    final, status, chain = prog.run(args.sched, args.seed, args.steps, trace,
+                                    args.check_config)
+    if args.trace:
+        _write(args.trace, trace.to_text())
+    if args.trace_json:
+        _write(args.trace_json, trace.to_json())
+    print(f"{status} after {len(trace.steps)} steps" if trace else status)
+    for kind, payload, t in chain:
         label = f" {payload}" if payload else ""
         print(f"  t={t}: {kind}{label}")
     if status == "quiescent" and not is_poised(final):
@@ -157,13 +111,8 @@ def cmd_subtype(args) -> int:
 
 def cmd_instantiate(args) -> int:
     sig = parse_program(_read(args.file))
-    ground = instantiate_many(sig, [args.def_], _parse_bind(args.bind))
-    text = pretty_print(ground)
-    if args.output == "-":
-        print(text, end="")
-    else:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+    _write(args.output,
+           pretty_print(instantiate_many(sig, [args.def_], args.bind)))
     return 0
 
 
@@ -179,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_cost:
             p.add_argument("--cost", choices=("free", "r", "rs"),
                            default="free")
-        p.add_argument("--bind", default="",
+        p.add_argument("--bind", type=_parse_bind, default="",
                        help="parameter binding, e.g. n=3,k=2")
 
     p = sub.add_parser("check", help="typecheck a program")
@@ -241,6 +190,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        where = f"{e.filename}: " if e.filename else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 2
     except TssError as e:
         print(f"error: {e}", file=sys.stderr)

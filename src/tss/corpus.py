@@ -6,13 +6,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import pipeline
 from .ast import Signature
-from .cost import instrument
-from .errors import ReconstructionError
-from .instantiate import instantiate_many, mangled_name
 from .parser import parse_program
-from .reconstruct import elaborate_signature
-from .typeops import TypeOps, check_contractive
+from .pipeline import Program
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -68,21 +65,6 @@ def check_specs() -> list[CheckSpec]:
     return out
 
 
-def prepare(sig: Signature, roots: list[str], bind: dict[str, int], cost: str):
-    """Instantiate, instrument, and elaborate; returns the explicit
-    signature (reconstruction failures propagate as ReconstructionError)."""
-    ground = instantiate_many(sig, roots, bind)
-    check_contractive(ground)
-    ticked = instrument(ground, cost)
-    elab, errors = elaborate_signature(ticked)
-    if errors:
-        raise ReconstructionError("; ".join(str(e) for e in errors))
-    return elab, ticked
-
-
-def prepare_run(spec: RunSpec):
-    """Everything needed to execute one bundled run: the explicit
-    signature, its TypeOps, and the ground main name."""
-    sig = parse(spec.file)
-    elab, _ = prepare(sig, [spec.main], spec.bind, spec.cost)
-    return elab, TypeOps(elab), mangled_name(sig, spec.main, spec.bind)
+def load(file: str, root: str, bind: dict[str, int], cost: str) -> Program:
+    """A bundled program through the pipeline, grounded at `root`."""
+    return pipeline.load(source(file), [root], bind, cost)

@@ -602,17 +602,11 @@ def elaborate_signature(sig: Signature, ops: TypeOps | None = None,
     ops = ops or TypeOps(sig)
     out = Signature(dict(sig.typedefs), dict(sig.procdecls), {})
     errors: list[Exception] = []
-    for name, pdef in sig.procdefs.items():
-        decl = sig.procdecls[name].clauses[0]
-        dcl = pdef.clauses[0]
-        ctx = {actual: t for actual, (_, t) in zip(dcl.chans, decl.ctx)}
+    for name in sig.procdefs:
         try:
-            if len(dcl.chans) != len(decl.ctx):
-                raise SessionTypeError(
-                    f"definition of {name} binds {len(dcl.chans)} channels, "
-                    f"decl has {len(decl.ctx)}")
-            body = elaborate_process(ops, ctx, dcl.body, dcl.dest,
-                                     decl.offer_type, budget)
+            dcl, ctx, offer = sig.def_goal(name)
+            body = elaborate_process(ops, ctx, dcl.body, dcl.dest, offer,
+                                     budget)
             out.procdefs[name] = ProcDef(
                 name, [DefClause((), dcl.dest, dcl.chans, body, dcl.pos)])
         except (ReconstructionError, SessionTypeError) as e:

@@ -804,9 +804,11 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
     not walked, hashed or re-checked.  Anything else falls back to a
     structural memo of verdicts (an object's verdict depends only on
     itself and the types of its channels), which gains one entry per object
-    checked with `check_process`; entries for channels no longer live are
-    dropped.  The structural checks (clients, providers, acyclicity) run on
-    every call.  Without a cache the same code runs with throwaway state."""
+    checked with `check_process`.  Channels no longer live drop out of the
+    per-channel state; the verdict memo is never pruned, so it grows with
+    the steps of a run.  The structural checks (clients, providers,
+    acyclicity) run on every call.  Without a cache the same code runs
+    with throwaway state."""
     if cache is None:
         cache = {}
     last: dict[str, _Seen] = cache.get(_SEEN, {})
@@ -919,6 +921,19 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
                 raise ConfigTypeError(f"{o.render()}: {e}") from e
             cache[key] = True
         s.verdict = (offered, tuple(srcs.items()))
+
+
+def check_each_step(ops: TypeOps, config: Configuration
+                    ) -> Callable[[Configuration], None]:
+    """Preservation, wired once: typecheck a run's initial configuration
+    against its root channel's declared type and return the `on_step`
+    callback for `Engine.run` that checks every later configuration the
+    same way, with one cache for the whole run."""
+    root = config.order[0]
+    declared = {root: config.ptypes[root]}
+    cache: dict = {}
+    check_configuration(ops, {}, config, declared, cache)
+    return lambda c: check_configuration(ops, {}, c, declared, cache)
 
 
 # ---------------------------------------------------------------------------

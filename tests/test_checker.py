@@ -242,3 +242,20 @@ type d = ()<>1
                     assert outcome(lambda: checker._shift_all(
                         ctx, offer, node, n)) == outcome(
                         lambda: unit_loop(ctx, offer, n))
+
+
+def test_checker_and_reconstruction_reject_a_channel_count_mismatch_alike():
+    # The parser rejects this shape, so the signature is built by hand.
+    from dataclasses import replace
+    from tss.reconstruct import elaborate_signature
+    sig = parse_program(COPY_EXPLICIT.replace("tick ; ", ""))
+    pdef = sig.procdefs["copy"]
+    sig.procdefs["copy"] = replace(pdef, clauses=[
+        replace(pdef.clauses[0], chans=("y", "z"))])
+    want = "in copy: definition of copy binds 2 channels, decl has 1"
+    checked = check_signature(sig)
+    assert [str(e) for e in checked] == [want]
+    assert (checked[0].rule, checked[0].pos) == ("", None)
+    _, elaborated = elaborate_signature(sig)
+    assert [(type(e), str(e)) for e in elaborated] == \
+        [(SessionTypeError, want)]

@@ -1,3 +1,8 @@
+import errno
+import os
+import subprocess
+import sys
+
 import pytest
 
 from fuzzgen import gen_program
@@ -87,6 +92,40 @@ def test_missing_binding_is_reported(capsys):
     assert run("check", str(CORPUS_DIR / "append_rs.tss"), "--cost", "rs",
                "--def", "append") == 1
     assert "no binding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["run", "check"])
+@pytest.mark.parametrize("bind", ["h=x", "h", "=3"])
+def test_malformed_binding_is_a_usage_error(capsys, cmd, bind):
+    argv = [cmd, str(CORPUS_DIR / "tree_rs.tss"), "--bind", bind]
+    assert run(*argv, *(["--main", "tmain"] if cmd == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"malformed binding {bind!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["check", "nosuchfile.tss"], "nosuchfile.tss"),
+    (["reconstruct", str(CORPUS_DIR / "six_r.tss"), "-o", "no/dir/x"],
+     "no/dir/x")], ids=["input", "output"])
+def test_missing_file_is_reported(tmp_path, monkeypatch, capsys, argv, path):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: {os.strerror(errno.ENOENT)}\n"
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["check", "copy_r.tss", "--cost", "r"], 0),
+    (["check", "plus1_bad_r.tss", "--cost", "r"], 1),
+    (["run", "tree_rs.tss", "--main", "tmain", "--bind", "h=x"], 2)])
+def test_python_m_tss_exit_status(argv, status):
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parents[1])}
+    argv = [str(CORPUS_DIR / a) if a.endswith(".tss") else a for a in argv]
+    done = subprocess.run([sys.executable, "-m", "tss", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == status, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_corpus_filter(capsys):

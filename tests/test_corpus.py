@@ -1,30 +1,20 @@
 import pytest
 
 from tss import corpus
-from tss.checker import check_signature
-from tss.errors import ReconstructionError
-from tss.runtime import Engine, init_config, is_poised, make_scheduler
+from tss.runtime import is_poised
 
 
 @pytest.mark.parametrize("spec", corpus.check_specs(),
                          ids=lambda s: f"{s.file}:{s.root}{s.bind}")
 def test_expected_verdict(spec):
-    sig = corpus.parse(spec.file)
-    try:
-        elab, _ = corpus.prepare(sig, [spec.root], spec.bind, spec.cost)
-        verdict = "ok" if not check_signature(elab, call_subtyping=True) \
-            else "type_error"
-    except ReconstructionError:
-        verdict = "recon_error"
-    assert verdict == spec.expect
+    prog = corpus.load(spec.file, spec.root, spec.bind, spec.cost)
+    assert prog.verdict == spec.expect
 
 
 @pytest.mark.parametrize("spec", corpus.run_specs(),
                          ids=lambda s: f"{s.file}:{s.main}{s.bind}")
 def test_runs_do_not_get_stuck(spec):
-    elab, ops, main = corpus.prepare_run(spec)
-    eng = Engine(elab, ops)
-    cfg = init_config(elab, main)
-    final, status = eng.run(cfg, make_scheduler("rr"), spec.steps)
+    prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+    final, status, _ = prog.run(steps=spec.steps)
     if status == "quiescent":
         assert is_poised(final)

@@ -8,7 +8,7 @@ from fuzzgen import gen_program, strip_temporal
 from tss.ast import DefClause, ProcDef, Signature
 from tss.checker import check_signature
 from tss.reconstruct import elaborate_signature
-from tss.runtime import (Engine, check_configuration, init_config, is_poised,
+from tss.runtime import (Engine, check_each_step, init_config, is_poised,
                          make_scheduler, root_chain)
 from tss.typeops import TypeOps
 
@@ -24,14 +24,8 @@ def test_generated_programs_check_and_run(seed):
     observations = []
     for sched, s in (("rr", 0), ("rand", seed), ("sync", 0)):
         cfg = init_config(sig, "main")
-        declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
-        cache: dict = {}
-
-        def on_step(c):
-            check_configuration(ops, {}, c, declared, cache)
-
         final, status = eng.run(cfg, make_scheduler(sched, s), 3000,
-                                on_step=on_step)
+                                on_step=check_each_step(ops, cfg))
         assert status == "quiescent"
         assert is_poised(final)
         obs = [(k, lab if k == "label" else "", t)

@@ -6,14 +6,12 @@ from fuzzgen import gen_program
 from tss import corpus, runtime
 from tss.ast import (ONE, Close, Fwd, Plus, SendLabel, TailCall, Wait,
                      free_chans)
-from tss.checker import check_signature
-from tss.cost import instrument
 from tss.errors import ConfigTypeError, RunError
 from tss.parser import parse_program
-from tss.reconstruct import elaborate_signature
+from tss.pipeline import load
 from tss.runtime import (Configuration, Engine, Obj, Trace,
                          check_configuration, init_config, is_poised,
-                         is_poised_obj, make_scheduler, root_chain)
+                         is_poised_obj, make_scheduler)
 from tss.typeops import TypeOps
 
 SIX = """
@@ -23,22 +21,19 @@ proc x <- six = x.b0 ; x.b1 ; x.b1 ; x.$ ; close x
 """
 
 
-def prepare(src, cost="r"):
-    ticked = instrument(parse_program(src), cost)
-    elab, errors = elaborate_signature(ticked)
-    assert not errors, [str(e) for e in errors]
-    assert not check_signature(elab, call_subtyping=True)
-    return elab, TypeOps(elab)
+def prepare(src, main):
+    prog = load(src, [main], {}, "r")
+    assert prog.verdict == "ok", [str(e) for e in prog.errors]
+    return prog
 
 
 @pytest.fixture(scope="module")
 def six():
-    return prepare(SIX)
+    return prepare(SIX, "six")
 
 
 def test_init_config_single_root_proc(six):
-    elab, _ = six
-    cfg = init_config(elab, "six")
+    cfg = init_config(six.elab, "six")
     root = cfg.order[0]
     assert cfg.objs[root].kind == "proc"
     assert cfg.objs[root].time == 0
@@ -46,42 +41,39 @@ def test_init_config_single_root_proc(six):
 
 
 def test_init_rejects_unknown_and_contextful():
-    elab, _ = prepare(SIX)
+    elab = prepare(SIX, "six").elab
     with pytest.raises(RunError, match="unknown"):
         init_config(elab, "nonesuch")
-    elab2, _ = prepare(SIX + """
+    elab2 = prepare(SIX + """
 decl copy : (y : bits) |- (x : ()bits)
 proc x <- copy <- y =
   case y ( b0 => x.b0 ; x <- copy <- y
          | b1 => x.b1 ; x <- copy <- y
          | $  => x.$ ; wait y ; close x )
-""")
+""", "copy").elab
     with pytest.raises(RunError, match="context"):
         init_config(elab2, "copy")
 
 
 def test_fresh_counter_starts_above_source_names():
-    elab, _ = prepare("""
+    elab = prepare("""
 type one = 1
 decl f : . |- (c7 : one)
 proc c7 <- f = close c7
-""")
+""", "f").elab
     cfg = init_config(elab, "f")
     assert cfg.order[0] == "c8"
 
 
 def test_six_trace_and_chain(six):
-    elab, ops = six
-    eng = Engine(elab, ops)
-    cfg = init_config(elab, "six")
     trace = Trace()
-    final, status = eng.run(cfg, make_scheduler("rr"), 100, trace=trace)
+    final, status, chain = six.run(steps=100, trace=trace)
     assert status == "quiescent"
     assert is_poised(final)
     rules = [s.rule for s in trace.steps]
     assert rules[0] == "defC"
     assert "id⁺C" in rules and "○C" in rules and "1S" in rules
-    assert root_chain(final, cfg.order[0]) == [
+    assert chain == [
         ("label", "b0", 0), ("label", "b1", 1), ("label", "b1", 2),
         ("label", "$", 3), ("close", "", 4)]
     # Structured export carries one record per step.
@@ -89,8 +81,7 @@ def test_six_trace_and_chain(six):
 
 
 def test_empty_configuration_is_quiescent(six):
-    elab, ops = six
-    eng = Engine(elab, ops)
+    eng = Engine(six.elab, six.ops)
     cfg = Configuration({}, [], 0, {}, {})
     assert eng.step(cfg, make_scheduler("rr")) is None
 
@@ -104,19 +95,16 @@ def test_poisedness_definitions():
 
 def test_forward_takes_late_messages(six):
     # The forwarder can sit at an earlier time than the message it relays.
-    elab, ops = six
-    eng = Engine(elab, ops)
-    cfg = init_config(elab, "six")
     # defC leaves proc(c_root, 0, fwd); drive everything with a scheduler
     # that starves the forwarder, so messages pile up at later times.
-    final, status = eng.run(cfg, make_scheduler("rand", 5), 200)
+    _, status, chain = six.run("rand", 5, 200)
     assert status == "quiescent"
-    times = [m[2] for m in root_chain(final, cfg.order[0])]
+    times = [m[2] for m in chain]
     assert times == [0, 1, 2, 3, 4]
 
 
 def test_preservation_harness_on_six(six):
-    elab, ops = six
+    elab, ops = six.elab, six.ops
     eng = Engine(elab, ops)
     cfg = init_config(elab, "six")
     declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
@@ -130,11 +118,10 @@ def test_preservation_harness_on_six(six):
 
 
 def test_timestamp_mutation_is_rejected(six):
-    elab, ops = six
-    eng = Engine(elab, ops)
-    cfg = init_config(elab, "six")
+    ops = six.ops
+    cfg = init_config(six.elab, "six")
     declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
-    final, _ = eng.run(cfg, make_scheduler("rr"), 100)
+    final, _, _ = six.run(steps=100)
     check_configuration(ops, {}, final, declared)
     victim = next(c for c, o in final.objs.items() if o.kind == "msg")
     broken = final.copy()
@@ -145,20 +132,16 @@ def test_timestamp_mutation_is_rejected(six):
 
 
 def test_schedulers_agree_on_observables(six):
-    elab, ops = six
     results = []
     for sched, seed in (("rr", 0), ("rand", 1), ("rand", 42), ("sync", 0)):
-        eng = Engine(elab, ops)
-        cfg = init_config(elab, "six")
-        final, status = eng.run(cfg, make_scheduler(sched, seed), 100)
+        _, status, chain = six.run(sched, seed, 100)
         assert status == "quiescent"
-        results.append([(k, lab, t) for k, lab, t
-                        in root_chain(final, cfg.order[0])])
+        results.append(chain)
     assert all(r == results[0] for r in results)
 
 
 def test_counter_run_exercises_box_machinery():
-    elab, ops = prepare("""
+    prog = prepare("""
 type bits = +{ b0 : ()bits, b1 : ()bits, $ : ()1 }
 type ctr = [] &{ inc : ()ctr, val : ()bits }
 decl bit0 : (d : ()ctr) |- (c : ctr)
@@ -175,21 +158,12 @@ proc c <- empty =
          | val => c.$ ; close c )
 decl main : . |- (x : ()^4 bits)
 proc x <- main = c <- empty ; c.inc ; c.inc ; c.inc ; c.val ; x <- c
-""")
-    eng = Engine(elab, ops)
-    cfg = init_config(elab, "main")
-    declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
-    cache: dict = {}
+""", "main")
     trace = Trace()
-
-    def on_step(c):
-        check_configuration(ops, {}, c, declared, cache)
-
-    final, status = eng.run(cfg, make_scheduler("rr"), 500, trace=trace,
-                            on_step=on_step)
+    final, status, chain = prog.run(steps=500, trace=trace, check=True)
     assert status == "quiescent" and is_poised(final)
     # Value three, read off after the third increment: b1 b1 $.
-    assert root_chain(final, cfg.order[0]) == [
+    assert chain == [
         ("label", "b1", 4), ("label", "b1", 5), ("label", "$", 6),
         ("close", "", 7)]
     rules = {s.rule for s in trace.steps}
@@ -197,7 +171,7 @@ proc x <- main = c <- empty ; c.inc ; c.inc ; c.inc ; c.val ; x <- c
 
 
 def test_empty_configuration_types_as_pass_through(six):
-    _, ops = six
+    ops = six.ops
     from tss.ast import TypeName
     bits = TypeName("bits")
     empty = Configuration({}, [], 0, {}, {})
@@ -207,7 +181,7 @@ def test_empty_configuration_types_as_pass_through(six):
 
 
 def test_config_with_two_clients_rejected(six):
-    elab, ops = six
+    ops = six.ops
     from tss.ast import TypeName, Wait, Close as Cl
     bits = TypeName("bits")
     one = parse_program("type t = 1").type_body("t")
@@ -223,7 +197,7 @@ def test_config_with_two_clients_rejected(six):
 
 
 def test_cyclic_wiring_rejected(six):
-    elab, ops = six
+    ops = six.ops
     one = parse_program("type t = 1").type_body("t")
     from tss.ast import Wait, Close as Cl
     cfg = Configuration(
@@ -273,8 +247,8 @@ def _check_index_and_trace(sig, ops, main, steps):
 @pytest.mark.parametrize("spec", corpus.run_specs(),
                          ids=lambda s: f"{s.file}:{s.main}{s.bind}")
 def test_index_and_trace_on_corpus_runs(spec):
-    elab, ops, main = corpus.prepare_run(spec)
-    _check_index_and_trace(elab, ops, main, spec.steps)
+    prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+    _check_index_and_trace(prog.elab, prog.ops, prog.main, spec.steps)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -296,17 +270,16 @@ def test_rematches_per_step_do_not_grow_with_the_configuration(monkeypatch):
     monkeypatch.setattr(Engine, "_rule_for", counting)
     per_step = {}
     for n in (8, 32):
-        elab, ops, main = corpus.prepare_run(
-            corpus.RunSpec("queue_rs.tss", "rs", "qmain", {"n": n}, 0))
+        prog = corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs")
         steps = [0]
         calls[0] = 0
 
         def on_step(_):
             steps[0] += 1
 
-        _, status = Engine(elab, ops).run(init_config(elab, main),
-                                          make_scheduler("rr"), 100_000,
-                                          on_step=on_step)
+        _, status = Engine(prog.elab, prog.ops).run(
+            init_config(prog.elab, prog.main), make_scheduler("rr"), 100_000,
+            on_step=on_step)
         assert status == "quiescent"
         per_step[n] = calls[0] / steps[0]
     assert per_step[32] <= 2 * per_step[8], per_step
@@ -398,8 +371,8 @@ def _check_warm_against_cold(sig, ops, main, steps):
 @pytest.mark.parametrize("spec", corpus.run_specs(),
                          ids=lambda s: f"{s.file}:{s.main}{s.bind}")
 def test_warm_configuration_check_agrees_with_cold_on_corpus_runs(spec):
-    elab, ops, main = corpus.prepare_run(spec)
-    _check_warm_against_cold(elab, ops, main, spec.steps)
+    prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+    _check_warm_against_cold(prog.elab, prog.ops, prog.main, spec.steps)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -411,7 +384,7 @@ def test_warm_configuration_check_agrees_with_cold_on_generated_programs(seed):
 def test_warm_check_rechecks_an_object_whose_interface_changed(six):
     # The object is the very one checked before, but both sides of its
     # interface (and the offer) changed: its verdict must be re-derived.
-    _, ops = six
+    ops = six.ops
     obj = Obj("msg", "c0", 0, Close("c0"))
     cfg = Configuration({"c0": obj}, ["c0"], 1, {"c0": ONE}, {"c0": ONE})
     cache: dict = {}
@@ -435,9 +408,9 @@ def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
         monkeypatch.setattr(runtime, name, counting)
     per_step = {}
     for n in (8, 32):
-        elab, ops, main = corpus.prepare_run(
-            corpus.RunSpec("queue_rs.tss", "rs", "qmain", {"n": n}, 0))
-        cfg = init_config(elab, main)
+        prog = corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs")
+        elab, ops = prog.elab, prog.ops
+        cfg = init_config(elab, prog.main)
         declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
         cache: dict = {}
         steps = [0]
