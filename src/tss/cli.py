@@ -9,6 +9,7 @@ errors and on files that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import errno
 import re
 import sys
 
@@ -26,7 +27,11 @@ from .typeops import TypeOps
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise OSError(errno.EILSEQ, f"not UTF-8 text ({e.reason} at "
+                          f"byte {e.start})", path) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -45,6 +50,9 @@ def _parse_bind(text: str) -> dict[str, int]:
         if m is None:
             raise argparse.ArgumentTypeError(
                 f"malformed binding {item!r}; expected name=integer")
+        if m[1] in out:
+            raise argparse.ArgumentTypeError(
+                f"malformed binding {item!r}; {m[1]} is already bound")
         out[m[1]] = int(m[2])
     return out
 

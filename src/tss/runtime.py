@@ -9,12 +9,25 @@ rules keep them identical; the rules with time slack (forwarding and the
 now!/when? pairs) re-anchor one side, and the gap they open is exactly the
 weak subtyping the configuration typing allows.
 
+The send and receive rules come in one family each, the same rule for
+every connective up to polarity.  A send (⊕S, &S, ⊗S, ⊸S, ◇S, □S) turns
+the action into a message: a provider's message takes its own channel and
+the provider goes on at a fresh one, a client's message takes a fresh
+channel.  A receive (⊕C, &C, ⊗C, ⊸C, ◇C, □C, 1C) consumes a message: a
+client takes its provider's message (positive) and goes on at the
+message's next channel, a provider takes its client's message (negative)
+and goes on providing the message's channel.  `_SENDS` and `_RECEIVES`
+hold what differs per action: the rule names, the connective the sender's
+local type must expose, the type after the message, and the message a
+receive matches.
+
 `Engine.run` copies its input once and rewrites that private copy in
 place, keeping the enabled rules in an index that each step updates only
 around the channels it touched.  Its `on_step` callback receives the live
 copy: it may read it but must neither keep nor change it.  `Engine.step`
 stays functional: it leaves its input unchanged and returns the next
-configuration.
+configuration.  A `Trace` keeps the objects each step consumed and
+produced, and renders them only when it is written out.
 """
 
 from __future__ import annotations
@@ -55,26 +68,31 @@ class Obj:
 @dataclass(frozen=True)
 class TraceStep:
     rule: str
-    consumed: tuple[str, ...]
-    produced: tuple[str, ...]
+    consumed: tuple[Obj, ...]
+    produced: tuple[Obj, ...]
 
     def as_dict(self) -> dict:
-        return {"rule": self.rule, "consumed": list(self.consumed),
-                "produced": list(self.produced)}
+        return {"rule": self.rule,
+                "consumed": [o.render() for o in self.consumed],
+                "produced": [o.render() for o in self.produced]}
 
 
 class Trace:
+    """The rules a run fired, with the objects each consumed and produced.
+    Objects are immutable, so a step keeps them as they are and they are
+    rendered only when the trace is written out."""
+
     def __init__(self):
         self.steps: list[TraceStep] = []
 
     def add(self, rule: str, consumed: list[Obj], produced: list[Obj]) -> None:
-        self.steps.append(TraceStep(rule, tuple(o.render() for o in consumed),
-                                    tuple(o.render() for o in produced)))
+        self.steps.append(TraceStep(rule, tuple(consumed), tuple(produced)))
 
     def to_text(self) -> str:
-        return "\n".join(f"{s.rule}: {', '.join(s.consumed)} -> "
-                         f"{', '.join(s.produced) or '(nothing)'}"
-                         for s in self.steps) + ("\n" if self.steps else "")
+        return "\n".join(
+            f"{s.rule}: {', '.join(o.render() for o in s.consumed)} -> "
+            f"{', '.join(o.render() for o in s.produced) or '(nothing)'}"
+            for s in self.steps) + ("\n" if self.steps else "")
 
     def to_json(self) -> str:
         return "\n".join(json.dumps(s.as_dict()) for s in self.steps) + \
@@ -241,6 +259,57 @@ class _Rule:
     apply: Callable[[Configuration], list[Obj]]
 
 
+@dataclass(frozen=True)
+class _Send:
+    """One side of a send rule: its name, the connective the sender's local
+    view of the channel must expose, the error if it does not, and the type
+    after the message."""
+    name: str
+    shape: type
+    error: str  # follows the channel's name
+    after: Callable[[SessionType, ProcExpr], SessionType]
+
+
+def _chosen(t: SessionType, body: SendLabel) -> SessionType:
+    return branch_get(t.branches, body.label)
+
+
+# The send rules by the action's class: the provider's side, where the
+# message takes the provider's own channel, then the client's side, where it
+# takes a fresh one.
+_SENDS = {
+    SendLabel: (_Send("⊕S", Plus, "is not an internal choice", _chosen),
+                _Send("&S", With, "is not an external choice", _chosen)),
+    SendChan: (_Send("⊗S", Tensor, "does not send a channel here",
+                     lambda t, _: t.right),
+               _Send("⊸S", Lolli, "does not receive a channel here",
+                     lambda t, _: t.cont)),
+    Now: (_Send("◇S", Diamond, "is not an eventually here",
+                lambda t, _: t.inner),
+          _Send("□S", Box, "is not an always here", lambda t, _: t.inner)),
+}
+
+
+def _message(send: ProcExpr, cont: Fwd) -> ProcExpr:
+    """The message a send action leaves: the action, continued by `cont`."""
+    match send:
+        case SendLabel(chan, label, _):
+            return SendLabel(chan, label, cont)
+        case SendChan(chan, payload, _):
+            return SendChan(chan, payload, cont)
+        case Now(chan, _):
+            return Now(chan, cont)
+    raise AssertionError(f"not a send action: {send!r}")
+
+
+# The receive rules by the action's class: the class of the message it
+# takes, and the rule's name when a client takes its provider's message
+# (positive) and when a provider takes its client's (negative).  Only a
+# provider closes, so wait has no negative rule.
+_RECEIVES = {Case: (SendLabel, "⊕C", "&C"), RecvChan: (SendChan, "⊗C", "⊸C"),
+             When: (Now, "◇C", "□C"), Wait: (Close, "1C", None)}
+
+
 class _Index:
     """The enabled rules of one configuration, kept current while rules
     rewrite it in place.
@@ -328,18 +397,6 @@ class Engine:
         config.counter += 1
         return name
 
-    def _local_p(self, config: Configuration, chan: str, time: int):
-        t = self.ops.shift_right_n(config.ptypes[chan], time)
-        if t is None:
-            raise RunError(f"interface of {chan} undefined at its own time")
-        return self.ops.expose(t)
-
-    def _local_c(self, config: Configuration, chan: str, time: int):
-        t = self.ops.shift_left_n(config.ctypes[chan], time)
-        if t is None:
-            raise RunError(f"interface of {chan} undefined at its own time")
-        return self.ops.expose(t)
-
     def _add(self, config: Configuration, obj: Obj, ptype: SessionType) -> None:
         """A fresh channel: both sides of its interface start at `ptype`."""
         config.objs[obj.chan] = obj
@@ -368,70 +425,29 @@ class Engine:
         body = o.body
         objs = config.objs
         match body:
-            case SendLabel(chan, _, _):
-                name = "⊕S" if chan == o.chan else "&S"
-                return _Rule(name, [o], lambda c: self._send_label(c, o))
-            case SendChan(chan, _, _):
-                name = "⊗S" if chan == o.chan else "⊸S"
-                return _Rule(name, [o], lambda c: self._send_chan(c, o))
+            case SendLabel() | SendChan() | Now():
+                side = _SENDS[type(body)][body.chan != o.chan]
+                return _Rule(side.name, [o], lambda c: self._send(c, o, side))
             case Close(_):
                 return _Rule("1S", [o], lambda c: self._close(c, o))
-            case Now(chan, _):
-                name = "◇S" if chan == o.chan else "□S"
-                return _Rule(name, [o], lambda c: self._now(c, o))
             case Cut():
                 return _Rule("cutC", [o], lambda c: self._cut(c, o))
             case Spawn() | TailCall():
                 return _Rule("defC", [o], lambda c: self._def(c, o))
             case Delay():
                 return _Rule("○C", [o], lambda c: self._delay(c, o))
-            case Case(chan, _):
+            case Case() | RecvChan() | When() | Wait():
+                sent, pos, neg = _RECEIVES[type(body)]
+                chan = body.chan
+                m = neg_acting.get(chan) if chan == o.chan else objs.get(chan)
+                if m is None or m.kind != "msg" \
+                        or not isinstance(m.body, sent) \
+                        or m.body.chan != chan or m.time < o.time \
+                        or m.time > o.time and not isinstance(body, When):
+                    return None
                 if chan == o.chan:
-                    m = neg_acting.get(chan)
-                    if m is not None and isinstance(m.body, SendLabel) \
-                            and m.time == o.time:
-                        return _Rule("&C", [o, m],
-                                     lambda c: self._case_neg(c, o, m))
-                else:
-                    m = objs.get(chan)
-                    if m is not None and m.kind == "msg" \
-                            and isinstance(m.body, SendLabel) \
-                            and m.body.chan == chan and m.time == o.time:
-                        return _Rule("⊕C", [m, o],
-                                     lambda c: self._case_pos(c, o, m))
-            case Wait(chan, _):
-                m = objs.get(chan)
-                if m is not None and m.kind == "msg" \
-                        and isinstance(m.body, Close) and m.time == o.time:
-                    return _Rule("1C", [m, o], lambda c: self._wait(c, o, m))
-            case RecvChan(_, chan, _):
-                if chan == o.chan:
-                    m = neg_acting.get(chan)
-                    if m is not None and isinstance(m.body, SendChan) \
-                            and m.time == o.time:
-                        return _Rule("⊸C", [o, m],
-                                     lambda c: self._recv_neg(c, o, m))
-                else:
-                    m = objs.get(chan)
-                    if m is not None and m.kind == "msg" \
-                            and isinstance(m.body, SendChan) \
-                            and m.body.chan == chan and m.time == o.time:
-                        return _Rule("⊗C", [m, o],
-                                     lambda c: self._recv_pos(c, o, m))
-            case When(chan, _):
-                if chan == o.chan:
-                    m = neg_acting.get(chan)
-                    if m is not None and isinstance(m.body, Now) \
-                            and o.time <= m.time:
-                        return _Rule("□C", [o, m],
-                                     lambda c: self._when_provider(c, o, m))
-                else:
-                    m = objs.get(chan)
-                    if m is not None and m.kind == "msg" \
-                            and isinstance(m.body, Now) \
-                            and m.body.chan == chan and m.time >= o.time:
-                        return _Rule("◇C", [m, o],
-                                     lambda c: self._when_client(c, o, m))
+                    return _Rule(neg, [o, m], lambda c: self._receive(c, o, m))
+                return _Rule(pos, [m, o], lambda c: self._receive(c, o, m))
             case Fwd(_, src):
                 m = objs.get(src)
                 if m is not None and m.kind == "msg" and m.time >= o.time:
@@ -449,86 +465,37 @@ class Engine:
     # rule replaces the object at a surviving channel in place and only
     # drops channels that die.
 
-    def _send_label(self, config: Configuration, o: Obj) -> list[Obj]:
+    def _send(self, config: Configuration, o: Obj, side: _Send) -> list[Obj]:
+        # A provider's message takes its own channel and the provider goes
+        # on at a fresh one; a client's message takes a fresh channel, which
+        # the client goes on using.
         body = o.body
-        assert isinstance(body, SendLabel)
-        chan, label, cont = body.chan, body.label, body.cont
+        chan = body.chan
         fresh = self._fresh(config)
-        if chan == o.chan:  # provider sends: +S
-            base = self._local_p(config, chan, o.time)
-            if not isinstance(base, Plus):
-                raise RunError(f"{chan} is not an internal choice")
-            nxt = next_type(o.time, branch_get(base.branches, label))
+        if chan == o.chan:
+            view = self.ops.shift_right_n(config.ptypes[chan], o.time)
+        else:
+            view = self.ops.shift_left_n(config.ctypes[chan], o.time)
+        if view is None:
+            raise RunError(f"interface of {chan} undefined at its own time")
+        base = self.ops.expose(view)
+        if not isinstance(base, side.shape):
+            raise RunError(f"{chan} {side.error}")
+        nxt = next_type(o.time, side.after(base, body))
+        cont = rename_chans(body.cont, {chan: fresh})
+        if chan == o.chan:
             config.objs[chan] = Obj("msg", chan, o.time,
-                                    SendLabel(chan, label, Fwd(chan, fresh)))
-            self._add(config, Obj("proc", fresh, o.time,
-                                  rename_chans(cont, {chan: fresh})), nxt)
-        else:  # client sends: &S
-            base = self._local_c(config, chan, o.time)
-            if not isinstance(base, With):
-                raise RunError(f"{chan} is not an external choice")
-            nxt = next_type(o.time, branch_get(base.branches, label))
-            config.objs[o.chan] = Obj("proc", o.chan, o.time,
-                                      rename_chans(cont, {chan: fresh}))
+                                    _message(body, Fwd(chan, fresh)))
+            self._add(config, Obj("proc", fresh, o.time, cont), nxt)
+        else:
+            config.objs[o.chan] = Obj("proc", o.chan, o.time, cont)
             self._add(config, Obj("msg", fresh, o.time,
-                                  SendLabel(chan, label, Fwd(fresh, chan))),
-                      nxt)
-        return [config.objs[o.chan], config.objs[fresh]]
-
-    def _send_chan(self, config: Configuration, o: Obj) -> list[Obj]:
-        body = o.body
-        assert isinstance(body, SendChan)
-        chan, payload, cont = body.chan, body.payload, body.cont
-        fresh = self._fresh(config)
-        if chan == o.chan:  # *S
-            base = self._local_p(config, chan, o.time)
-            if not isinstance(base, Tensor):
-                raise RunError(f"{chan} does not send a channel here")
-            nxt = next_type(o.time, base.right)
-            config.objs[chan] = Obj("msg", chan, o.time,
-                                    SendChan(chan, payload, Fwd(chan, fresh)))
-            self._add(config, Obj("proc", fresh, o.time,
-                                  rename_chans(cont, {chan: fresh})), nxt)
-        else:  # -oS
-            base = self._local_c(config, chan, o.time)
-            if not isinstance(base, Lolli):
-                raise RunError(f"{chan} does not receive a channel here")
-            nxt = next_type(o.time, base.cont)
-            config.objs[o.chan] = Obj("proc", o.chan, o.time,
-                                      rename_chans(cont, {chan: fresh}))
-            self._add(config, Obj("msg", fresh, o.time,
-                                  SendChan(chan, payload, Fwd(fresh, chan))),
-                      nxt)
+                                  _message(body, Fwd(fresh, chan))), nxt)
         return [config.objs[o.chan], config.objs[fresh]]
 
     def _close(self, config: Configuration, o: Obj) -> list[Obj]:
         config.objs[o.chan] = Obj("msg", o.chan, o.time, o.body)
         return [config.objs[o.chan]]
-
-    def _now(self, config: Configuration, o: Obj) -> list[Obj]:
-        body = o.body
-        assert isinstance(body, Now)
-        chan, cont = body.chan, body.cont
-        fresh = self._fresh(config)
-        if chan == o.chan:  # provider announces readiness: <>S
-            base = self._local_p(config, chan, o.time)
-            if not isinstance(base, Diamond):
-                raise RunError(f"{chan} is not an eventually here")
-            nxt = next_type(o.time, base.inner)
-            config.objs[chan] = Obj("msg", chan, o.time,
-                                    Now(chan, Fwd(chan, fresh)))
-            self._add(config, Obj("proc", fresh, o.time,
-                                  rename_chans(cont, {chan: fresh})), nxt)
-        else:  # client pokes an always: []S
-            base = self._local_c(config, chan, o.time)
-            if not isinstance(base, Box):
-                raise RunError(f"{chan} is not an always here")
-            nxt = next_type(o.time, base.inner)
-            config.objs[o.chan] = Obj("proc", o.chan, o.time,
-                                      rename_chans(cont, {chan: fresh}))
-            self._add(config, Obj("msg", fresh, o.time,
-                                  Now(chan, Fwd(fresh, chan))), nxt)
-        return [config.objs[o.chan], config.objs[fresh]]
 
     def _cut(self, config: Configuration, o: Obj) -> list[Obj]:
         body = o.body
@@ -577,57 +544,26 @@ class Engine:
         config.objs[o.chan] = Obj(o.kind, o.chan, o.time + 1, cont)
         return [config.objs[o.chan]]
 
-    def _case_pos(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
-        # +C: positive label message meets a client case.
+    def _receive(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
+        # A client takes its provider's message (positive) and goes on at the
+        # message's next channel; a provider takes its client's message
+        # (negative) and goes on providing the message's channel.  Either
+        # jumps to the message's time, later than its own only for when?.
         mb, ob = m.body, o.body
-        assert isinstance(mb, SendLabel) and isinstance(ob, Case)
-        cont = dict(ob.branches)[mb.label]
-        nxt_chan = mb.cont.src  # msg continuation: Fwd(chan, fresh)
-        self._drop(config, m.chan)
-        config.objs[o.chan] = Obj("proc", o.chan, o.time,
-                                  rename_chans(cont, {ob.chan: nxt_chan}))
-        return [config.objs[o.chan]]
-
-    def _case_neg(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
-        # &C: provider case meets a negative label message; the provider
-        # continues by providing the message's fresh channel.
-        mb, ob = m.body, o.body
-        assert isinstance(mb, SendLabel) and isinstance(ob, Case)
-        cont = dict(ob.branches)[mb.label]
-        fresh = m.chan  # msg provides the continuation channel
-        self._drop(config, o.chan)
-        config.objs[fresh] = Obj("proc", fresh, o.time,
-                                 rename_chans(cont, {ob.chan: fresh}))
-        return [config.objs[fresh]]
-
-    def _wait(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
-        ob = o.body
-        assert isinstance(ob, Wait)
-        self._drop(config, m.chan)
-        config.objs[o.chan] = Obj("proc", o.chan, o.time, ob.cont)
-        return [config.objs[o.chan]]
-
-    def _recv_pos(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
-        # *C: positive channel-send message meets a client receive.
-        mb, ob = m.body, o.body
-        assert isinstance(mb, SendChan) and isinstance(ob, RecvChan)
-        nxt_chan = mb.cont.src
-        sub = {ob.bind: mb.payload, ob.chan: nxt_chan}
-        self._drop(config, m.chan)
-        config.objs[o.chan] = Obj("proc", o.chan, o.time,
-                                  rename_chans(ob.cont, sub))
-        return [config.objs[o.chan]]
-
-    def _recv_neg(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
-        # -oC: provider receive meets a negative channel-send message.
-        mb, ob = m.body, o.body
-        assert isinstance(mb, SendChan) and isinstance(ob, RecvChan)
-        fresh = m.chan
-        sub = {ob.bind: mb.payload, ob.chan: fresh}
-        self._drop(config, o.chan)
-        config.objs[fresh] = Obj("proc", fresh, o.time,
-                                 rename_chans(ob.cont, sub))
-        return [config.objs[fresh]]
+        if ob.chan == o.chan:
+            at = nxt = m.chan
+            self._drop(config, o.chan)
+        else:  # a close leaves no next channel
+            at, nxt = o.chan, None if isinstance(mb, Close) else mb.cont.src
+            self._drop(config, m.chan)
+        cont = dict(ob.branches)[mb.label] if isinstance(ob, Case) else ob.cont
+        sub = {} if nxt is None else {ob.chan: nxt}
+        if isinstance(ob, RecvChan):
+            sub[ob.bind] = mb.payload
+        proc = Obj("proc", at, m.time, rename_chans(cont, sub))
+        self._reanchor(config, proc, o.time, m.time, skip=nxt)
+        config.objs[at] = proc
+        return [proc]
 
     def _fwd_up(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # id+C: message travels up through the forward: msg(d), fwd c<-d.
@@ -652,49 +588,23 @@ class Engine:
         return [config.objs[m.chan]]
 
     def _reanchor(self, config: Configuration, proc: Obj, old_time: int,
-                  new_time: int, skip: set[str]) -> None:
+                  new_time: int, skip: str | None) -> None:
         """A process jumped from old_time to new_time: re-anchor its channels
-        so their local views are preserved (this is where the weak-subtyping
-        slack of the configuration typing comes from)."""
+        but `skip` so their local views are preserved (this is where the
+        weak-subtyping slack of the configuration typing comes from)."""
         if new_time == old_time:
             return
-        used = free_chans(proc.body) - {proc.chan} - skip
+        used = free_chans(proc.body) - {proc.chan, skip}
         for y in used:
             local = self.ops.shift_left_n(config.ctypes[y], old_time)
             if local is None:
                 raise RunError(f"cannot re-anchor {y}")
             config.ctypes[y] = next_type(new_time, local)
-        if proc.chan not in skip and proc.chan in config.ptypes:
+        if proc.chan != skip and proc.chan in config.ptypes:
             local = self.ops.shift_right_n(config.ptypes[proc.chan], old_time)
             if local is None:
                 raise RunError(f"cannot re-anchor {proc.chan}")
             config.ptypes[proc.chan] = next_type(new_time, local)
-
-    def _when_client(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
-        # <>C: now! message (positive) meets a waiting client; the client
-        # jumps forward to the message's time.
-        mb, ob = m.body, o.body
-        assert isinstance(mb, Now) and isinstance(ob, When)
-        nxt_chan = mb.cont.src
-        cont = rename_chans(ob.cont, {ob.chan: nxt_chan})
-        self._drop(config, m.chan)
-        newproc = Obj("proc", o.chan, m.time, cont)
-        self._reanchor(config, newproc, o.time, m.time, skip={nxt_chan})
-        config.objs[o.chan] = newproc
-        return [config.objs[o.chan]]
-
-    def _when_provider(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
-        # []C: waiting provider meets a negative now! message; the provider
-        # jumps forward and continues by providing the fresh channel.
-        mb, ob = m.body, o.body
-        assert isinstance(mb, Now) and isinstance(ob, When)
-        fresh = m.chan
-        cont = rename_chans(ob.cont, {ob.chan: fresh})
-        newproc = Obj("proc", fresh, m.time, cont)
-        self._reanchor(config, newproc, o.time, m.time, skip={fresh})
-        self._drop(config, o.chan)
-        config.objs[fresh] = newproc
-        return [config.objs[fresh]]
 
     # -- stepping -------------------------------------------------------------
     def step(self, config: Configuration, scheduler,

@@ -95,12 +95,13 @@ def test_missing_binding_is_reported(capsys):
 
 
 @pytest.mark.parametrize("cmd", ["run", "check"])
-@pytest.mark.parametrize("bind", ["h=x", "h", "=3"])
+@pytest.mark.parametrize("bind", ["h=x", "h", "=3", "h=3,h=2"])
 def test_malformed_binding_is_a_usage_error(capsys, cmd, bind):
     argv = [cmd, str(CORPUS_DIR / "tree_rs.tss"), "--bind", bind]
     assert run(*argv, *(["--main", "tmain"] if cmd == "run" else [])) == 2
     err = capsys.readouterr().err
-    assert f"malformed binding {bind!r}" in err
+    # The message names the offending item: for a repeated name, the last.
+    assert f"malformed binding {bind.split(',')[-1]!r}" in err
     assert "Traceback" not in err
 
 
@@ -113,6 +114,14 @@ def test_missing_file_is_reported(tmp_path, monkeypatch, capsys, argv, path):
     assert run(*argv) == 2
     assert capsys.readouterr().err == \
         f"error: {path}: {os.strerror(errno.ENOENT)}\n"
+
+
+def test_non_utf8_input_is_reported(tmp_path, capsys):
+    bad = tmp_path / "bad.tss"
+    bad.write_bytes(b"\xff\xfe bad")
+    assert run("check", str(bad)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
 
 
 @pytest.mark.parametrize("argv, status", [

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from collections import Counter
 
 import pytest
 
@@ -207,6 +209,41 @@ def test_cyclic_wiring_rejected(six):
         {"c1": one, "c2": one}, {"c1": one, "c2": one})
     with pytest.raises(ConfigTypeError, match="cyclic"):
         check_configuration(ops, {}, cfg, {})
+
+
+# ---------------------------------------------------------------------------
+# The rule table: names, polarity and how often each rule fires
+
+# What each rule consumes, in trace order: a positive receive takes its
+# provider's message before the client, a negative one takes the provider
+# before its client's message, and every other rule one proc.
+CONSUMED = {
+    **dict.fromkeys(("⊕C", "⊗C", "◇C", "1C", "id⁺C"), ["msg", "proc"]),
+    **dict.fromkeys(("&C", "⊸C", "□C", "id⁻C"), ["proc", "msg"]),
+    **dict.fromkeys(("⊕S", "&S", "⊗S", "⊸S", "◇S", "□S", "1S", "cutC",
+                     "defC", "○C"), ["proc"])}
+
+# The rules fired by all corpus runs under round robin, by name.
+RR_RULE_COUNTS = {
+    "⊕S": 160, "&S": 91, "⊗S": 142, "⊸S": 28, "◇S": 5, "□S": 36, "1S": 110,
+    "⊕C": 107, "&C": 91, "⊗C": 67, "⊸C": 28, "◇C": 1, "□C": 36, "1C": 78,
+    "id⁺C": 252, "id⁻C": 99, "cutC": 1, "defC": 538, "○C": 1342}
+
+
+def test_rules_consume_by_polarity_and_fire_as_pinned():
+    counts = Counter()
+    for spec in corpus.run_specs():
+        prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+        for sched, seed in (("rr", 0), ("rand", 1), ("sync", 0)):
+            trace = Trace()
+            prog.run(sched, seed, spec.steps, trace)
+            for line in trace.to_json().splitlines():
+                step = json.loads(line)
+                kinds = [o.split("(", 1)[0] for o in step["consumed"]]
+                assert kinds == CONSUMED[step["rule"]], (spec, step)
+                if sched == "rr":
+                    counts[step["rule"]] += 1
+    assert counts == RR_RULE_COUNTS
 
 
 # ---------------------------------------------------------------------------
