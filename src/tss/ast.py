@@ -11,7 +11,12 @@ index expression built.
 
 Process nodes are frozen dataclasses that carry source positions excluded
 from equality, so they are not interned; each computes its structural hash
-once.
+once.  `SUBPROC_FIELDS` and `BINDER_FIELDS` state once which fields of a
+process form hold its sub-processes and which channel it binds over them;
+walks reach every form they do not treat specially through `subprocs`,
+`bound_by` and `map_subprocs`.  A new form takes an entry there, its cases
+in `free_chans` and `rename_chans`, and its own rules in the checker, the
+reconstruction, the interpreter, the printer and the parser.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from __future__ import annotations
 import enum
 import inspect
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional, Union, get_args
+from operator import attrgetter, is_
+from typing import Callable, Iterator, Optional, Union, get_args
 
 from .errors import EvalError, SessionTypeError
 
@@ -209,21 +215,28 @@ def branch_labels(branches: tuple[tuple[str, SessionType], ...]) -> tuple[str, .
     return tuple(lab for lab, _ in branches)
 
 
-def type_is_ground(t: SessionType) -> bool:
+def type_refs(t: SessionType) -> Iterator[Union[TypeName, IndexExpr]]:
+    """The parts of `t` that refer outside it, outermost first: its type
+    names, and its delay counts that are not literals."""
     match t:
         case Plus(bs) | With(bs):
-            return all(type_is_ground(u) for _, u in bs)
-        case One():
-            return True
+            for _, u in bs:
+                yield from type_refs(u)
         case Tensor(a, b) | Lolli(a, b):
-            return type_is_ground(a) and type_is_ground(b)
+            yield from type_refs(a)
+            yield from type_refs(b)
         case Next(c, inner):
-            return isinstance(c, int) and type_is_ground(inner)
+            if not isinstance(c, int):
+                yield c
+            yield from type_refs(inner)
         case Box(inner) | Diamond(inner):
-            return type_is_ground(inner)
-        case TypeName(_, args):
-            return len(args) == 0
-    return False
+            yield from type_refs(inner)
+        case TypeName():
+            yield t
+
+
+def type_is_ground(t: SessionType) -> bool:
+    return all(isinstance(r, TypeName) and not r.args for r in type_refs(t))
 
 
 # --------------------------------------------------------------------------
@@ -364,6 +377,64 @@ def memo_hash(cls):
 
 for _cls in get_args(ProcExpr):
     memo_hash(_cls)
+
+
+# The shape of each process form: the fields that hold its sub-processes, in
+# source order, and the channel it binds over all of them.  `Case` holds its
+# sub-processes as the bodies of its (label, body) branches.
+SUBPROC_FIELDS: dict[type, tuple[str, ...]] = {
+    Spawn: ("cont",), TailCall: (), Cut: ("body", "cont"), Fwd: (),
+    SendLabel: ("cont",), Case: ("branches",), Close: (), Wait: ("cont",),
+    SendChan: ("cont",), RecvChan: ("cont",), Delay: ("cont",),
+    When: ("cont",), Now: ("cont",)}
+BINDER_FIELDS: dict[type, str] = {Spawn: "dest", Cut: "dest", RecvChan: "bind"}
+
+
+def _tuple_getter(names: tuple[str, ...]) -> Callable[[ProcExpr], tuple]:
+    """A function from a node to the tuple of its fields `names`."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda p: (get(p),)
+    return attrgetter(*names) if names else lambda p: ()
+
+
+# Per form, computed once: getters for its sub-processes and for all its
+# constructor fields in order, and where the former sit among the latter.
+_SUBPROCS_OF = {cls: _tuple_getter(names)
+                for cls, names in SUBPROC_FIELDS.items()}
+_FIELDS_OF = {cls: _tuple_getter(cls.__match_args__) for cls in SUBPROC_FIELDS}
+_SUBPROC_AT = {cls: tuple(map(cls.__match_args__.index, names))
+               for cls, names in SUBPROC_FIELDS.items()}
+
+
+def subprocs(p: ProcExpr) -> tuple[ProcExpr, ...]:
+    """The immediate sub-processes of `p`, in source order."""
+    if type(p) is Case:
+        return tuple([b for _, b in p.branches])
+    return _SUBPROCS_OF[type(p)](p)
+
+
+def bound_by(p: ProcExpr) -> tuple[str, ...]:
+    """The channel `p` binds over its sub-processes, as `(name,)`, or `()`."""
+    name = BINDER_FIELDS.get(type(p))
+    return () if name is None else (getattr(p, name),)
+
+
+def map_subprocs(p: ProcExpr, f: Callable[[ProcExpr], ProcExpr]) -> ProcExpr:
+    """`p` with `f` applied to each sub-process, in source order, and every
+    other field (source position included) kept.  Returns `p` itself when
+    `f` gives back every sub-process unchanged."""
+    old = subprocs(p)
+    new = tuple(map(f, old))
+    if all(map(is_, new, old)):
+        return p
+    if type(p) is Case:
+        return Case(p.chan, tuple(zip([lab for lab, _ in p.branches], new)),
+                    p.pos)
+    values = list(_FIELDS_OF[type(p)](p))
+    for i, q in zip(_SUBPROC_AT[type(p)], new):
+        values[i] = q
+    return type(p)(*values)
 
 
 def free_chans(p: ProcExpr) -> set[str]:

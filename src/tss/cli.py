@@ -3,7 +3,8 @@ instrument -> reconstruct -> check -> run), plus subtype queries and the
 bundled corpus.
 
 Exit status: 0 on success, 1 on a verdict failure, 2 on usage or parse
-errors and on files that cannot be read or written.
+errors (a `subtype` operand that is not a closed type among them) and on
+files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import sys
 
 from . import acceptance
-from .ast import Signature
+from .ast import Signature, TypeName, index_vars, type_refs
 from .errors import ParseError, TssError
 from .instantiate import instantiate_many
 from .parser import parse_program, parse_type
@@ -108,6 +109,15 @@ def cmd_run(args) -> int:
 
 def cmd_subtype(args) -> int:
     a, b = parse_type(args.left), parse_type(args.right)
+    # Operands are decided over the empty signature: they must be closed.
+    for text, t in ((args.left, a), (args.right, b)):
+        ref = next(type_refs(t), None)
+        if ref is not None:
+            what = (f"type name '{ref.name}'" if isinstance(ref, TypeName)
+                    else f"index variable '{min(index_vars(ref))}'")
+            print(f"error: subtype operand {text!r} uses {what}; operands "
+                  f"must be closed types", file=sys.stderr)
+            return 2
     ops = TypeOps(Signature())
     trace: list[str] = []
     verdict = is_subtype(ops, a, b, trace=trace)

@@ -8,91 +8,37 @@ continuation to delay).  Forwards, spawns and cuts are never charged.
 
 from __future__ import annotations
 
-from .ast import (Case, Cut, DefClause, Delay, Origin, ProcDef, ProcExpr,
-                  RecvChan, SendChan, SendLabel, Signature, Spawn, Wait, When,
-                  Now)
+from .ast import (Case, DefClause, Delay, Origin, ProcDef, ProcExpr, RecvChan,
+                  SendChan, SendLabel, Signature, Wait, map_subprocs, subprocs)
 from .errors import InstrumentError
 
 MODELS = ("free", "r", "rs")
 
 
 def _has_tick(p: ProcExpr) -> bool:
-    match p:
-        case Delay(_, origin, cont):
-            return origin is Origin.TICK or _has_tick(cont)
-        case Case(_, branches):
-            return any(_has_tick(b) for _, b in branches)
-        case Cut(_, _, body, cont):
-            return _has_tick(body) or _has_tick(cont)
-        case Spawn(_, _, _, _, cont) | SendLabel(_, _, cont) | Wait(_, cont) \
-                | SendChan(_, _, cont) | RecvChan(_, _, cont) \
-                | When(_, cont) | Now(_, cont):
-            return _has_tick(cont)
-        case _:
-            return False
+    if isinstance(p, Delay) and p.origin is Origin.TICK:
+        return True
+    return any(map(_has_tick, subprocs(p)))
 
 
 def _tick(p: ProcExpr) -> ProcExpr:
     return Delay(1, Origin.TICK, p)
 
 
+_RECEIVES = (Case, Wait, RecvChan)
+_SENDS = (SendLabel, SendChan)
+
+
 def _instrument(p: ProcExpr, sends: bool) -> ProcExpr:
-    rec = lambda q: _instrument(q, sends)
-    match p:
-        case Case(chan, branches):
-            return Case(chan, tuple((lab, _tick(rec(b))) for lab, b in branches),
-                        p.pos)
-        case Wait(chan, cont):
-            return Wait(chan, _tick(rec(cont)), p.pos)
-        case RecvChan(bind, chan, cont):
-            return RecvChan(bind, chan, _tick(rec(cont)), p.pos)
-        case SendLabel(chan, label, cont):
-            cont = rec(cont)
-            return SendLabel(chan, label, _tick(cont) if sends else cont, p.pos)
-        case SendChan(chan, payload, cont):
-            cont = rec(cont)
-            return SendChan(chan, payload, _tick(cont) if sends else cont, p.pos)
-        case Cut(dest, annot, body, cont):
-            return Cut(dest, annot, rec(body), rec(cont), p.pos)
-        case Spawn(dest, proc, args, chans, cont, via):
-            return Spawn(dest, proc, args, chans, rec(cont), via, p.pos)
-        case Delay(count, origin, cont):
-            return Delay(count, origin, rec(cont), p.pos)
-        case When(chan, cont):
-            return When(chan, rec(cont), p.pos)
-        case Now(chan, cont):
-            return Now(chan, rec(cont), p.pos)
-        case _:
-            return p  # close, forward, tail call
+    if isinstance(p, _RECEIVES) or sends and isinstance(p, _SENDS):
+        return map_subprocs(p, lambda q: _tick(_instrument(q, sends)))
+    return map_subprocs(p, lambda q: _instrument(q, sends))
 
 
 def erase_ticks(p: ProcExpr) -> ProcExpr:
-    match p:
-        case Delay(_, origin, cont) if origin is Origin.TICK:
-            return erase_ticks(cont)
-        case Delay(count, origin, cont):
-            return Delay(count, origin, erase_ticks(cont), p.pos)
-        case Case(chan, branches):
-            return Case(chan, tuple((lab, erase_ticks(b)) for lab, b in branches),
-                        p.pos)
-        case Cut(dest, annot, body, cont):
-            return Cut(dest, annot, erase_ticks(body), erase_ticks(cont), p.pos)
-        case Spawn(dest, proc, args, chans, cont, via):
-            return Spawn(dest, proc, args, chans, erase_ticks(cont), via, p.pos)
-        case SendLabel(chan, label, cont):
-            return SendLabel(chan, label, erase_ticks(cont), p.pos)
-        case Wait(chan, cont):
-            return Wait(chan, erase_ticks(cont), p.pos)
-        case SendChan(chan, payload, cont):
-            return SendChan(chan, payload, erase_ticks(cont), p.pos)
-        case RecvChan(bind, chan, cont):
-            return RecvChan(bind, chan, erase_ticks(cont), p.pos)
-        case When(chan, cont):
-            return When(chan, erase_ticks(cont), p.pos)
-        case Now(chan, cont):
-            return Now(chan, erase_ticks(cont), p.pos)
-        case _:
-            return p
+    if isinstance(p, Delay) and p.origin is Origin.TICK:
+        return erase_ticks(p.cont)
+    return map_subprocs(p, erase_ticks)
 
 
 def instrument(sig: Signature, model: str) -> Signature:

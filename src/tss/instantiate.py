@@ -9,12 +9,11 @@ taken from the same binding as the root's own indices.
 
 from __future__ import annotations
 
-from .ast import (Box, Case, Close, Cut, DeclClause, DefClause, Delay, Diamond,
-                  Fwd, Lolli, Next, Now, PatSucc, PatVar, Plus, ProcDecl,
-                  ProcDef, ProcExpr, RecvChan, SendChan, SendLabel,
+from .ast import (Box, Cut, DeclClause, DefClause, Delay, Diamond, Lolli, Next,
+                  PatSucc, PatVar, Plus, ProcDecl, ProcDef, ProcExpr,
                   SessionType, Signature, Spawn, TailCall, Tensor, TypeClause,
-                  TypeDef, TypeName, Wait, When, With, eval_index, next_type,
-                  pat_match)
+                  TypeDef, TypeName, With, eval_index, map_subprocs,
+                  next_type, pat_match, subprocs, type_is_ground)
 from .errors import EvalError, ScopeError
 
 
@@ -153,30 +152,11 @@ class _Grounder:
             case Cut(dest, annot, body, cont):
                 return Cut(dest, self.type_(annot, env), self.proc(body, env),
                            self.proc(cont, env), p.pos)
-            case Fwd():
-                return p
-            case SendLabel(chan, label, cont):
-                return SendLabel(chan, label, self.proc(cont, env), p.pos)
-            case Case(chan, branches):
-                return Case(chan, tuple((lab, self.proc(b, env))
-                                        for lab, b in branches), p.pos)
-            case Close():
-                return p
-            case Wait(chan, cont):
-                return Wait(chan, self.proc(cont, env), p.pos)
-            case SendChan(chan, payload, cont):
-                return SendChan(chan, payload, self.proc(cont, env), p.pos)
-            case RecvChan(bind, chan, cont):
-                return RecvChan(bind, chan, self.proc(cont, env), p.pos)
             case Delay(count, origin, cont):
                 n = eval_index(count, env)
                 rest = self.proc(cont, env)
                 return rest if n == 0 else Delay(n, origin, rest, p.pos)
-            case When(chan, cont):
-                return When(chan, self.proc(cont, env), p.pos)
-            case Now(chan, cont):
-                return Now(chan, self.proc(cont, env), p.pos)
-        raise AssertionError(f"unknown node {p!r}")
+        return map_subprocs(p, lambda q: self.proc(q, env))
 
 
 def _root_values(clauses, binding: dict[str, int], what: str) -> tuple[int, ...]:
@@ -224,5 +204,24 @@ def mangled_name(sig: Signature, name: str, binding: dict[str, int]) -> str:
 
 
 def signature_is_parameterized(sig: Signature) -> bool:
+    """Whether `sig` must be grounded before it is checked: a definition
+    takes indices, or a type or body uses an index variable (a parameter
+    that only a binding fixes)."""
+    types = [cl.body for td in sig.typedefs.values() for cl in td.clauses]
+    types += [t for pd in sig.procdecls.values() for cl in pd.clauses
+              for t in (*(u for _, u in cl.ctx), cl.offer_type)]
+    bodies = [cl.body for pdef in sig.procdefs.values() for cl in pdef.clauses]
     return any(td.arity for td in sig.typedefs.values()) or \
-        any(pd.arity for pd in sig.procdecls.values())
+        any(pd.arity for pd in sig.procdecls.values()) or \
+        not all(map(type_is_ground, types)) or any(map(_uses_index, bodies))
+
+
+def _uses_index(p: ProcExpr) -> bool:
+    """Whether a delay count or cut annotation in `p` is not ground.  Call
+    indices need no scan: a call that has any names an indexed family."""
+    match p:
+        case Delay(count=count) if not isinstance(count, int):
+            return True
+        case Cut(annot=annot) if not type_is_ground(annot):
+            return True
+    return any(map(_uses_index, subprocs(p)))

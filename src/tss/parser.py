@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from . import ast
 from .ast import (Box, Case, Close, Cut, DeclClause, DefClause, Delay, Diamond,
-                  Fwd, IAdd, IMul, IVar, IndexExpr, IndexPat, Lolli, Next, Now,
-                  ONE, Origin, PatConst, PatSucc, PatVar, Plus, ProcDecl,
-                  ProcDef, ProcExpr, RecvChan, SendChan, SendLabel,
-                  SessionType, Signature, Spawn, TailCall, Tensor, TypeClause,
-                  TypeDef, TypeName, Wait, When, With, next_type)
+                  Fwd, IAdd, IMul, IVar, IndexExpr, IndexPat, Lolli, Now, ONE,
+                  Origin, PatConst, PatSucc, PatVar, Plus, ProcDecl, ProcDef,
+                  ProcExpr, RecvChan, SendChan, SendLabel, SessionType,
+                  Signature, Spawn, TailCall, Tensor, TypeClause, TypeDef,
+                  TypeName, Wait, When, With, bound_by, map_subprocs,
+                  next_type, type_refs)
 from .errors import ParseError, ScopeError
 from .lexer import Token, tokenize
 
@@ -422,38 +423,13 @@ def _resolve_proc(p: ProcExpr, bound: frozenset[str], sig: Signature) -> ProcExp
             if src not in bound and src in sig.procdecls:
                 return TailCall(dest, src, (), (), pos=p.pos)
             return p
-        case Spawn(dest, proc, args, chans, cont, via):
+        case Spawn(_, proc, args) | TailCall(_, proc, args):
             _check_call(proc, args, sig, p)
-            return Spawn(dest, proc, args, chans,
-                         _resolve_proc(cont, bound | {dest}, sig), via, p.pos)
-        case TailCall(_, proc, args, _):
-            _check_call(proc, args, sig, p)
-            return p
-        case Cut(dest, annot, body, cont):
+        case Cut(_, annot):
             _check_type(annot, sig, p.pos)
-            inner = bound | {dest}
-            return Cut(dest, annot, _resolve_proc(body, inner, sig),
-                       _resolve_proc(cont, inner, sig), p.pos)
-        case Case(chan, branches):
-            return Case(chan, tuple((lab, _resolve_proc(b, bound, sig))
-                                    for lab, b in branches), p.pos)
-        case SendLabel(chan, label, cont):
-            return SendLabel(chan, label, _resolve_proc(cont, bound, sig), p.pos)
-        case Close():
-            return p
-        case Wait(chan, cont):
-            return Wait(chan, _resolve_proc(cont, bound, sig), p.pos)
-        case SendChan(chan, payload, cont):
-            return SendChan(chan, payload, _resolve_proc(cont, bound, sig), p.pos)
-        case RecvChan(bind, chan, cont):
-            return RecvChan(bind, chan, _resolve_proc(cont, bound | {bind}, sig), p.pos)
-        case Delay(count, origin, cont):
-            return Delay(count, origin, _resolve_proc(cont, bound, sig), p.pos)
-        case When(chan, cont):
-            return When(chan, _resolve_proc(cont, bound, sig), p.pos)
-        case Now(chan, cont):
-            return Now(chan, _resolve_proc(cont, bound, sig), p.pos)
-    raise AssertionError(f"unknown node {p!r}")
+    binder = bound_by(p)
+    inner = bound.union(binder) if binder else bound
+    return map_subprocs(p, lambda q: _resolve_proc(q, inner, sig))
 
 
 def _check_call(name: str, args, sig: Signature, node) -> None:
@@ -466,24 +442,15 @@ def _check_call(name: str, args, sig: Signature, node) -> None:
 
 
 def _check_type(t: SessionType, sig: Signature, pos) -> None:
-    match t:
-        case Plus(bs) | With(bs):
-            for _, u in bs:
-                _check_type(u, sig, pos)
-        case Tensor(a, b) | Lolli(a, b):
-            _check_type(a, sig, pos)
-            _check_type(b, sig, pos)
-        case Next(_, inner) | Box(inner) | Diamond(inner):
-            _check_type(inner, sig, pos)
-        case TypeName(name, args):
-            if name not in sig.typedefs:
-                raise ScopeError(f"reference to undefined type '{name}'")
-            arity = sig.typedefs[name].arity
-            if len(args) != arity:
-                raise ScopeError(f"type '{name}' takes {arity} index argument(s), "
-                                 f"got {len(args)}")
-        case _:
-            pass
+    for ref in type_refs(t):
+        if not isinstance(ref, TypeName):
+            continue
+        if ref.name not in sig.typedefs:
+            raise ScopeError(f"reference to undefined type '{ref.name}'")
+        arity = sig.typedefs[ref.name].arity
+        if len(ref.args) != arity:
+            raise ScopeError(f"type '{ref.name}' takes {arity} index "
+                             f"argument(s), got {len(ref.args)}")
 
 
 def resolve(sig: Signature) -> Signature:

@@ -27,7 +27,7 @@ from .ast import (Box, Case, Close, Cut, DefClause, Delay, Diamond, Fwd, Lolli,
                   Now, One, Origin, Plus, ProcDef, ProcExpr, RecvChan,
                   SendChan, SendLabel, SessionType, Signature, Spawn, TailCall,
                   Tensor, Wait, When, With, branch_get, branch_labels,
-                  free_chans)
+                  free_chans, map_subprocs, subprocs)
 from .errors import ReconstructionError, SessionTypeError
 from .printer import fmt_type
 from .subtyping import is_subtype
@@ -39,57 +39,28 @@ Ctx = dict[str, SessionType]
 def _validate_source(p: ProcExpr) -> None:
     """Reconstruction input may carry ticks but no other temporal actions."""
     match p:
-        case Delay(_, origin, cont):
-            if origin is not Origin.TICK:
-                raise ReconstructionError(
-                    "input already contains explicit delays")
-            _validate_source(cont)
+        case Delay(origin=origin) if origin is not Origin.TICK:
+            raise ReconstructionError(
+                "input already contains explicit delays")
         case When() | Now():
             raise ReconstructionError(
                 "input already contains when?/now! actions")
-        case Case(_, branches):
-            for _, b in branches:
-                _validate_source(b)
-        case Cut(_, _, body, cont):
-            _validate_source(body)
-            _validate_source(cont)
-        case Spawn(_, _, _, _, cont) | SendLabel(_, _, cont) | Wait(_, cont) \
-                | SendChan(_, _, cont) | RecvChan(_, _, cont):
-            _validate_source(cont)
-        case _:
-            pass
+    for q in subprocs(p):
+        _validate_source(q)
 
 
 def erase_reconstructed(p: ProcExpr) -> ProcExpr:
     """Drop inserted nodes, recovering the pre-elaboration term."""
     match p:
-        case Delay(_, origin, cont) if origin is Origin.RECON:
+        case Delay(origin=Origin.RECON, cont=cont) | When(cont=cont) \
+                | Now(cont=cont):
             return erase_reconstructed(cont)
-        case Delay(count, origin, cont):
-            return Delay(count, origin, erase_reconstructed(cont), p.pos)
-        case When(_, cont) | Now(_, cont):
-            return erase_reconstructed(cont)
-        case Spawn(dest, proc, args, chans, cont, via):
-            body = erase_reconstructed(cont)
-            if via and isinstance(body, Fwd) and body.src == dest:
-                return TailCall(body.dest, proc, args, chans, p.pos)
-            return Spawn(dest, proc, args, chans, body, via, p.pos)
-        case Case(chan, branches):
-            return Case(chan, tuple((lab, erase_reconstructed(b))
-                                    for lab, b in branches), p.pos)
-        case Cut(dest, annot, body, cont):
-            return Cut(dest, annot, erase_reconstructed(body),
-                       erase_reconstructed(cont), p.pos)
-        case SendLabel(chan, label, cont):
-            return SendLabel(chan, label, erase_reconstructed(cont), p.pos)
-        case Wait(chan, cont):
-            return Wait(chan, erase_reconstructed(cont), p.pos)
-        case SendChan(chan, payload, cont):
-            return SendChan(chan, payload, erase_reconstructed(cont), p.pos)
-        case RecvChan(bind, chan, cont):
-            return RecvChan(bind, chan, erase_reconstructed(cont), p.pos)
-        case _:
-            return p
+    q = map_subprocs(p, erase_reconstructed)
+    match q:
+        case Spawn(dest, proc, args, chans, Fwd(fwd_dest, src), True) \
+                if src == dest:
+            return TailCall(fwd_dest, proc, args, chans, p.pos)
+    return q
 
 
 # Heads that act on one channel or forward: with every type delayed, their

@@ -41,8 +41,8 @@ from typing import Callable, Optional
 from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
                   Plus, ProcExpr, RecvChan, SendChan, SendLabel, SessionType,
                   Signature, Spawn, TailCall, Tensor, Wait, When, With,
-                  branch_get, free_chans, memo_hash, next_type,
-                  rename_chans)
+                  branch_get, bound_by, free_chans, memo_hash, next_type,
+                  rename_chans, subprocs)
 from .checker import check_process
 from .errors import ConfigTypeError, RunError, StuckError
 from .printer import fmt_proc, fmt_type
@@ -121,42 +121,9 @@ class Configuration:
 _CHAN_RE = re.compile(r"^c(\d+)$")
 
 
-def _names_in(p: ProcExpr, acc: set[str]) -> None:
-    match p:
-        case Spawn(dest, _, _, chans, cont):
-            acc.add(dest)
-            acc.update(chans)
-            _names_in(cont, acc)
-        case TailCall(dest, _, _, chans):
-            acc.add(dest)
-            acc.update(chans)
-        case Cut(dest, _, body, cont):
-            acc.add(dest)
-            _names_in(body, acc)
-            _names_in(cont, acc)
-        case Fwd(dest, src):
-            acc.update((dest, src))
-        case SendLabel(chan, _, cont) | Wait(chan, cont) | When(chan, cont) \
-                | Now(chan, cont):
-            acc.add(chan)
-            _names_in(cont, acc)
-        case Case(chan, branches):
-            acc.add(chan)
-            for _, b in branches:
-                _names_in(b, acc)
-        case Close(chan):
-            acc.add(chan)
-        case SendChan(chan, payload, cont):
-            acc.update((chan, payload))
-            _names_in(cont, acc)
-        case RecvChan(bind, chan, cont):
-            acc.update((bind, chan))
-            _names_in(cont, acc)
-        case Delay(_, _, cont):
-            _names_in(cont, acc)
-
-
 def _fresh_floor(sig: Signature) -> int:
+    """One past the largest `c<k>` channel name a program mentions: every
+    channel in a body is free in it or bound inside it."""
     names: set[str] = set()
     for pd in sig.procdecls.values():
         for cl in pd.clauses:
@@ -166,7 +133,12 @@ def _fresh_floor(sig: Signature) -> int:
         for cl in pdef.clauses:
             names.add(cl.dest)
             names.update(cl.chans)
-            _names_in(cl.body, names)
+            names |= free_chans(cl.body)
+            todo = [cl.body]
+            while todo:
+                p = todo.pop()
+                names.update(bound_by(p))
+                todo.extend(subprocs(p))
     floor = 0
     for n in names:
         m = _CHAN_RE.match(n)

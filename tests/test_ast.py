@@ -9,9 +9,11 @@ from typing import get_args
 import pytest
 
 from tss import acceptance, corpus
-from tss.ast import (ONE, Box, Close, Cut, Diamond, Fwd, IAdd, IMul, IVar,
-                     Lolli, Next, One, Plus, SendLabel, SessionType, Tensor,
-                     TypeName, With, next_type)
+from tss.ast import (ONE, SUBPROC_FIELDS, Box, Case, Close, Cut, Delay,
+                     Diamond, Fwd, IAdd, IMul, IVar, Lolli, Next, Now, One,
+                     Origin, Plus, ProcExpr, RecvChan, SendChan, SendLabel,
+                     SessionType, Spawn, TailCall, Tensor, TypeName, Wait,
+                     When, With, bound_by, map_subprocs, next_type, subprocs)
 from tss.instantiate import instantiate, instantiate_many
 from tss.parser import parse_program, parse_type
 from tss.printer import fmt_type
@@ -174,3 +176,64 @@ def test_process_nodes_hash_structurally_without_positions():
     assert hash(a) == hash(a) == hash(b)
     assert hash(Obj("proc", "c", 3, a)) == hash(Obj("proc", "c", 3, b))
     assert SendLabel("c", "m", Close("c")) != a
+
+
+# One node of each process form, each sub-process a distinct object.
+FORMS = [
+    Spawn("y", "p", (), ("z",), Close("x"), via_tailcall=True, pos=(1, 2)),
+    TailCall("x", "p", (), ("z",), pos=(1, 3)),
+    Cut("y", ONE, Close("y"), Wait("y", Close("x")), pos=(1, 4)),
+    Fwd("x", "y", pos=(1, 5)),
+    SendLabel("x", "a", Close("x"), pos=(1, 6)),
+    Case("y", (("a", Close("x")), ("b", Wait("y", Close("x")))), pos=(1, 7)),
+    Close("x", pos=(1, 8)),
+    Wait("y", Close("x"), pos=(1, 9)),
+    SendChan("x", "z", Close("x"), pos=(1, 10)),
+    RecvChan("w", "y", Fwd("x", "w"), pos=(1, 11)),
+    Delay(2, Origin.SOURCE, Close("x"), pos=(1, 12)),
+    When("y", Close("x"), pos=(1, 13)),
+    Now("x", Close("x"), pos=(1, 14)),
+]
+
+
+def test_traversal_table_covers_every_process_form():
+    assert set(SUBPROC_FIELDS) == set(get_args(ProcExpr))
+    assert {type(p) for p in FORMS} == set(get_args(ProcExpr))
+
+
+def test_subprocesses_come_in_source_order():
+    cut, case = FORMS[2], FORMS[5]
+    assert subprocs(cut) == (cut.body, cut.cont)
+    assert subprocs(case) == (case.branches[0][1], case.branches[1][1])
+
+
+@pytest.mark.parametrize("p", FORMS, ids=lambda p: type(p).__name__)
+def test_identity_map_returns_the_node_itself(p):
+    assert map_subprocs(p, lambda q: q) is p
+
+
+@pytest.mark.parametrize("p", FORMS, ids=lambda p: type(p).__name__)
+def test_map_replaces_exactly_the_subprocesses(p):
+    seen = []
+
+    def mark(q):
+        seen.append(q)
+        return Fwd("mark", str(len(seen)))
+
+    out = map_subprocs(p, mark)
+    assert seen == list(subprocs(p))
+    assert all(a is b for a, b in zip(seen, subprocs(p)))
+    assert subprocs(out) == tuple(Fwd("mark", str(i + 1))
+                                  for i in range(len(seen)))
+    # Every other field is kept, `pos` and `via_tailcall` included.
+    for f in dataclasses.fields(p):
+        if f.name not in SUBPROC_FIELDS[type(p)]:
+            assert getattr(out, f.name) == getattr(p, f.name), f.name
+    if isinstance(p, Case):
+        assert [lab for lab, _ in out.branches] == ["a", "b"]
+
+
+@pytest.mark.parametrize("p", FORMS, ids=lambda p: type(p).__name__)
+def test_bound_by_names_the_binder(p):
+    expected = {Spawn: ("y",), Cut: ("y",), RecvChan: ("w",)}
+    assert bound_by(p) == expected.get(type(p), ())

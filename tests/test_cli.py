@@ -42,6 +42,40 @@ def test_subtype_false(capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+@pytest.mark.parametrize("left, right, name", [
+    ("X", "1", "type name 'X'"),
+    ("1", "+{a : ()X}", "type name 'X'"),
+    ("()^{n+1} 1", "()^n 1", "index variable 'n'"),
+    ("[]1", "list[k]", "type name 'list'")])
+def test_subtype_operands_must_be_closed(capsys, left, right, name):
+    assert run("subtype", left, right) == 2
+    err = capsys.readouterr().err
+    assert name in err and "closed types" in err
+    assert "Traceback" not in err
+
+
+FREE_N = """
+decl f : . |- (x : ()^n 1)
+proc x <- f = close x
+"""
+
+
+@pytest.mark.parametrize("argv, status, stream, text", [
+    (["check"], 1, "err", "error: unbound parameter 'n'\n"),
+    (["check", "--def", "f"], 1, "err", "error: unbound parameter 'n'\n"),
+    (["reconstruct"], 1, "err", "error: unbound parameter 'n'\n"),
+    (["check", "--bind", "n=2"], 0, "out", "ok: 1 definition(s) check\n"),
+    (["reconstruct", "--bind", "n=2"], 0, "out", "delay{2}")])
+def test_free_index_variable_is_grounded_by_the_binding(
+        tmp_path, capsys, argv, status, stream, text):
+    f = tmp_path / "free_n.tss"
+    f.write_text(FREE_N)
+    assert run(argv[0], str(f), *argv[1:]) == status
+    captured = capsys.readouterr()
+    assert text in getattr(captured, stream)
+    assert "Traceback" not in captured.err
+
+
 def test_run_six_trace(capsys):
     assert run("run", str(CORPUS_DIR / "six_r.tss"), "--main", "six",
                "--cost", "r", "--trace", "-", "--check-config") == 0

@@ -3,10 +3,14 @@ backwards typecheck by construction; the pipeline and the interpreter must
 then agree with them."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzgen import gen_program, strip_temporal
 from tss.ast import DefClause, ProcDef, Signature
 from tss.checker import check_signature
+from tss.cost import _instrument, erase_ticks
+from tss.parser import parse_program
+from tss.printer import pretty_print
 from tss.reconstruct import elaborate_signature
 from tss.runtime import (Engine, check_each_step, init_config, is_poised,
                          make_scheduler, root_chain)
@@ -50,7 +54,21 @@ def test_reconstruction_recovers_erased_programs(seed):
 
 @pytest.mark.parametrize("seed", range(0, 40, 4))
 def test_generated_programs_round_trip_through_the_printer(seed):
-    from tss.parser import parse_program
-    from tss.printer import pretty_print
     sig = gen_program(seed)
     assert parse_program(pretty_print(sig)) == sig
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_random_processes_round_trip_and_tick_erasure_undoes_instrumenting(
+        seed):
+    sig = gen_program(seed)
+    text = pretty_print(sig)
+    back = parse_program(text)
+    assert pretty_print(back) == text
+    for name, pdef in sig.procdefs.items():
+        body = pdef.clauses[0].body
+        assert back.proc_body(name).body == body
+        assert back.decl(name).offer_type is sig.decl(name).offer_type
+        for sends in (False, True):
+            assert erase_ticks(_instrument(body, sends)) == body
