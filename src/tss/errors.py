@@ -20,7 +20,13 @@ class ParseError(TssError):
 
 
 class ScopeError(TssError):
-    """Unbound name, arity mismatch, or duplicate definition."""
+    """Unbound name, arity mismatch, or duplicate definition, at the source
+    position of the definition or call it is about when there is one."""
+
+    def __init__(self, msg: str, pos=None):
+        self.msg = msg
+        self.pos = pos
+        super().__init__(msg if pos is None else f"{pos[0]}:{pos[1]}: {msg}")
 
 
 class EvalError(TssError):

@@ -361,7 +361,7 @@ class _Parser:
                 if td.clauses and len(td.clauses[0].patterns) != len(pats):
                     raise ParseError(f"clauses of '{name}' disagree on arity",
                                      t.line, t.col)
-                td.clauses.append(clause)
+                _add_clause(td, clause, "type definition")
             elif t.kind == "decl":
                 self.next()
                 name = self.expect("IDENT").value
@@ -392,7 +392,7 @@ class _Parser:
                 if pd.clauses and len(pd.clauses[0].patterns) != len(pats):
                     raise ParseError(f"decl clauses of '{name}' disagree on arity",
                                      t.line, t.col)
-                pd.clauses.append(clause)
+                _add_clause(pd, clause, "declaration")
             elif t.kind == "proc":
                 self.next()
                 dest = self.expect("IDENT").value
@@ -408,10 +408,20 @@ class _Parser:
                 body = self.proc()
                 clause = DefClause(pats, dest, tuple(chans), body, pos=(t.line, t.col))
                 pdef = sig.procdefs.setdefault(name, ProcDef(name, []))
-                pdef.clauses.append(clause)
+                _add_clause(pdef, clause, "process definition")
             else:
                 self.fail("expected a definition", "type", "decl", "proc")
         return sig
+
+
+def _add_clause(defn, clause, what: str) -> None:
+    """Append `clause` to `defn`.  Clauses select by index, so a name
+    without indices has one."""
+    if defn.clauses and not clause.patterns:
+        line, col = defn.clauses[0].pos
+        raise ScopeError(f"second {what} of '{defn.name}' (the first is at "
+                         f"{line}:{col})", clause.pos)
+    defn.clauses.append(clause)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +444,11 @@ def _resolve_proc(p: ProcExpr, bound: frozenset[str], sig: Signature) -> ProcExp
 
 def _check_call(name: str, args, sig: Signature, node) -> None:
     if name not in sig.procdecls:
-        raise ScopeError(f"call to undeclared process '{name}'")
+        raise ScopeError(f"call to undeclared process '{name}'", node.pos)
     arity = sig.procdecls[name].arity
     if len(args) != arity:
         raise ScopeError(f"process '{name}' takes {arity} index argument(s), "
-                         f"got {len(args)}")
+                         f"got {len(args)}", node.pos)
 
 
 def _check_type(t: SessionType, sig: Signature, pos) -> None:
@@ -446,11 +456,11 @@ def _check_type(t: SessionType, sig: Signature, pos) -> None:
         if not isinstance(ref, TypeName):
             continue
         if ref.name not in sig.typedefs:
-            raise ScopeError(f"reference to undefined type '{ref.name}'")
+            raise ScopeError(f"reference to undefined type '{ref.name}'", pos)
         arity = sig.typedefs[ref.name].arity
         if len(ref.args) != arity:
             raise ScopeError(f"type '{ref.name}' takes {arity} index "
-                             f"argument(s), got {len(ref.args)}")
+                             f"argument(s), got {len(ref.args)}", pos)
 
 
 def resolve(sig: Signature) -> Signature:
@@ -464,18 +474,20 @@ def resolve(sig: Signature) -> Signature:
             _check_type(cl.offer_type, sig, cl.pos)
     for pdef in sig.procdefs.values():
         if pdef.name not in sig.procdecls:
-            raise ScopeError(f"process '{pdef.name}' has a definition but no decl")
+            raise ScopeError(f"process '{pdef.name}' has a definition but "
+                             f"no decl", pdef.clauses[0].pos)
         decl = sig.procdecls[pdef.name]
         for cl in pdef.clauses:
             if len(cl.patterns) != decl.arity:
                 raise ScopeError(f"def clause of '{pdef.name}' disagrees with its "
-                                 f"decl on index arity")
+                                 f"decl on index arity", cl.pos)
             if any(len(cl.chans) != len(d.ctx) for d in decl.clauses):
                 # All decl clauses of a name share the context length.
                 lens = {len(d.ctx) for d in decl.clauses}
                 if len(cl.chans) not in lens:
                     raise ScopeError(f"def of '{pdef.name}' binds {len(cl.chans)} "
-                                     f"channels but the decl lists {sorted(lens)}")
+                                     f"channels but the decl lists {sorted(lens)}",
+                                     cl.pos)
             bound = frozenset(cl.chans) | {cl.dest}
             cl.body = _resolve_proc(cl.body, bound, sig)
     return sig

@@ -28,6 +28,11 @@ copy: it may read it but must neither keep nor change it.  `Engine.step`
 stays functional: it leaves its input unchanged and returns the next
 configuration.  A `Trace` keeps the objects each step consumed and
 produced, and renders them only when it is written out.
+
+`check_configuration` types a configuration against its interface.  Across
+the configurations of one run it keeps a checker holding the configuration
+it last accepted and checks again only the channels a step changed, as
+preservation is proved one rule at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import is_not
 from typing import Callable, Optional
 
 from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
@@ -650,24 +657,202 @@ def is_poised(config: Configuration) -> bool:
     return all(is_poised_obj(o) for o in config.objs.values())
 
 
-class _Seen:
-    """What `check_configuration` last established at one channel: the
-    object there and the channels it uses, the provider/consumer interface
-    pair last shown to be within weak subtyping, and the (provider type,
-    used-channel types) at which the object last typechecked."""
+def _changed(new: dict, old: dict) -> list:
+    """The keys at which `new` holds another value than `old`, compared by
+    identity: first those of `new` in its order (added or replaced), then
+    those only `old` has.  Both passes run in C, with no Python step per
+    key."""
+    out = list(compress(new, map(is_not, new.values(), map(old.get, new))))
+    # Keys only `old` has exist iff it has more than the keys both have.
+    if len(old) > len(new) - len(out) + sum(map(old.__contains__, out)):
+        out.extend(old.keys() - new.keys())
+    return out
 
-    __slots__ = ("obj", "used", "gap", "verdict")
+
+def _sync(old: dict, new: dict, keys: list) -> None:
+    """Make `old` agree with `new` at `keys`."""
+    for k in keys:
+        if k in new:
+            old[k] = new[k]
+        else:
+            del old[k]
+
+
+class _Checker:
+    """What `check_configuration` last accepted for one run: the interface
+    and `TypeOps` it was checked against, the objects and both interface
+    maps as they were, the channels each object uses and the client of each
+    used channel.  Every key is a channel of that configuration, so the
+    state is as large as the configuration, not as long as the run.
+
+    A call compares the configuration with this state by identity and
+    checks again only what changed, as each rule of the multiset rewriting
+    changes a bounded number of objects.  A change of `ops` or of either
+    interface starts over from empty state, where every channel has
+    changed."""
 
     def __init__(self):
-        self.obj: Obj | None = None
-        self.used: set[str] = set()
-        self.gap = None  # (provider type, consumer type)
-        self.verdict = None  # (provider type, ((used channel, type), ...))
+        self.ops: TypeOps | None = None
+        self.provides = None  # (provides_in, provides_out), as items
+        self.objs: dict[str, Obj] = {}
+        self.ptypes: dict[str, SessionType] = {}
+        self.ctypes: dict[str, SessionType] = {}
+        self.used: dict[str, set[str]] = {}  # chan -> channels its object uses
+        self.client: dict[str, str] = {}  # chan -> the object using it
 
+    def check(self, ops: TypeOps, provides_in: dict[str, SessionType],
+              config: Configuration,
+              provides_out: dict[str, SessionType]) -> None:
+        provides = (tuple(provides_in.items()), tuple(provides_out.items()))
+        if ops is not self.ops or provides != self.provides:
+            self.__init__()
+        # A fault found from accepted state is reported as a check from
+        # empty state reports it: the first in configuration order.
+        for cold in (self.ops is None, True):
+            try:
+                self._update(ops, provides_in, config, provides_out)
+                self.provides = provides
+                return
+            except ConfigTypeError:
+                self.__init__()
+                if cold:
+                    raise
+            except BaseException:
+                self.__init__()
+                raise
 
-# The one entry of a `check_configuration` cache that is not a verdict: the
-# channel -> `_Seen` map of the configuration checked last.
-_SEEN = object()
+    def _update(self, ops: TypeOps, provides_in: dict[str, SessionType],
+                config: Configuration,
+                provides_out: dict[str, SessionType]) -> None:
+        """Check what changed since the accepted state and accept the
+        result; from the empty state every channel has changed.  Raises
+        ConfigTypeError on a fault, leaving the state half updated."""
+        fresh = self.ops is None
+        self.ops = ops
+        objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
+        seen, used, client = self.objs, self.used, self.client
+        moved = _changed(objs, seen)
+        pmoved = _changed(ptypes, self.ptypes)
+        cmoved = _changed(ctypes, self.ctypes)
+        _sync(self.ptypes, ptypes, pmoved)
+        _sync(self.ctypes, ctypes, cmoved)
+
+        # Each channel has one client: unlink the objects that moved, then
+        # link the ones now there.  An edge new at its channel may close a
+        # cycle.
+        before: dict[str, set[str]] = {}
+        lost: list[str] = []
+        for c in moved:
+            if c in used:
+                before[c] = old = used.pop(c)
+                for y in old:
+                    del client[y]
+                    lost.append(y)
+        added: list[str] = []
+        linked: list[str] = []
+        sources: list[str] = []
+        for c in moved:
+            o = objs.get(c)
+            if o is None:
+                del seen[c]
+                continue
+            if c not in seen:
+                added.append(c)
+            seen[c] = o
+            used[c] = now = free_chans(o.body) - {c}
+            old = before.get(c, ())
+            for y in now:
+                if y in client:
+                    raise ConfigTypeError(f"channel {y} has two clients "
+                                          f"({client[y]} and {c})")
+                client[y] = c
+                linked.append(y)
+                if y not in old:
+                    sources.append(c)
+        for y in chain(linked, moved):
+            if y in client and y not in objs and y not in provides_in:
+                raise ConfigTypeError(f"channel {y} is consumed but not provided")
+        for c, want in provides_out.items():
+            if not (fresh or c in moved or c in linked):
+                continue
+            if c not in objs:
+                # Passed straight through from the input interface.
+                if c not in provides_in:
+                    raise ConfigTypeError(f"offered channel {c} is not provided")
+                if not is_weak_subtype(ops, provides_in[c], want):
+                    raise ConfigTypeError(f"pass-through channel {c} weakens "
+                                          f"beyond weak subtyping")
+            elif c in client:
+                raise ConfigTypeError(f"offered channel {c} has an internal client")
+        for c in chain(moved, lost):
+            if c in objs and c not in client and c not in provides_out:
+                raise ConfigTypeError(f"channel {c} is provided but never used")
+
+        # Provider-before-client order must be acyclic.  The accepted state
+        # was, so a cycle runs through a new edge c -> y: y is on the chain
+        # of clients above c, which then never ends at a channel without one.
+        rooted: set[str] = set()
+        for u in sources:
+            path: set[str] = set()
+            while u is not None and u not in rooted:
+                if u in path:
+                    raise ConfigTypeError(f"cyclic channel dependency through {u}")
+                path.add(u)
+                u = client.get(u)
+            rooted |= path
+
+        # Interface gaps must stay within weak subtyping.
+        for c in dict.fromkeys(chain(added, pmoved, cmoved)):
+            if c not in objs:
+                continue
+            prov = ptypes.get(c)
+            cons = ctypes.get(c)
+            if prov is None or cons is None:
+                raise ConfigTypeError(f"no tracked interface for {c}")
+            if not is_weak_subtype(ops, prov, cons):
+                raise ConfigTypeError(
+                    f"interface gap on {c} exceeds weak subtyping: "
+                    f"{fmt_type(prov)} against {fmt_type(cons)}")
+        for c, want in provides_out.items():
+            if c in objs and (fresh or c in added or c in pmoved) \
+                    and not is_weak_subtype(ops, ptypes[c], want):
+                raise ConfigTypeError(
+                    f"offered channel {c} provides {fmt_type(ptypes[c])}, "
+                    f"interface demands {fmt_type(want)}")
+
+        # Every object typechecks at its own time shift of the interface: the
+        # objects that moved, those whose offer moved and the clients of the
+        # channels whose consumer side moved.
+        for c in dict.fromkeys(chain(moved, pmoved, map(client.get, cmoved))):
+            if c in objs:
+                self._verdict(ops, provides_in, config, c)
+
+    def _verdict(self, ops: TypeOps, provides_in: dict[str, SessionType],
+                 config: Configuration, c: str) -> None:
+        o = config.objs[c]
+        ctypes = config.ctypes
+        srcs = {}
+        for y in self.used[c]:
+            src = ctypes.get(y, provides_in.get(y))
+            if src is None:
+                raise ConfigTypeError(f"no interface for consumed channel {y}")
+            srcs[y] = src
+        ctx: dict[str, SessionType] = {}
+        for y, src in srcs.items():
+            local = ops.shift_left_n(src, o.time)
+            if local is None:
+                raise ConfigTypeError(
+                    f"{o.render()}: used channel {y} has no defined view "
+                    f"at time {o.time}")
+            ctx[y] = local
+        offer = ops.shift_right_n(config.ptypes[c], o.time)
+        if offer is None:
+            raise ConfigTypeError(
+                f"{o.render()}: offered type undefined at time {o.time}")
+        try:
+            check_process(ops, ctx, o.body, c, offer, call_subtyping=True)
+        except Exception as e:
+            raise ConfigTypeError(f"{o.render()}: {e}") from e
 
 
 def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
@@ -678,131 +863,18 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
     ConfigTypeError on the first offending object.
 
     A caller re-checking the successive configurations of one run passes
-    one dict as `cache` for the whole run (and for one `TypeOps`).  It then
-    holds, for each live channel, the object last seen there with the
-    channels it uses, the interface pair last shown within weak subtyping
-    and the interfaces at which the object last typechecked, all compared
-    by identity: an object or type that is the very value seen before is
-    not walked, hashed or re-checked.  Anything else falls back to a
-    structural memo of verdicts (an object's verdict depends only on
-    itself and the types of its channels), which gains one entry per object
-    checked with `check_process`.  Channels no longer live drop out of the
-    per-channel state; the verdict memo is never pruned, so it grows with
-    the steps of a run.  The structural checks (clients, providers,
-    acyclicity) run on every call.  Without a cache the same code runs
-    with throwaway state."""
-    if cache is None:
-        cache = {}
-    last: dict[str, _Seen] = cache.get(_SEEN, {})
-    seen: dict[str, _Seen] = {}
-    cache[_SEEN] = seen
-    objs = config.objs
-    consumers: dict[str, str] = {}
-    for c, o in objs.items():
-        s = last.get(c) or _Seen()
-        if s.obj is not o:
-            s.obj, s.used, s.verdict = o, free_chans(o.body) - {c}, None
-        seen[c] = s
-        for y in s.used:
-            if y in consumers:
-                raise ConfigTypeError(f"channel {y} has two clients "
-                                      f"({consumers[y]} and {c})")
-            consumers[y] = c
-    for y in consumers:
-        if y not in objs and y not in provides_in:
-            raise ConfigTypeError(f"channel {y} is consumed but not provided")
-    for c, want in provides_out.items():
-        if c not in objs:
-            # Passed straight through from the input interface.
-            if c not in provides_in:
-                raise ConfigTypeError(f"offered channel {c} is not provided")
-            if not is_weak_subtype(ops, provides_in[c], want):
-                raise ConfigTypeError(f"pass-through channel {c} weakens "
-                                      f"beyond weak subtyping")
-            continue
-        if c in consumers:
-            raise ConfigTypeError(f"offered channel {c} has an internal client")
-    for c in objs:
-        if c not in consumers and c not in provides_out:
-            raise ConfigTypeError(f"channel {c} is provided but never used")
-
-    # Provider-before-client order must be acyclic.
-    state: dict[str, int] = {}
-
-    def visit(c: str) -> None:
-        if state.get(c) == 2:
-            return
-        if state.get(c) == 1:
-            raise ConfigTypeError(f"cyclic channel dependency through {c}")
-        state[c] = 1
-        if c in seen:
-            for y in seen[c].used:
-                visit(y)
-        state[c] = 2
-
-    for c in objs:
-        visit(c)
-
-    # Interface gaps must stay within weak subtyping.
-    ptypes, ctypes = config.ptypes, config.ctypes
-    for c, s in seen.items():
-        prov = ptypes.get(c)
-        cons = ctypes.get(c)
-        if prov is None or cons is None:
-            raise ConfigTypeError(f"no tracked interface for {c}")
-        gap = s.gap
-        if gap is not None and gap[0] is prov and gap[1] is cons:
-            continue
-        if not is_weak_subtype(ops, prov, cons):
-            raise ConfigTypeError(
-                f"interface gap on {c} exceeds weak subtyping: "
-                f"{fmt_type(prov)} against {fmt_type(cons)}")
-        s.gap = (prov, cons)
-    for c, want in provides_out.items():
-        if c in objs and not is_weak_subtype(ops, ptypes[c], want):
-            raise ConfigTypeError(
-                f"offered channel {c} provides {fmt_type(ptypes[c])}, "
-                f"interface demands {fmt_type(want)}")
-
-    # Every object typechecks at its own time shift of the interface.
-    for c, s in seen.items():
-        offered = ptypes[c]
-        verdict = s.verdict
-        if verdict is not None and verdict[0] is offered and all(
-                ctypes.get(y, provides_in.get(y)) is src
-                for y, src in verdict[1]):
-            continue
-        srcs = {}
-        for y in s.used:
-            src = ctypes.get(y, provides_in.get(y))
-            if src is None:
-                raise ConfigTypeError(f"no interface for consumed channel {y}")
-            srcs[y] = src
-        o = s.obj
-        key = (o, offered, tuple(sorted(srcs.items())))
-        if key not in cache:
-            ctx: dict[str, SessionType] = {}
-            bad = None
-            for y, src in srcs.items():
-                local = ops.shift_left_n(src, o.time)
-                if local is None:
-                    bad = y
-                    break
-                ctx[y] = local
-            if bad is not None:
-                raise ConfigTypeError(
-                    f"{o.render()}: used channel {bad} has no defined view "
-                    f"at time {o.time}")
-            offer = ops.shift_right_n(offered, o.time)
-            if offer is None:
-                raise ConfigTypeError(
-                    f"{o.render()}: offered type undefined at time {o.time}")
-            try:
-                check_process(ops, ctx, o.body, c, offer, call_subtyping=True)
-            except Exception as e:
-                raise ConfigTypeError(f"{o.render()}: {e}") from e
-            cache[key] = True
-        s.verdict = (offered, tuple(srcs.items()))
+    one dict as `cache` for the whole run.  Its one entry is a `_Checker`
+    holding the configuration it last accepted, and a call checks again
+    only what changed since.  Without a cache the same code runs from
+    empty state.  A fault found from accepted state drops the state and is
+    reported by a check from empty state, so the message never depends on
+    the cache."""
+    checker = None if cache is None else cache.get(_Checker)
+    if checker is None:
+        checker = _Checker()
+        if cache is not None:
+            cache[_Checker] = checker
+    checker.check(ops, provides_in, config, provides_out)
 
 
 def check_each_step(ops: TypeOps, config: Configuration

@@ -76,6 +76,28 @@ def test_free_index_variable_is_grounded_by_the_binding(
     assert "Traceback" not in captured.err
 
 
+# A second body of an index-free process, after a second index-free type:
+# every stage after the parser would read only the first clause of each.
+TWICE = """
+type a = 1
+type a = ()1
+decl f : . |- (x : a)
+proc x <- f = close x
+proc x <- f = delay{1} ; close x
+"""
+
+
+def test_a_second_index_free_definition_is_a_scope_error(tmp_path, capsys):
+    src = tmp_path / "twice.tss"
+    src.write_text(TWICE)
+    for cmd in ("check", "reconstruct"):
+        assert run(cmd, str(src)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: 3:1: second type definition of 'a' "
+                       "(the first is at 2:1)\n")
+
+
 def test_run_six_trace(capsys):
     assert run("run", str(CORPUS_DIR / "six_r.tss"), "--main", "six",
                "--cost", "r", "--trace", "-", "--check-config") == 0

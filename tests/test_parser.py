@@ -26,6 +26,39 @@ def test_undefined_type_name_is_reported():
         parse_program("type t = ()()x")
 
 
+ONE_F = "type one = 1\ndecl f : . |- (x : one)\n"
+
+
+@pytest.mark.parametrize("src, second, first, what", [
+    ("type a = 1\ntype a = ()1", "2:1", "1:1", "type definition of 'a'"),
+    (ONE_F + "decl f : . |- (x : ()one)", "3:1", "2:1", "declaration of 'f'"),
+    (ONE_F + "proc x <- f = close x\nproc x <- f = delay{1} ; close x",
+     "4:1", "3:1", "process definition of 'f'")])
+def test_second_clause_of_an_index_free_name_is_rejected(src, second, first,
+                                                         what):
+    with pytest.raises(ScopeError) as err:
+        parse_program(src)
+    assert str(err.value) == f"{second}: second {what} (the first is at {first})"
+
+
+def test_indexed_names_keep_one_clause_per_pattern():
+    sig = parse_program("type l[0] = 1\ntype l[n+1] = ()l[n]")
+    assert len(sig.typedefs["l"].clauses) == 2
+
+
+@pytest.mark.parametrize("src, text", [
+    ("decl f : . |- (x : Y)", "1:1: reference to undefined type 'Y'"),
+    (ONE_F + "proc x <- f = y <- g ; wait y ; close x",
+     "3:15: call to undeclared process 'g'"),
+    ("type t[n] = 1\ntype u = t", "2:1: type 't' takes 1 index argument(s), got 0"),
+    (ONE_F + "proc x <- g = close x",
+     "3:1: process 'g' has a definition but no decl")])
+def test_scope_errors_carry_their_position(src, text):
+    with pytest.raises(ScopeError) as err:
+        parse_program(src)
+    assert str(err.value) == text
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_program("type t = +{ a : }")

@@ -1,15 +1,16 @@
 import dataclasses
 import json
+import sys
 from collections import Counter
 
 import pytest
 
 from fuzzgen import gen_program
 from tss import corpus, runtime
-from tss.ast import (ONE, Close, Fwd, Plus, SendLabel, TailCall, Wait,
-                     free_chans)
+from tss.ast import (ONE, Close, Fwd, Now, Plus, SendLabel, TailCall, Wait,
+                     When, free_chans)
 from tss.errors import ConfigTypeError, RunError
-from tss.parser import parse_program
+from tss.parser import parse_program, parse_type
 from tss.pipeline import load
 from tss.runtime import (Configuration, Engine, Obj, Trace,
                          check_configuration, init_config, is_poised,
@@ -328,9 +329,9 @@ def test_rematches_per_step_do_not_grow_with_the_configuration(monkeypatch):
 ODD = Plus((("zz", ONE),))  # no tracked type is weakly above or below it
 
 
-def _outcome(ops, cfg, declared, cache=None):
+def _outcome(ops, cfg, declared, cache=None, given=None):
     try:
-        check_configuration(ops, {}, cfg, declared, cache)
+        check_configuration(ops, given or {}, cfg, declared, cache)
     except ConfigTypeError as e:
         return str(e)
     return None
@@ -353,6 +354,13 @@ def _faulty_copies(cfg):
     for side in ("ptypes", "ctypes"):
         faults.append(copy())
         getattr(faults[-1], side)[victim] = ODD
+    # Two faults of one kind, at the first and the last channel: a check of
+    # what changed meets the provider side's first, a check in the
+    # configuration's order the first channel's.
+    chans = list(cfg.objs)
+    faults.append(copy())
+    faults[-1].ptypes[chans[-1]] = ODD
+    faults[-1].ctypes[chans[0]] = ODD
     # The victim's channel reused by a different object, which cannot
     # typecheck.
     faults.append(copy(Obj(o.kind, victim, o.time,
@@ -364,6 +372,9 @@ def _faulty_copies(cfg):
               for y in free_chans(p.body) - {c}}
     if client:
         y = next(iter(client))
+        # Only the consumer side of y, which an unchanged object uses.
+        faults.append(copy())
+        faults[-1].ctypes[y] = ODD
         # A second client of y.
         faults.append(copy(Obj("proc", "z3", 0, Wait(y, Close("z3")))))
         # The channel of y's client reused by an object that also uses a
@@ -392,13 +403,13 @@ def _check_warm_against_cold(sig, ops, main, steps):
             count[0] += 1
             if count[0] >= 4 and count[0] & (count[0] - 1) == 0:
                 # At steps 4, 8, 16, ...: faults in copies of this
-                # configuration, each checked with the cache the earlier
-                # steps (and faults) warmed.
+                # configuration, each checked with the cache that accepted
+                # this configuration last.
                 for broken in _faulty_copies(c):
                     cold = _outcome(ops, broken, declared)
                     assert cold is not None
                     assert _outcome(ops, broken, declared, cache) == cold
-                assert _outcome(ops, c, declared, cache) is None
+                    assert _outcome(ops, c, declared, cache) is None
 
         on_step(cfg)
         Engine(sig, ops).run(cfg, make_scheduler(sched, seed), steps,
@@ -430,6 +441,47 @@ def test_warm_check_rechecks_an_object_whose_interface_changed(six):
     cold = _outcome(ops, odd, {"c0": ODD})
     assert cold is not None
     assert _outcome(ops, odd, {"c0": ODD}, cache) == cold
+
+
+def test_warm_check_rechecks_the_client_of_a_consumer_side_that_moved(six):
+    # The objects are the very ones checked before, and only the consumer
+    # side of c1 moves, one unit later and within weak subtyping of its
+    # provider side: the client of c1 must be checked again, and now it
+    # sends now! one unit too early.
+    ops = six.ops
+    box, later = parse_type("[]1"), parse_type("()[]1")
+    objs = {"c1": Obj("proc", "c1", 0, When("c1", Close("c1"))),
+            "c0": Obj("proc", "c0", 0, Now("c1", Wait("c1", Close("c0"))))}
+    ok = Configuration(objs, ["c0", "c1"], 2, {"c0": ONE, "c1": box},
+                       {"c0": ONE, "c1": box})
+    moved = Configuration(dict(objs), ["c0", "c1"], 2, {"c0": ONE, "c1": box},
+                          {"c0": ONE, "c1": later})
+    cache: dict = {}
+    assert _outcome(ops, ok, {"c0": ONE}, cache) is None
+    cold = _outcome(ops, moved, {"c0": ONE})
+    assert cold is not None and cold.startswith("proc(c0, 0,")
+    assert _outcome(ops, moved, {"c0": ONE}, cache) == cold
+
+
+def test_warm_check_starts_over_when_the_interface_changes(six):
+    from tss.ast import TypeName
+    ops = six.ops
+    bits = TypeName("bits")
+    empty = Configuration({}, [], 0, {}, {})
+    obj = Obj("msg", "c0", 0, Close("c0"))
+    one = Configuration({"c0": obj}, ["c0"], 1, {"c0": ONE}, {"c0": ONE})
+    cache: dict = {}
+    # provides_in: the pass-through channel is no longer given.
+    assert _outcome(ops, empty, {"c0": bits}, cache, {"c0": bits}) is None
+    cold = _outcome(ops, empty, {"c0": bits})
+    assert cold is not None
+    assert _outcome(ops, empty, {"c0": bits}, cache) == cold
+    # provides_out: the same objects and types, offered at another type.
+    assert _outcome(ops, one, {"c0": ONE}, cache) is None
+    cold = _outcome(ops, one, {"c0": ODD})
+    assert cold is not None
+    assert _outcome(ops, one, {"c0": ODD}, cache) == cold
+    assert _outcome(ops, one, {"c0": ONE}, cache) is None
 
 
 def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
@@ -465,3 +517,49 @@ def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
         per_step[n] = {k: v / steps[0] for k, v in calls.items()}
     for name in calls:
         assert per_step[32][name] <= 2 * per_step[8][name], per_step
+
+
+def test_configuration_check_runs_code_set_by_the_step_not_by_the_run():
+    # A deterministic stand-in for the cost of a checked step: the lines of
+    # `tss.runtime` the check runs, counted by a trace function.  A walk
+    # over every live channel grows with n, as the configuration does
+    # (about 21 objects per step at n=8, 86 at n=32).  The state the cache
+    # holds is the last configuration's, so it has no channel that is gone.
+    here = runtime.__file__
+    lines = [0]
+
+    def tracer(frame, event, _):
+        if frame.f_code.co_filename != here:
+            return None
+        lines[0] += event == "line"
+        return tracer
+
+    per_step = {}
+    for n in (8, 32):
+        prog = corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs")
+        elab, ops = prog.elab, prog.ops
+        cfg = init_config(elab, prog.main)
+        declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+        cache: dict = {}
+        steps = [0]
+        lines[0] = 0
+
+        def on_step(c):
+            steps[0] += 1
+            outer = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                check_configuration(ops, {}, c, declared, cache)
+            finally:
+                sys.settrace(outer)
+            assert len(cache) == 1
+            (checker,) = cache.values()
+            for name, held in vars(checker).items():
+                if isinstance(held, dict):
+                    assert held.keys() <= c.objs.keys(), name
+
+        _, status = Engine(elab, ops).run(cfg, make_scheduler("rr"), 100_000,
+                                          on_step=on_step)
+        assert status == "quiescent"
+        per_step[n] = lines[0] / steps[0]
+    assert per_step[32] <= 2.5 * per_step[8], per_step
