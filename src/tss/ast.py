@@ -437,30 +437,48 @@ def map_subprocs(p: ProcExpr, f: Callable[[ProcExpr], ProcExpr]) -> ProcExpr:
     return type(p)(*values)
 
 
-def free_chans(p: ProcExpr) -> set[str]:
-    """Channels a process uses or offers, with binders removed."""
+def free_chans(p: ProcExpr) -> frozenset[str]:
+    """Channels a process uses or offers, with binders removed.  The set is
+    computed once per node and kept on it, as `memo_hash` keeps hashes, so
+    it is a frozenset that callers share.  A node whose set equals its
+    continuation's keeps that very set."""
+    try:
+        return p._free
+    except AttributeError:
+        out = _free_chans(p)
+        object.__setattr__(p, "_free", out)
+        return out
+
+
+def _with(names: frozenset[str], *more: str) -> frozenset[str]:
+    """`names` with `more` added; `names` itself if it has them all."""
+    return names if names.issuperset(more) else names.union(more)
+
+
+def _free_chans(p: ProcExpr) -> frozenset[str]:
     match p:
         case Spawn(dest, _, _, chans, cont):
-            return set(chans) | (free_chans(cont) - {dest})
+            inner = free_chans(cont)
+            return _with(inner - {dest} if dest in inner else inner, *chans)
         case TailCall(dest, _, _, chans):
-            return {dest} | set(chans)
+            return frozenset((dest, *chans))
         case Cut(dest, _, body, cont):
-            return (free_chans(body) - {dest}) | (free_chans(cont) - {dest})
+            return (free_chans(body) | free_chans(cont)) - {dest}
         case Fwd(dest, src):
-            return {dest, src}
+            return frozenset((dest, src))
         case SendLabel(chan, _, cont) | Wait(chan, cont) | When(chan, cont) | Now(chan, cont):
-            return {chan} | free_chans(cont)
+            return _with(free_chans(cont), chan)
         case Case(chan, branches):
-            out = {chan}
-            for _, body in branches:
-                out |= free_chans(body)
-            return out
+            sets = [free_chans(b) for _, b in branches]
+            out = frozenset((chan,)).union(*sets)
+            return next((s for s in sets if s == out), out)
         case Close(chan):
-            return {chan}
+            return frozenset((chan,))
         case SendChan(chan, payload, cont):
-            return {chan, payload} | free_chans(cont)
+            return _with(free_chans(cont), chan, payload)
         case RecvChan(bind, chan, cont):
-            return {chan} | (free_chans(cont) - {bind})
+            inner = free_chans(cont)
+            return _with(inner - {bind} if bind in inner else inner, chan)
         case Delay(_, _, cont):
             return free_chans(cont)
     raise AssertionError(f"unknown process node {p!r}")

@@ -58,6 +58,19 @@ def _parse_bind(text: str) -> dict[str, int]:
     return out
 
 
+def _budget(text: str) -> int:
+    """A step budget: an integer, at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") \
+            from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"step budget must be at least 0, got {n}")
+    return n
+
+
 def _report(errors: list) -> bool:
     """Print `errors` to stderr; True if there were any."""
     for e in errors:
@@ -170,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--main", required=True)
     p.add_argument("--sched", choices=("rr", "rand", "sync"), default="rr")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=10_000)
+    p.add_argument("--steps", type=_budget, default=10_000)
     p.add_argument("--trace", default="", help="write a text trace ('-' for stdout)")
     p.add_argument("--trace-json", default="", help="write a JSON-lines trace")
     p.add_argument("--check-config", action="store_true",

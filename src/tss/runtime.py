@@ -21,6 +21,17 @@ hold what differs per action: the rule names, the connective the sender's
 local type must expose, the type after the message, and the message a
 receive matches.
 
+An object is a closure, as in an environment machine (the CEK machine,
+Felleisen and Friedman 1987): it keeps the code it runs, a sub-term of a
+definition body or a node a rule built, and an environment from the
+code's free channel names to the run's channels.  The paper's rules
+continue a process with a renamed term (`[c'/c]P` after a send, `[d/x]Q`
+after a cut); here a step extends the environment instead, so its cost
+does not depend on the size of the continuation.  `Obj.body` substitutes
+the environment into the code when it is read, for traces, error
+messages and equality.  Messages are built as concrete terms of two
+nodes.
+
 `Engine.run` copies its input once and rewrites that private copy in
 place, keeping the enabled rules in an index that each step updates only
 around the channels it touched.  Its `on_step` callback receives the live
@@ -32,7 +43,8 @@ produced, and renders them only when it is written out.
 `check_configuration` types a configuration against its interface.  Across
 the configurations of one run it keeps a checker holding the configuration
 it last accepted and checks again only the channels a step changed, as
-preservation is proved one rule at a time.
+preservation is proved one rule at a time.  It types an object's code
+under the code's own channel names, so a checked step substitutes nothing.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from operator import is_not
 from typing import Callable, Optional
@@ -57,13 +70,55 @@ from .subtyping import is_weak_subtype
 from .typeops import TypeOps
 
 
+_ID: dict[str, str] = {}  # the identity environment; never written to
+
+
 @memo_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Obj:
+    """A proc or msg object providing `chan` at `time`: it runs `code` with
+    each free channel name `x` of the code standing for the run's channel
+    `env.get(x, x)`.  `Obj(kind, chan, time, body)` builds one from a
+    concrete term, with the identity environment.  Equality and hashing are
+    on (kind, chan, time, body), whatever environment builds the body."""
     kind: str  # "proc" | "msg"
     chan: str
     time: int
-    body: ProcExpr
+    code: ProcExpr
+    env: dict[str, str]  # never written to once the object is built
+
+    def __init__(self, kind: str, chan: str, time: int, code: ProcExpr,
+                 env: dict[str, str] = _ID):
+        d = self.__dict__
+        d["kind"], d["chan"], d["time"], d["code"], d["env"] = \
+            kind, chan, time, code, env
+        if not env:  # a concrete term is its own body
+            d["body"] = code
+
+    @cached_property
+    def body(self) -> ProcExpr:
+        """The concrete term: the code with the environment substituted,
+        built on first read and then kept."""
+        return rename_chans(self.code, self.env)
+
+    @cached_property
+    def used(self) -> frozenset[str]:
+        """The run's channels the object uses: its code's free channels
+        mapped through the environment, less its own channel."""
+        names = free_chans(self.code)
+        env = self.env
+        if env:
+            names = frozenset([env.get(x, x) for x in names])
+        return names - {self.chan}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Obj):
+            return NotImplemented
+        return (self.kind, self.chan, self.time, self.body) == \
+            (other.kind, other.chan, other.time, other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.chan, self.time, self.body))
 
     def render(self) -> str:
         body = fmt_proc(self.body).replace("\n", " ")
@@ -269,16 +324,18 @@ _SENDS = {
 }
 
 
-def _message(send: ProcExpr, cont: Fwd) -> ProcExpr:
-    """The message a send action leaves: the action, continued by `cont`."""
-    match send:
+def _message(act: ProcExpr, env: dict[str, str], cont: Fwd) -> ProcExpr:
+    """The message a send leaves: the action `act` with its channels mapped
+    through `env`, continued by `cont`."""
+    match act:
         case SendLabel(chan, label, _):
-            return SendLabel(chan, label, cont)
+            return SendLabel(env.get(chan, chan), label, cont)
         case SendChan(chan, payload, _):
-            return SendChan(chan, payload, cont)
+            return SendChan(env.get(chan, chan), env.get(payload, payload),
+                            cont)
         case Now(chan, _):
-            return Now(chan, cont)
-    raise AssertionError(f"not a send action: {send!r}")
+            return Now(env.get(chan, chan), cont)
+    raise AssertionError(f"not a send action: {act!r}")
 
 
 # The receive rules by the action's class: the class of the message it
@@ -304,7 +361,6 @@ class _Index:
     def __init__(self, engine: "Engine", config: Configuration):
         self.engine = engine
         self.config = config
-        self.used: dict[str, set[str]] = {}  # chan -> channels its object uses
         self.client: dict[str, str] = {}  # chan -> the object using it
         self.neg_acting: dict[str, Obj] = {}  # chan -> msg acting on it
         self.mentions: dict[str, Obj] = {}  # chan -> msg using it
@@ -315,26 +371,23 @@ class _Index:
             self._match(c)
 
     def _link(self, o: Obj) -> None:
-        used = free_chans(o.body) - {o.chan}
-        self.used[o.chan] = used
-        for y in used:
+        for y in o.used:
             self.client[y] = o.chan
         if o.kind == "msg":
-            for y in used:
+            for y in o.used:
                 self.mentions[y] = o
             if not isinstance(o.body, Close) and o.body.chan != o.chan:
                 self.neg_acting[o.body.chan] = o
 
-    def _unlink(self, o: Obj) -> set[str]:
-        used = self.used.pop(o.chan)
-        for y in used:
+    def _unlink(self, o: Obj) -> frozenset[str]:
+        for y in o.used:
             if self.client.get(y) == o.chan:
                 del self.client[y]
             if self.mentions.get(y) is o:
                 del self.mentions[y]
             if self.neg_acting.get(y) is o:
                 del self.neg_acting[y]
-        return used
+        return o.used
 
     def _match(self, chan: str) -> None:
         o = self.config.objs.get(chan)
@@ -356,7 +409,7 @@ class _Index:
         for o in produced:
             self._link(o)
             touched.add(o.chan)
-            near |= self.used[o.chan]
+            near |= o.used
         near |= touched
         near.update(self.client[c] for c in touched if c in self.client)
         for c in near:
@@ -401,11 +454,12 @@ class Engine:
     def _rule_for(self, config: Configuration, o: Obj,
                   neg_acting: dict[str, Obj],
                   mentions: dict[str, Obj]) -> Optional[_Rule]:
-        body = o.body
+        code, env = o.code, o.env
         objs = config.objs
-        match body:
+        match code:
             case SendLabel() | SendChan() | Now():
-                side = _SENDS[type(body)][body.chan != o.chan]
+                side = _SENDS[type(code)][env.get(code.chan, code.chan)
+                                          != o.chan]
                 return _Rule(side.name, [o], lambda c: self._send(c, o, side))
             case Close(_):
                 return _Rule("1S", [o], lambda c: self._close(c, o))
@@ -416,19 +470,19 @@ class Engine:
             case Delay():
                 return _Rule("○C", [o], lambda c: self._delay(c, o))
             case Case() | RecvChan() | When() | Wait():
-                sent, pos, neg = _RECEIVES[type(body)]
-                chan = body.chan
+                sent, pos, neg = _RECEIVES[type(code)]
+                chan = env.get(code.chan, code.chan)
                 m = neg_acting.get(chan) if chan == o.chan else objs.get(chan)
                 if m is None or m.kind != "msg" \
                         or not isinstance(m.body, sent) \
                         or m.body.chan != chan or m.time < o.time \
-                        or m.time > o.time and not isinstance(body, When):
+                        or m.time > o.time and not isinstance(code, When):
                     return None
                 if chan == o.chan:
                     return _Rule(neg, [o, m], lambda c: self._receive(c, o, m))
                 return _Rule(pos, [m, o], lambda c: self._receive(c, o, m))
             case Fwd(_, src):
-                m = objs.get(src)
+                m = objs.get(env.get(src, src))
                 if m is not None and m.kind == "msg" and m.time >= o.time:
                     return _Rule("id⁺C", [m, o], lambda c: self._fwd_up(c, o, m))
                 m2 = mentions.get(o.chan)
@@ -443,13 +497,15 @@ class Engine:
     # Channels keep their tracked interfaces for as long as they live, so a
     # rule replaces the object at a surviving channel in place and only
     # drops channels that die.
+    # Where the paper continues with a renamed term, a rule continues with
+    # the sub-term under an extended environment.
 
     def _send(self, config: Configuration, o: Obj, side: _Send) -> list[Obj]:
         # A provider's message takes its own channel and the provider goes
         # on at a fresh one; a client's message takes a fresh channel, which
         # the client goes on using.
-        body = o.body
-        chan = body.chan
+        code, env = o.code, o.env
+        chan = env.get(code.chan, code.chan)
         fresh = self._fresh(config)
         if chan == o.chan:
             view = self.ops.shift_right_n(config.ptypes[chan], o.time)
@@ -460,67 +516,67 @@ class Engine:
         base = self.ops.expose(view)
         if not isinstance(base, side.shape):
             raise RunError(f"{chan} {side.error}")
-        nxt = next_type(o.time, side.after(base, body))
-        cont = rename_chans(body.cont, {chan: fresh})
+        nxt = next_type(o.time, side.after(base, code))
+        cont = {**env, code.chan: fresh}
         if chan == o.chan:
             config.objs[chan] = Obj("msg", chan, o.time,
-                                    _message(body, Fwd(chan, fresh)))
-            self._add(config, Obj("proc", fresh, o.time, cont), nxt)
+                                    _message(code, env, Fwd(chan, fresh)))
+            self._add(config, Obj("proc", fresh, o.time, code.cont, cont), nxt)
         else:
-            config.objs[o.chan] = Obj("proc", o.chan, o.time, cont)
+            config.objs[o.chan] = Obj("proc", o.chan, o.time, code.cont, cont)
             self._add(config, Obj("msg", fresh, o.time,
-                                  _message(body, Fwd(fresh, chan))), nxt)
+                                  _message(code, env, Fwd(fresh, chan))), nxt)
         return [config.objs[o.chan], config.objs[fresh]]
 
     def _close(self, config: Configuration, o: Obj) -> list[Obj]:
-        config.objs[o.chan] = Obj("msg", o.chan, o.time, o.body)
+        code = o.code
+        config.objs[o.chan] = Obj("msg", o.chan, o.time,
+                                  Close(o.env.get(code.chan, code.chan),
+                                        code.pos))
         return [config.objs[o.chan]]
 
     def _cut(self, config: Configuration, o: Obj) -> list[Obj]:
-        body = o.body
-        assert isinstance(body, Cut)
+        code = o.code
+        assert isinstance(code, Cut)
         fresh = self._fresh(config)
-        sub = {body.dest: fresh}
-        config.objs[o.chan] = Obj("proc", o.chan, o.time,
-                                  rename_chans(body.cont, sub))
-        self._add(config, Obj("proc", fresh, o.time,
-                              rename_chans(body.body, sub)),
-                  next_type(o.time, body.annot))
+        env = {**o.env, code.dest: fresh}
+        config.objs[o.chan] = Obj("proc", o.chan, o.time, code.cont, env)
+        self._add(config, Obj("proc", fresh, o.time, code.body, env),
+                  next_type(o.time, code.annot))
         return [config.objs[o.chan], config.objs[fresh]]
 
     def _def(self, config: Configuration, o: Obj) -> list[Obj]:
-        body = o.body
-        assert isinstance(body, (Spawn, TailCall))
-        proc, chans = body.proc, body.chans
+        code, env = o.code, o.env
+        assert isinstance(code, (Spawn, TailCall))
+        proc = code.proc
+        chans = [env.get(c, c) for c in code.chans]
         decl = self.sig.decl(proc)
         if proc not in self.sig.procdefs:
             raise RunError(f"process '{proc}' has no definition")
         dcl = self.sig.procdefs[proc].clauses[0]
         fresh = self._fresh(config)
-        sub = {dcl.dest: fresh}
-        for formal, actual in zip(dcl.chans, chans):
-            sub[formal] = actual
-        spawned = rename_chans(dcl.body, sub)
+        spawned = {dcl.dest: fresh, **dict(zip(dcl.chans, chans))}
         # The spawned body consumes its arguments at the declared types.
         for actual, (_, want) in zip(chans, decl.ctx):
             config.ctypes[actual] = next_type(o.time, want)
-        if isinstance(body, Spawn):
-            cont = rename_chans(body.cont, {body.dest: fresh})
+        if isinstance(code, Spawn):
+            cont = Obj("proc", o.chan, o.time, code.cont,
+                       {**env, code.dest: fresh})
         else:
-            cont = Fwd(o.chan, fresh)
-        config.objs[o.chan] = Obj("proc", o.chan, o.time, cont)
-        self._add(config, Obj("proc", fresh, o.time, spawned),
+            cont = Obj("proc", o.chan, o.time, Fwd(o.chan, fresh))
+        config.objs[o.chan] = cont
+        self._add(config, Obj("proc", fresh, o.time, dcl.body, spawned),
                   next_type(o.time, decl.offer_type))
-        return [config.objs[o.chan], config.objs[fresh]]
+        return [cont, config.objs[fresh]]
 
     def _delay(self, config: Configuration, o: Obj) -> list[Obj]:
-        body = o.body
-        assert isinstance(body, Delay)
-        if not isinstance(body.count, int):
+        code = o.code
+        assert isinstance(code, Delay)
+        if not isinstance(code.count, int):
             raise RunError("delay with a non-ground count")
-        cont = body.cont if body.count == 1 else \
-            Delay(body.count - 1, body.origin, body.cont)
-        config.objs[o.chan] = Obj(o.kind, o.chan, o.time + 1, cont)
+        cont = code.cont if code.count == 1 else \
+            Delay(code.count - 1, code.origin, code.cont)
+        config.objs[o.chan] = Obj(o.kind, o.chan, o.time + 1, cont, o.env)
         return [config.objs[o.chan]]
 
     def _receive(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
@@ -528,42 +584,42 @@ class Engine:
         # message's next channel; a provider takes its client's message
         # (negative) and goes on providing the message's channel.  Either
         # jumps to the message's time, later than its own only for when?.
-        mb, ob = m.body, o.body
-        if ob.chan == o.chan:
+        mb, code, env = m.body, o.code, o.env
+        if env.get(code.chan, code.chan) == o.chan:
             at = nxt = m.chan
             self._drop(config, o.chan)
         else:  # a close leaves no next channel
             at, nxt = o.chan, None if isinstance(mb, Close) else mb.cont.src
             self._drop(config, m.chan)
-        cont = dict(ob.branches)[mb.label] if isinstance(ob, Case) else ob.cont
-        sub = {} if nxt is None else {ob.chan: nxt}
-        if isinstance(ob, RecvChan):
-            sub[ob.bind] = mb.payload
-        proc = Obj("proc", at, m.time, rename_chans(cont, sub))
+        cont = dict(code.branches)[mb.label] if isinstance(code, Case) \
+            else code.cont
+        sub = {} if nxt is None else {code.chan: nxt}
+        if isinstance(code, RecvChan):
+            sub[code.bind] = mb.payload
+        proc = Obj("proc", at, m.time, cont, {**env, **sub} if sub else env)
         self._reanchor(config, proc, o.time, m.time, skip=nxt)
         config.objs[at] = proc
         return [proc]
 
     def _fwd_up(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # id+C: message travels up through the forward: msg(d), fwd c<-d.
-        ob = o.body
-        assert isinstance(ob, Fwd)
-        newbody = rename_chans(m.body, {ob.src: o.chan})
         ptype = config.ptypes[m.chan]
         self._drop(config, m.chan)
-        config.objs[o.chan] = Obj("msg", o.chan, m.time, newbody)
+        config.objs[o.chan] = Obj("msg", o.chan, m.time,
+                                  rename_chans(m.body, {m.chan: o.chan}))
         config.ptypes[o.chan] = ptype
         return [config.objs[o.chan]]
 
     def _fwd_down(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # id-C: the sole client of c is a message; redirect it to d.
-        ob = o.body
-        assert isinstance(ob, Fwd)
-        newbody = rename_chans(m.body, {o.chan: ob.src})
+        code = o.code
+        assert isinstance(code, Fwd)
+        src = o.env.get(code.src, code.src)
         ctype = config.ctypes[o.chan]
         self._drop(config, o.chan)
-        config.objs[m.chan] = Obj("msg", m.chan, m.time, newbody)
-        config.ctypes[ob.src] = ctype
+        config.objs[m.chan] = Obj("msg", m.chan, m.time,
+                                  rename_chans(m.body, {o.chan: src}))
+        config.ctypes[src] = ctype
         return [config.objs[m.chan]]
 
     def _reanchor(self, config: Configuration, proc: Obj, old_time: int,
@@ -573,8 +629,7 @@ class Engine:
         weak-subtyping slack of the configuration typing comes from)."""
         if new_time == old_time:
             return
-        used = free_chans(proc.body) - {proc.chan, skip}
-        for y in used:
+        for y in proc.used - {skip}:
             local = self.ops.shift_left_n(config.ctypes[y], old_time)
             if local is None:
                 raise RunError(f"cannot re-anchor {y}")
@@ -642,11 +697,11 @@ class Engine:
 def is_poised_obj(o: Obj) -> bool:
     if o.kind == "msg":
         return True
-    match o.body:
+    match o.code:
         case SendLabel(chan, _, _) | Case(chan, _) | Close(chan) \
                 | SendChan(chan, _, _) | RecvChan(_, chan, _) \
                 | When(chan, _) | Now(chan, _):
-            return chan == o.chan
+            return o.env.get(chan, chan) == o.chan
         case Fwd():
             return True
         case _:
@@ -681,9 +736,10 @@ def _sync(old: dict, new: dict, keys: list) -> None:
 class _Checker:
     """What `check_configuration` last accepted for one run: the interface
     and `TypeOps` it was checked against, the objects and both interface
-    maps as they were, the channels each object uses and the client of each
-    used channel.  Every key is a channel of that configuration, so the
-    state is as large as the configuration, not as long as the run.
+    maps as they were, and the client of each channel an object uses (each
+    object carries the channels it uses).  Every key is a channel of that
+    configuration, so the state is as large as the configuration, not as
+    long as the run.
 
     A call compares the configuration with this state by identity and
     checks again only what changed, as each rule of the multiset rewriting
@@ -697,7 +753,6 @@ class _Checker:
         self.objs: dict[str, Obj] = {}
         self.ptypes: dict[str, SessionType] = {}
         self.ctypes: dict[str, SessionType] = {}
-        self.used: dict[str, set[str]] = {}  # chan -> channels its object uses
         self.client: dict[str, str] = {}  # chan -> the object using it
 
     def check(self, ops: TypeOps, provides_in: dict[str, SessionType],
@@ -730,7 +785,7 @@ class _Checker:
         fresh = self.ops is None
         self.ops = ops
         objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
-        seen, used, client = self.objs, self.used, self.client
+        seen, client = self.objs, self.client
         moved = _changed(objs, seen)
         pmoved = _changed(ptypes, self.ptypes)
         cmoved = _changed(ctypes, self.ctypes)
@@ -740,11 +795,11 @@ class _Checker:
         # Each channel has one client: unlink the objects that moved, then
         # link the ones now there.  An edge new at its channel may close a
         # cycle.
-        before: dict[str, set[str]] = {}
+        before: dict[str, frozenset[str]] = {}
         lost: list[str] = []
         for c in moved:
-            if c in used:
-                before[c] = old = used.pop(c)
+            if c in seen:
+                before[c] = old = seen[c].used
                 for y in old:
                     del client[y]
                     lost.append(y)
@@ -756,10 +811,13 @@ class _Checker:
             if o is None:
                 del seen[c]
                 continue
+            if o.chan != c:
+                raise ConfigTypeError(f"channel {c} holds an object providing "
+                                      f"{o.chan}")
             if c not in seen:
                 added.append(c)
             seen[c] = o
-            used[c] = now = free_chans(o.body) - {c}
+            now = o.used
             old = before.get(c, ())
             for y in now:
                 if y in client:
@@ -829,10 +887,30 @@ class _Checker:
 
     def _verdict(self, ops: TypeOps, provides_in: dict[str, SessionType],
                  config: Configuration, c: str) -> None:
+        """Type the object at `c` at its own time shift of the interface.
+        Its code is typed under the code's own channel names, so a checked
+        step substitutes nothing.  Where the environment maps two of those
+        names to one channel the code cannot be typed so, and a failing
+        verdict must name the run's channels: both are decided on the
+        substituted body."""
         o = config.objs[c]
+        names = free_chans(o.code)
+        inv = {o.env.get(x, x): x for x in names}
+        if len(inv) == len(names) and (c in inv or c not in names):
+            try:
+                return self._type(ops, provides_in, config, o, o.code, inv)
+            except ConfigTypeError:
+                pass
+        self._type(ops, provides_in, config, o, o.body, _ID)
+
+    def _type(self, ops: TypeOps, provides_in: dict[str, SessionType],
+              config: Configuration, o: Obj, p: ProcExpr,
+              names: dict[str, str]) -> None:
+        """Raise ConfigTypeError unless `p` types as object `o` at its time,
+        where `p` names the run's channel `y` as `names.get(y, y)`."""
         ctypes = config.ctypes
         srcs = {}
-        for y in self.used[c]:
+        for y in o.used:
             src = ctypes.get(y, provides_in.get(y))
             if src is None:
                 raise ConfigTypeError(f"no interface for consumed channel {y}")
@@ -844,13 +922,14 @@ class _Checker:
                 raise ConfigTypeError(
                     f"{o.render()}: used channel {y} has no defined view "
                     f"at time {o.time}")
-            ctx[y] = local
-        offer = ops.shift_right_n(config.ptypes[c], o.time)
+            ctx[names.get(y, y)] = local
+        offer = ops.shift_right_n(config.ptypes[o.chan], o.time)
         if offer is None:
             raise ConfigTypeError(
                 f"{o.render()}: offered type undefined at time {o.time}")
         try:
-            check_process(ops, ctx, o.body, c, offer, call_subtyping=True)
+            check_process(ops, ctx, p, names.get(o.chan, o.chan), offer,
+                          call_subtyping=True)
         except Exception as e:
             raise ConfigTypeError(f"{o.render()}: {e}") from e
 

@@ -112,6 +112,18 @@ def test_run_with_binding(capsys):
     assert "t=8: label b0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("steps, status, out", [
+    ("-5", 2, ""), ("-1", 2, ""), ("x", 2, ""), ("0", 0, "budget\n")])
+def test_run_step_budget_must_not_be_negative(capsys, steps, status, out):
+    assert run("run", str(CORPUS_DIR / "queue_rs.tss"), "--main", "qmain",
+               "--bind", "n=2", "--cost", "rs", "--steps", steps) == status
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if status == 2:
+        assert "argument --steps: " in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_reconstruct_to_file(tmp_path, capsys):
     out = tmp_path / "six.explicit.tss"
     assert run("reconstruct", str(CORPUS_DIR / "six_r.tss"), "--cost", "r",

@@ -1,14 +1,16 @@
 import dataclasses
 import json
+import re
 import sys
 from collections import Counter
 
 import pytest
 
 from fuzzgen import gen_program
+import tss.ast
 from tss import corpus, runtime
-from tss.ast import (ONE, Close, Fwd, Now, Plus, SendLabel, TailCall, Wait,
-                     When, free_chans)
+from tss.ast import (ONE, Close, Fwd, Now, Plus, SendChan, SendLabel,
+                     TailCall, Wait, When, free_chans, next_type)
 from tss.errors import ConfigTypeError, RunError
 from tss.parser import parse_program, parse_type
 from tss.pipeline import load
@@ -365,6 +367,9 @@ def _faulty_copies(cfg):
     # typecheck.
     faults.append(copy(Obj(o.kind, victim, o.time,
                            SendLabel(victim, "zz", o.body))))
+    # The victim's object filed under its channel but providing another.
+    faults.append(copy())
+    faults[-1].objs[victim] = Obj(o.kind, "z4", o.time, o.body)
     # A cycle.
     faults.append(copy(Obj("proc", "z1", 0, Wait("z2", Close("z1"))),
                        Obj("proc", "z2", 0, Wait("z1", Close("z2")))))
@@ -429,6 +434,18 @@ def test_warm_configuration_check_agrees_with_cold_on_generated_programs(seed):
     _check_warm_against_cold(sig, TypeOps(sig), "main", 3000)
 
 
+def test_check_rejects_an_object_filed_under_another_channel(six):
+    # The check types an object at the channel it provides; one filed
+    # under another channel is no configuration the engine builds.
+    cfg = Configuration({"c0": Obj("proc", "c1", 0, Close("c1"))}, ["c0"], 2,
+                        {"c0": ONE, "c1": ONE}, {"c0": ONE, "c1": ONE})
+    expected = "channel c0 holds an object providing c1"
+    assert _outcome(six.ops, cfg, {"c0": ONE}) == expected
+    assert _outcome(six.ops, cfg, {"c0": ONE}, {}) == expected
+    del cfg.ptypes["c1"]
+    assert _outcome(six.ops, cfg, {"c0": ONE}) == expected
+
+
 def test_warm_check_rechecks_an_object_whose_interface_changed(six):
     # The object is the very one checked before, but both sides of its
     # interface (and the offer) changed: its verdict must be re-derived.
@@ -485,16 +502,19 @@ def test_warm_check_starts_over_when_the_interface_changes(six):
 
 
 def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
-    # A deterministic stand-in for the cost of a checked step: the used-
-    # channel walks and weak-subtyping calls `check_configuration` makes.
-    # Re-deriving them for every object grows with n.
-    calls = {"free_chans": 0, "is_weak_subtype": 0}
+    # A deterministic stand-in for the cost of a checked step: the nodes
+    # the free-channel walk visits (`free_chans` keeps each node's set, so
+    # only `_free_chans` walks) and the weak-subtyping calls
+    # `check_configuration` makes.  Re-deriving them for every object grows
+    # with n.
+    calls = {"_free_chans": 0, "is_weak_subtype": 0}
     checking = [False]
-    for name in calls:
-        def counting(*args, _real=getattr(runtime, name), _name=name):
+    for module, name in ((tss.ast, "_free_chans"),
+                         (runtime, "is_weak_subtype")):
+        def counting(*args, _real=getattr(module, name), _name=name):
             calls[_name] += checking[0]
             return _real(*args)
-        monkeypatch.setattr(runtime, name, counting)
+        monkeypatch.setattr(module, name, counting)
     per_step = {}
     for n in (8, 32):
         prog = corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs")
@@ -563,3 +583,173 @@ def test_configuration_check_runs_code_set_by_the_step_not_by_the_run():
         assert status == "quiescent"
         per_step[n] = lines[0] / steps[0]
     assert per_step[32] <= 2.5 * per_step[8], per_step
+
+
+# ---------------------------------------------------------------------------
+# Objects as closures: code under an environment against concrete terms
+
+def _is_message(p):
+    """A term of the shape the rules build for a message: a close, or a
+    send continued by a forward."""
+    return isinstance(p, Close) or \
+        isinstance(p, (SendLabel, SendChan, Now)) and isinstance(p.cont, Fwd)
+
+
+def _counting_renames(monkeypatch):
+    """A counter of the `runtime.rename_chans` calls on anything but a
+    message: moving a two-node message through a forward renames it."""
+    calls = [0]
+    real = runtime.rename_chans
+
+    def counting(p, sub):
+        calls[0] += not _is_message(p)
+        return real(p, sub)
+
+    monkeypatch.setattr(runtime, "rename_chans", counting)
+    return calls
+
+
+def test_unchecked_run_substitutes_nothing(monkeypatch):
+    # A step extends an environment: without a trace or a check, nothing
+    # reads an object's substituted body.  Renaming the continuation at
+    # every send, cut, call and receive made about 0.5 calls per step.
+    calls = _counting_renames(monkeypatch)
+    for n in (8, 32):
+        prog = corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs")
+        calls[0] = 0
+        _, status = Engine(prog.elab, prog.ops).run(
+            init_config(prog.elab, prog.main), make_scheduler("rr"), 100_000)
+        assert status == "quiescent"
+        assert calls[0] == 0, (n, calls[0])
+
+
+def test_checked_run_substitutes_nothing(monkeypatch):
+    # The check types each object's code under the code's own channel
+    # names, so a well-typed run reads no substituted body.  Typing the
+    # body instead substitutes about one object per step.
+    calls = _counting_renames(monkeypatch)
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": 8}, "rs")
+    cfg = init_config(prog.elab, prog.main)
+    _, status = Engine(prog.elab, prog.ops).run(
+        cfg, make_scheduler("rr"), 100_000,
+        on_step=runtime.check_each_step(prog.ops, cfg))
+    assert status == "quiescent"
+    assert calls[0] == 0, calls[0]
+
+
+def _concrete(config):
+    """`config` with every object substituted into a concrete term under
+    the identity environment."""
+    return Configuration(
+        {c: Obj(o.kind, o.chan, o.time, o.body) for c, o in config.objs.items()},
+        list(config.order), config.counter, dict(config.ptypes),
+        dict(config.ctypes))
+
+
+def _check_closures_against_terms(sig, ops, main, steps):
+    for sched, seed in (("rr", 0), ("rand", 3), ("sync", 0)):
+        eng = Engine(sig, ops)
+        cfg = init_config(sig, main)
+        declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+        trace = Trace()
+        flat = _concrete(cfg)
+        before = [flat, runtime._Index(eng, flat).rules]
+
+        def on_step(c):
+            live, flat = eng._live, _concrete(c)
+            index = runtime._Index(eng, flat)
+            assert _rule_view(index.rules) == _rule_view(live.rules)
+            assert {x: o.used for x, o in flat.objs.items()} == \
+                {x: o.used for x, o in c.objs.items()}
+            assert index.client == live.client
+            assert _outcome(ops, flat, declared) == _outcome(ops, c, declared)
+            # The step just taken, fired on the concrete configuration before
+            # it, renders the same trace line and gives the same result.
+            step = trace.steps[-1]
+            (proc,) = [o for o in step.consumed if o.kind == "proc"]
+            rule = before[1][proc.chan]
+            after = before[0].copy()
+            produced = rule.apply(after)
+            assert runtime.TraceStep(rule.name, tuple(rule.consumed),
+                                     tuple(produced)).as_dict() \
+                == step.as_dict()
+            assert after == flat
+            before[:] = flat, index.rules
+
+        eng.run(cfg, make_scheduler(sched, seed), steps, trace=trace,
+                on_step=on_step)
+
+
+@pytest.mark.parametrize("spec", corpus.run_specs(),
+                         ids=lambda s: f"{s.file}:{s.main}{s.bind}")
+def test_closures_agree_with_concrete_terms_on_corpus_runs(spec):
+    prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+    _check_closures_against_terms(prog.elab, prog.ops, prog.main, spec.steps)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_closures_agree_with_concrete_terms_on_generated_programs(seed):
+    sig = gen_program(seed)
+    _check_closures_against_terms(sig, TypeOps(sig), "main", 3000)
+
+
+def _with_client(config, c, client, obj):
+    """`obj` at `c` and the client of `c` (if any) alone, typed against the
+    channels they use from outside: (configuration, provides_in,
+    provides_out).  The client comes second, so `obj` is checked first."""
+    objs = {c: obj}
+    if client is not None:
+        objs[client] = config.objs[client]
+    top = c if client is None else client
+    given = {y: config.ctypes[y] for o in objs.values() for y in o.used
+             if y not in objs}
+    part = Configuration(objs, list(objs), config.counter,
+                         {x: config.ptypes[x] for x in objs},
+                         {**given, **{x: config.ctypes[x] for x in objs}})
+    return part, given, {top: config.ptypes[top]}
+
+
+def test_checker_messages_on_closures_name_run_channels():
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": 2}, "rs")
+    ops = prog.ops
+    eng = Engine(prog.elab, ops)
+    seen = []
+
+    def on_step(c):
+        for chan, o in c.objs.items():
+            if o.kind == "proc" and o.env and o.used:
+                seen.append((c.copy(), chan, eng._live.client.get(chan)))
+
+    eng.run(init_config(prog.elab, prog.main), make_scheduler("rr"), 60,
+            on_step=on_step)
+    assert len(seen) > 20
+    named = 0
+    for config, c, client in seen[::7]:
+        o = config.objs[c]
+        assert any(o.env.get(x, x) != x for x in free_chans(o.code))
+        y = min(o.used)
+        messages = []
+        for obj in (o, Obj(o.kind, c, o.time, o.body)):
+            part, given, out = _with_client(config, c, client, obj)
+            cache: dict = {}
+            assert _outcome(ops, part, out, cache, given) is None
+            for side, x in (("ptypes", c), ("ctypes", y)):
+                broken = part.copy()
+                bad = next_type(o.time, ODD)
+                broken.ctypes[x] = bad
+                if side == "ptypes":
+                    broken.ptypes[x] = bad
+                cold = _outcome(ops, broken, out, None, given)
+                assert cold is not None and cold.startswith(o.render() + ": ")
+                assert _outcome(ops, broken, out, cache, given) == cold
+                assert _outcome(ops, part, out, cache, given) is None
+                messages.append(cold)
+        # The closure and the object rebuilt from its body give one message.
+        assert messages[:2] == messages[2:], messages
+        # Where a message names a channel, it names the run's.
+        for message in messages[:2]:
+            named_chans = re.findall(r"(?:on|channel|argument|source) (\w+)",
+                                     message[len(o.render()):])
+            assert set(named_chans) <= o.used | {c}, message
+            named += bool(named_chans)
+    assert named > 4, named
