@@ -8,8 +8,9 @@ continuation to delay).  Forwards, spawns and cuts are never charged.
 
 from __future__ import annotations
 
-from .ast import (Case, DefClause, Delay, Origin, ProcDef, ProcExpr, RecvChan,
-                  SendChan, SendLabel, Signature, Wait, map_subprocs, subprocs)
+from .ast import (Case, DefClause, Delay, Origin, Pos, ProcDef, ProcExpr,
+                  RecvChan, SendChan, SendLabel, Signature, Wait, map_subprocs,
+                  subprocs)
 from .errors import InstrumentError
 
 MODELS = ("free", "r", "rs")
@@ -21,8 +22,9 @@ def _has_tick(p: ProcExpr) -> bool:
     return any(map(_has_tick, subprocs(p)))
 
 
-def _tick(p: ProcExpr) -> ProcExpr:
-    return Delay(1, Origin.TICK, p)
+def _tick(p: ProcExpr, pos: Pos | None) -> ProcExpr:
+    """A tick before `p`, at the position `pos` of the action it charges."""
+    return Delay(1, Origin.TICK, p, pos)
 
 
 _RECEIVES = (Case, Wait, RecvChan)
@@ -31,7 +33,7 @@ _SENDS = (SendLabel, SendChan)
 
 def _instrument(p: ProcExpr, sends: bool) -> ProcExpr:
     if isinstance(p, _RECEIVES) or sends and isinstance(p, _SENDS):
-        return map_subprocs(p, lambda q: _tick(_instrument(q, sends)))
+        return map_subprocs(p, lambda q: _tick(_instrument(q, sends), p.pos))
     return map_subprocs(p, lambda q: _instrument(q, sends))
 
 

@@ -33,12 +33,16 @@ messages and equality.  Messages are built as concrete terms of two
 nodes.
 
 `Engine.run` copies its input once and rewrites that private copy in
-place, keeping the enabled rules in an index that each step updates only
-around the channels it touched.  Its `on_step` callback receives the live
-copy: it may read it but must neither keep nor change it.  `Engine.step`
-stays functional: it leaves its input unchanged and returns the next
-configuration.  A `Trace` keeps the objects each step consumed and
-produced, and renders them only when it is written out.
+place, keeping the enabled rules in an index.  Each rule is local: a proc
+fires on its own object and at most one adjacent message, and it reads
+other objects only if they are messages.  So a step matches again only the
+objects it produced and the readers of the messages it consumed or
+produced: the procs at the channels such a message uses, and the client of
+its channel.  Its `on_step` callback receives the live copy: it may read it
+but must neither keep nor change it.  `Engine.step` stays functional: it
+leaves its input unchanged and returns the next configuration.  A `Trace`
+keeps the objects each step consumed and produced, and renders them only
+when it is written out.
 
 `check_configuration` types a configuration against its interface.  Across
 the configurations of one run it keeps a checker holding the configuration
@@ -53,7 +57,6 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
 from operator import is_not
 from typing import Callable, Optional
@@ -95,21 +98,24 @@ class Obj:
         if not env:  # a concrete term is its own body
             d["body"] = code
 
-    @cached_property
-    def body(self) -> ProcExpr:
-        """The concrete term: the code with the environment substituted,
-        built on first read and then kept."""
-        return rename_chans(self.code, self.env)
-
-    @cached_property
-    def used(self) -> frozenset[str]:
-        """The run's channels the object uses: its code's free channels
-        mapped through the environment, less its own channel."""
-        names = free_chans(self.code)
-        env = self.env
-        if env:
-            names = frozenset([env.get(x, x) for x in names])
-        return names - {self.chan}
+    def __getattr__(self, name: str):
+        """Two attributes are computed on first read and then kept in the
+        instance dict, where later reads find them without a call: `body`,
+        the concrete term (the code with the environment substituted), and
+        `used`, the run's channels the object uses (its code's free
+        channels mapped through the environment, less its own channel)."""
+        if name == "body":
+            value = rename_chans(self.code, self.env)
+        elif name == "used":
+            value = free_chans(self.code)
+            env = self.env
+            if env:
+                value = frozenset([env.get(x, x) for x in value])
+            value = value - {self.chan}
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Obj):
@@ -235,9 +241,10 @@ class RoundRobin:
 
     def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
         order = config.order
+        enabled = candidates.__contains__
         start = order.index(self._last) + 1 if self._last in order else 0
-        choice = next((c for c in order[start:] if c in candidates), None) \
-            or next((c for c in order if c in candidates), None)
+        choice = next(filter(enabled, order[start:]), None) \
+            or next(filter(enabled, order), None)
         if choice is None:
             return None
         self._last = choice
@@ -251,7 +258,7 @@ class SeededRandom:
     def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
         if not candidates:
             return None
-        order = [c for c in config.order if c in candidates]
+        order = list(filter(candidates.__contains__, config.order))
         return candidates[self._rng.choice(order)]
 
 
@@ -262,11 +269,10 @@ class TimeSynchronous:
     def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
         if not candidates:
             return None
-        order = [c for c in config.order if c in candidates]
-        undelayed = next((c for c in order if candidates[c].name != "○C"),
-                         None)
-        if undelayed is not None:
-            return candidates[undelayed]
+        order = list(filter(candidates.__contains__, config.order))
+        for c in order:
+            if candidates[c].name != "○C":
+                return candidates[c]
         # min keeps the first of equal times, i.e. the earliest created.
         return candidates[min(order, key=lambda c: config.objs[c].time)]
 
@@ -350,13 +356,20 @@ class _Index:
     """The enabled rules of one configuration, kept current while rules
     rewrite it in place.
 
-    A proc's rule reads only the objects next to it: its own, the providers
-    of the channels it uses, and its client (the message acting on or
-    forwarded into its channel).  So after a rule fires, only the objects at
-    the channels it consumed or produced, at the channels those objects
-    use, and at the clients of those channels are matched again: each
-    firing updates the match state instead of rebuilding it, as in Rete
-    (Forgy 1982)."""
+    Each rule is local: a proc fires on its own object and on at most one
+    adjacent message.  `Engine._rule_for` reads, besides the proc itself,
+    - `objs[y]` for a channel `y` the proc uses, only if it is a message:
+      the provider's message a client receives or a forward passes up;
+    - `neg_acting[o.chan]`: the message a client sent to act on the proc;
+    - `mentions[o.chan]`: the message using the channel a forward provides.
+    So a step can enable or disable another proc only through a message it
+    consumed or produced.  After a step, only the objects at the channels
+    it consumed or produced are matched again, and for each message `m` it
+    consumed or produced, the objects at the channels `m` uses (those
+    reading `m` through `neg_acting` or `mentions`) and the client of
+    `m.chan` (the one reading `m` through `objs`).  Each firing updates the
+    match state instead of rebuilding it, and re-matches only the patterns
+    that read what it changed, as in Rete (Forgy 1982)."""
 
     def __init__(self, engine: "Engine", config: Configuration):
         self.engine = engine
@@ -379,7 +392,7 @@ class _Index:
             if not isinstance(o.body, Close) and o.body.chan != o.chan:
                 self.neg_acting[o.body.chan] = o
 
-    def _unlink(self, o: Obj) -> frozenset[str]:
+    def _unlink(self, o: Obj) -> None:
         for y in o.used:
             if self.client.get(y) == o.chan:
                 del self.client[y]
@@ -387,7 +400,6 @@ class _Index:
                 del self.mentions[y]
             if self.neg_acting.get(y) is o:
                 del self.neg_acting[y]
-        return o.used
 
     def _match(self, chan: str) -> None:
         o = self.config.objs.get(chan)
@@ -399,19 +411,22 @@ class _Index:
             self.rules[chan] = rule
 
     def fire(self, rule: _Rule) -> list[Obj]:
-        """Apply `rule` in place and match its neighbourhood again; returns
-        the objects it produced."""
-        touched = {o.chan for o in rule.consumed}
-        near: set[str] = set()
-        for o in rule.consumed:
-            near |= self._unlink(o)
+        """Apply `rule` in place and match again the objects that read what
+        it wrote; returns the objects it produced."""
+        consumed = rule.consumed
+        for o in consumed:
+            self._unlink(o)
         produced = rule.apply(self.config)
         for o in produced:
             self._link(o)
-            touched.add(o.chan)
-            near |= o.used
-        near |= touched
-        near.update(self.client[c] for c in touched if c in self.client)
+        near: set[str] = set()
+        client = self.client
+        for o in chain(consumed, produced):
+            near.add(o.chan)
+            if o.kind == "msg":
+                near |= o.used
+                if o.chan in client:
+                    near.add(client[o.chan])
         for c in near:
             self._match(c)
         return produced
@@ -576,8 +591,11 @@ class Engine:
             raise RunError("delay with a non-ground count")
         cont = code.cont if code.count == 1 else \
             Delay(code.count - 1, code.origin, code.cont)
-        config.objs[o.chan] = Obj(o.kind, o.chan, o.time + 1, cont, o.env)
-        return [config.objs[o.chan]]
+        later = Obj(o.kind, o.chan, o.time + 1, cont, o.env)
+        # Same environment, and a delay's free channels are its cont's.
+        object.__setattr__(later, "used", o.used)
+        config.objs[o.chan] = later
+        return [later]
 
     def _receive(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # A client takes its provider's message (positive) and goes on at the
@@ -675,8 +693,8 @@ class Engine:
         {"quiescent", "budget"}.
 
         The input is copied once and the copy rewritten in place, with its
-        enabled rules in an index that each step updates around the
-        channels it touched.  `on_step` gets that live copy after every
+        enabled rules in an index that each step updates for the objects
+        that read what it wrote.  `on_step` gets that live copy after every
         step: it may read it, but must neither keep nor change it."""
         work = config.copy()
         outer, self._live = self._live, _Index(self, work)

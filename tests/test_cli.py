@@ -305,3 +305,40 @@ def test_huge_delays_check_without_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "search budget exhausted; deepest goal:" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# `tss run` ends in an exit status, never a traceback
+
+HUGE_DELAYS = """
+type t[n] = ()^{n} 1
+decl f[n] : . |- (x : t[n])
+proc x <- f[n] = close x
+decl g : . |- (x : ()^{1000000000} 1)
+proc x <- g = close x
+"""
+
+
+@pytest.mark.parametrize("file, argv", [
+    ("tree_rs.tss", ["--main", "tmain", "--bind", "h=-1"]),
+    ("tree_rs.tss", ["--main", "tmain", "--bind", "h=-99999999999999999999"]),
+    ("tree_rs.tss", ["--main", "tmain", "--bind", "h=abc"]),
+    ("tree_rs.tss", ["--main", "tmain", "--bind", "h=1.5"]),
+    ("tree_rs.tss", ["--main", "tmain", "--bind", "zz=3"]),
+    ("tree_rs.tss", ["--main", "tmain", "--bind", "h=1,zz=2"]),
+    ("queue_rs.tss", ["--main", "qmain", "--bind", "n=-3"]),
+    ("queue_rs.tss", ["--main", "qmain", "--bind", "n="]),
+    ("huge", ["--main", "g", "--steps", "5", "--check-config"]),
+    ("huge", ["--main", "f", "--bind", "n=1000000000", "--steps", "5"]),
+    ("huge", ["--main", "f", "--bind", "n=99999999999999999999999",
+              "--steps", "3", "--check-config", "--trace", "-"]),
+    ("huge", ["--main", "f", "--bind", "n=-4", "--steps", "5"])])
+def test_run_ends_without_a_traceback(tmp_path, capsys, file, argv):
+    if file == "huge":
+        path = tmp_path / "huge.tss"
+        path.write_text(HUGE_DELAYS)
+    else:
+        path = CORPUS_DIR / file
+    # An exception escaping `main` fails the test: that is a traceback.
+    assert run("run", str(path), "--cost", "rs", *argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

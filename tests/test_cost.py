@@ -1,8 +1,10 @@
 import pytest
 
+from tss.ast import Delay, Origin, subprocs
 from tss.cost import erase_ticks, instrument
 from tss.errors import InstrumentError
 from tss.parser import parse_program
+from tss.pipeline import load
 from tss.printer import pretty_print
 
 COPY_SRC = """
@@ -68,3 +70,23 @@ def test_erasing_ticks_recovers_source():
 def test_unknown_model_rejected():
     with pytest.raises(InstrumentError):
         instrument(parse_program(COPY_SRC), "zzz")
+
+
+def test_ticks_carry_the_position_of_the_action_they_charge():
+    body = instrument(parse_program(COPY_SRC), "rs").procdefs["copy"] \
+        .clauses[0].body
+    ticks, todo = 0, [body]
+    while todo:
+        p = todo.pop()
+        for q in subprocs(p):
+            if isinstance(q, Delay) and q.origin is Origin.TICK:
+                assert q.pos == p.pos is not None
+                ticks += 1
+            todo.append(q)
+    assert ticks == 7
+    # A failure at an inserted tick names the action's position.
+    prog = load("decl f : . |- (x : +{a : 1})\n"
+                "proc x <- f = x.a ; close x\n", [], {}, "rs")
+    assert prog.verdict == "recon_error"
+    assert "a tick is not permitted here [at Delay (2, 15)]" in \
+        str(prog.errors[0])
