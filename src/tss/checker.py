@@ -15,6 +15,7 @@ from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
                   Wait, When, With, branch_get, branch_labels, free_chans)
 from .errors import SessionTypeError
 from .printer import fmt_type
+from .subtyping import is_subtype
 from .typeops import TypeOps
 
 Ctx = dict[str, SessionType]
@@ -37,7 +38,6 @@ class Checker:
         self.ops = ops
         self.call_subtyping = call_subtyping
         if call_subtyping:
-            from .subtyping import is_subtype
             self._sub = lambda a, b: is_subtype(ops, a, b)
         else:
             self._sub = ops.type_equal

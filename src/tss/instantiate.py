@@ -4,16 +4,21 @@ Families like `list[n]` (clauses keyed by patterns 0 / n+1) are turned into
 ordinary definitions at concrete naturals; every reachable reference is
 instantiated once and renamed to a mangled ground name (`list[3]` becomes
 `list$3`).  Parameters that occur free in a body (a global rate, say) are
-taken from the same binding as the root's own indices.
+taken from the same binding as the root's own indices.  A bound name that
+is neither a root's parameter nor free in some clause is an error, as is a
+delay count that grounds below zero.
 """
 
 from __future__ import annotations
 
-from .ast import (Box, Cut, DeclClause, DefClause, Delay, Diamond, Lolli, Next,
-                  PatSucc, PatVar, Plus, ProcDecl, ProcDef, ProcExpr,
-                  SessionType, Signature, Spawn, TailCall, Tensor, TypeClause,
-                  TypeDef, TypeName, With, eval_index, map_subprocs,
-                  next_type, pat_match, subprocs, type_is_ground)
+from typing import Iterable, Iterator
+
+from .ast import (Box, Cut, DeclClause, DefClause, Delay, Diamond, IndexExpr,
+                  Lolli, Next, PatSucc, PatVar, Plus, ProcDecl, ProcDef,
+                  ProcExpr, SessionType, Signature, Spawn, TailCall, Tensor,
+                  TypeClause, TypeDef, TypeName, With, eval_index, fmt_index,
+                  index_vars, map_subprocs, next_type, pat_match, subprocs,
+                  type_refs)
 from .errors import EvalError, ScopeError
 
 
@@ -117,6 +122,16 @@ class _Grounder:
             mangled, [DefClause((), dcl.dest, dcl.chans, body)])
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _count(count: IndexExpr, env: dict[str, int]) -> int:
+        """A delay count grounded under `env`, which must be a natural."""
+        n = eval_index(count, env)
+        if n < 0:
+            bound = ", ".join(f"{v}={env[v]}" for v in sorted(index_vars(count)))
+            raise EvalError(f"delay count {fmt_index(count)} is {n} under "
+                            f"{bound}; a delay count must be at least 0")
+        return n
+
     def type_(self, t: SessionType, env: dict[str, int]) -> SessionType:
         match t:
             case Plus(bs):
@@ -128,7 +143,8 @@ class _Grounder:
             case Lolli(a, b):
                 return Lolli(self.type_(a, env), self.type_(b, env))
             case Next(count, inner):
-                return next_type(eval_index(count, env), self.type_(inner, env))
+                return next_type(self._count(count, env),
+                                 self.type_(inner, env))
             case Box(inner):
                 return Box(self.type_(inner, env))
             case Diamond(inner):
@@ -153,17 +169,29 @@ class _Grounder:
                 return Cut(dest, self.type_(annot, env), self.proc(body, env),
                            self.proc(cont, env), p.pos)
             case Delay(count, origin, cont):
-                n = eval_index(count, env)
+                n = self._count(count, env)
                 rest = self.proc(cont, env)
                 return rest if n == 0 else Delay(n, origin, rest, p.pos)
         return map_subprocs(p, lambda q: self.proc(q, env))
 
 
-def _root_values(clauses, binding: dict[str, int], what: str) -> tuple[int, ...]:
+def _root(sig: Signature, name: str) -> tuple[str, list]:
+    """The kind ("proc" or "type") and the clauses of a requested root."""
+    if name in sig.procdecls:
+        return "proc", sig.procdecls[name].clauses
+    if name in sig.typedefs:
+        return "type", sig.typedefs[name].clauses
+    raise ScopeError(f"no definition named '{name}'")
+
+
+def _root_values(sig: Signature, name: str, binding: dict[str, int]
+                 ) -> tuple[int, ...]:
+    kind, clauses = _root(sig, name)
     formals = formal_params(clauses)
     missing = [f for f in formals if f not in binding]
     if missing:
-        raise EvalError(f"{what}: no binding for parameter(s) {', '.join(missing)}")
+        raise EvalError(f"{kind} '{name}': no binding for parameter(s) "
+                        f"{', '.join(missing)}")
     return tuple(binding[f] for f in formals)
 
 
@@ -175,53 +203,74 @@ def instantiate(sig: Signature, name: str, binding: dict[str, int] | None = None
 
 def instantiate_many(sig: Signature, names: list[str],
                      binding: dict[str, int] | None = None) -> Signature:
-    """Ground several roots under one shared parameter binding."""
+    """Ground several roots under one shared parameter binding.  Every bound
+    name must be a root's parameter or free in some clause of `sig`."""
     binding = binding or {}
     g = _Grounder(sig, dict(binding))
+    unused = set(binding)
     for name in names:
-        if name in sig.procdecls:
-            values = _root_values(sig.procdecls[name].clauses, binding,
-                                  f"proc '{name}'")
-            g.request("proc", name, values)
-        elif name in sig.typedefs:
-            values = _root_values(sig.typedefs[name].clauses, binding,
-                                  f"type '{name}'")
-            g.request("type", name, values)
-        else:
-            raise ScopeError(f"no definition named '{name}'")
+        kind, clauses = _root(sig, name)
+        unused.difference_update(formal_params(clauses))
+        g.request(kind, name, _root_values(sig, name, binding))
+    if unused:
+        unused -= _free_params(sig)
+    if unused:
+        raise EvalError(f"binding for unused parameter(s) "
+                        f"{', '.join(sorted(unused))}")
     return g.drain()
 
 
 def mangled_name(sig: Signature, name: str, binding: dict[str, int]) -> str:
     """The ground name `instantiate` gives the requested root."""
-    if name in sig.procdecls:
-        return _mangle(name, _root_values(sig.procdecls[name].clauses, binding,
-                                          f"proc '{name}'"))
-    if name in sig.typedefs:
-        return _mangle(name, _root_values(sig.typedefs[name].clauses, binding,
-                                          f"type '{name}'"))
-    raise ScopeError(f"no definition named '{name}'")
+    return _mangle(name, _root_values(sig, name, binding))
 
 
 def signature_is_parameterized(sig: Signature) -> bool:
     """Whether `sig` must be grounded before it is checked: a definition
-    takes indices, or a type or body uses an index variable (a parameter
-    that only a binding fixes)."""
-    types = [cl.body for td in sig.typedefs.values() for cl in td.clauses]
-    types += [t for pd in sig.procdecls.values() for cl in pd.clauses
-              for t in (*(u for _, u in cl.ctx), cl.offer_type)]
-    bodies = [cl.body for pdef in sig.procdefs.values() for cl in pdef.clauses]
+    takes indices, or a clause uses an index variable (a parameter that
+    only a binding fixes)."""
     return any(td.arity for td in sig.typedefs.values()) or \
         any(pd.arity for pd in sig.procdecls.values()) or \
-        not all(map(type_is_ground, types)) or any(map(_uses_index, bodies))
+        bool(_free_params(sig))
 
 
-def _uses_index(p: ProcExpr) -> bool:
-    """Whether a delay count or cut annotation in `p` is not ground.  Call
-    indices need no scan: a call that has any names an indexed family."""
+def _free_params(sig: Signature) -> set[str]:
+    """The index variables some clause of `sig` uses without binding them
+    by its patterns: the parameters only a binding fixes."""
+    out: set[str] = set()
+    for td in sig.typedefs.values():
+        for cl in td.clauses:
+            out |= _free(cl, _type_indices(cl.body))
+    for pd in sig.procdecls.values():
+        for cl in pd.clauses:
+            for t in (*(u for _, u in cl.ctx), cl.offer_type):
+                out |= _free(cl, _type_indices(t))
+    for pdef in sig.procdefs.values():
+        for cl in pdef.clauses:
+            out |= _free(cl, _proc_indices(cl.body))
+    return out
+
+
+def _free(clause, exprs: Iterable[IndexExpr]) -> set[str]:
+    bound = {p.name for p in clause.patterns if isinstance(p, (PatVar, PatSucc))}
+    return set().union(*map(index_vars, exprs)) - bound
+
+
+def _type_indices(t: SessionType) -> Iterator[IndexExpr]:
+    """The index expressions of `t`: delay counts and type-name indices."""
+    for ref in type_refs(t):
+        yield from ref.args if isinstance(ref, TypeName) else (ref,)
+
+
+def _proc_indices(p: ProcExpr) -> Iterator[IndexExpr]:
+    """The index expressions of `p`: delay counts, call indices and those
+    of cut annotations."""
     match p:
-        case Delay(count=count) if not isinstance(count, int):
-            return True
-        case Cut(annot=annot) if not type_is_ground(annot):
-            return True
-    return any(map(_uses_index, subprocs(p)))
+        case Delay(count=count):
+            yield count
+        case Cut(annot=annot):
+            yield from _type_indices(annot)
+        case Spawn(args=args) | TailCall(args=args):
+            yield from args
+    for q in subprocs(p):
+        yield from _proc_indices(q)

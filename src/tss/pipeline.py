@@ -56,7 +56,7 @@ def load(text: str, roots: list[str], bind: dict[str, int], cost: str,
         if not roots:
             raise TssError("program is parameterized; pass --def/--main "
                            "with --bind to pick an instance")
-    ground = instantiate_many(src, roots, bind) if roots else src
+    ground = instantiate_many(src, roots, bind) if roots or bind else src
     ticked = instrument(ground, cost)
     elab, errors = (ticked, []) if explicit else elaborate_signature(ticked)
     ops = TypeOps(elab)

@@ -48,7 +48,13 @@ when it is written out.
 the configurations of one run it keeps a checker holding the configuration
 it last accepted and checks again only the channels a step changed, as
 preservation is proved one rule at a time.  It types an object's code
-under the code's own channel names, so a checked step substitutes nothing.
+under the code's own channel names, so a checked step substitutes nothing,
+and it keeps the sequents it accepted for such code at every level of
+their derivations: after a step the continuation's typing is a
+sub-derivation of the one before, so it is mostly not derived again.
+Sequents naming run channels (a message, a tail call's forward, a
+substituted body) are checked afresh and not kept, as they never recur, so
+what is kept grows with the program, not with the run.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
                   Signature, Spawn, TailCall, Tensor, Wait, When, With,
                   branch_get, bound_by, free_chans, memo_hash, next_type,
                   rename_chans, subprocs)
-from .checker import check_process
+from .checker import Checker, check_process
 from .errors import ConfigTypeError, RunError, StuckError
 from .printer import fmt_proc, fmt_type
 from .subtyping import is_weak_subtype
@@ -751,6 +757,25 @@ def _sync(old: dict, new: dict, keys: list) -> None:
             del old[k]
 
 
+class _Sequents(Checker):
+    """The explicit checker of one run's configuration check.  It keeps
+    every sequent it accepted, at every level of a derivation, and returns
+    at once on one met again: after a step the continuation's typing is a
+    sub-derivation of the one that typed the process before it.  A
+    rejected sequent is never kept."""
+
+    def __init__(self, ops: TypeOps):
+        super().__init__(ops, call_subtyping=True)
+        self.accepted: set[tuple] = set()  # (p, ctx items, chan, offer)
+
+    def check(self, ctx: dict[str, SessionType], p: ProcExpr,
+              offer_chan: str, offer_type: SessionType) -> None:
+        key = (p, frozenset(ctx.items()), offer_chan, offer_type)
+        if key not in self.accepted:
+            super().check(ctx, p, offer_chan, offer_type)
+            self.accepted.add(key)
+
+
 class _Checker:
     """What `check_configuration` last accepted for one run: the interface
     and `TypeOps` it was checked against, the objects and both interface
@@ -759,11 +784,16 @@ class _Checker:
     configuration, so the state is as large as the configuration, not as
     long as the run.
 
+    It also holds `sequents`, the sequents its checker accepted for code
+    typed under the code's own names.  Those name only a definition's own
+    channels, so they are bounded by the program's ground definitions and
+    the types their channels take, not by the length of the run.
+
     A call compares the configuration with this state by identity and
     checks again only what changed, as each rule of the multiset rewriting
     changes a bounded number of objects.  A change of `ops` or of either
-    interface starts over from empty state, where every channel has
-    changed."""
+    interface, and any fault, starts over from empty state, where every
+    channel has changed and no sequent is known."""
 
     def __init__(self):
         self.ops: TypeOps | None = None
@@ -772,6 +802,7 @@ class _Checker:
         self.ptypes: dict[str, SessionType] = {}
         self.ctypes: dict[str, SessionType] = {}
         self.client: dict[str, str] = {}  # chan -> the object using it
+        self.sequents: _Sequents | None = None
 
     def check(self, ops: TypeOps, provides_in: dict[str, SessionType],
               config: Configuration,
@@ -801,7 +832,8 @@ class _Checker:
         result; from the empty state every channel has changed.  Raises
         ConfigTypeError on a fault, leaving the state half updated."""
         fresh = self.ops is None
-        self.ops = ops
+        if fresh:
+            self.ops, self.sequents = ops, _Sequents(ops)
         objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
         seen, client = self.objs, self.client
         moved = _changed(objs, seen)
@@ -907,10 +939,14 @@ class _Checker:
                  config: Configuration, c: str) -> None:
         """Type the object at `c` at its own time shift of the interface.
         Its code is typed under the code's own channel names, so a checked
-        step substitutes nothing.  Where the environment maps two of those
-        names to one channel the code cannot be typed so, and a failing
-        verdict must name the run's channels: both are decided on the
-        substituted body."""
+        step substitutes nothing, and the sequents of a proc's code recur
+        from step to step: those go through `sequents`.  Where the
+        environment maps two of those names to one channel the code cannot
+        be typed so, and a failing verdict must name the run's channels:
+        both are decided on the substituted body.  That body, a message and
+        the forward a tail call leaves name run channels, which never recur,
+        so they are checked without the memo, which stays as large as the
+        program rather than the run."""
         o = config.objs[c]
         names = free_chans(o.code)
         inv = {o.env.get(x, x): x for x in names}
@@ -945,9 +981,12 @@ class _Checker:
         if offer is None:
             raise ConfigTypeError(
                 f"{o.render()}: offered type undefined at time {o.time}")
+        chan = names.get(o.chan, o.chan)
         try:
-            check_process(ops, ctx, p, names.get(o.chan, o.chan), offer,
-                          call_subtyping=True)
+            if o.env and p is o.code:
+                self.sequents.check(ctx, p, chan, offer)
+            else:
+                check_process(ops, ctx, p, chan, offer, call_subtyping=True)
         except Exception as e:
             raise ConfigTypeError(f"{o.render()}: {e}") from e
 

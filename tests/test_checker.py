@@ -1,6 +1,7 @@
 import pytest
 
-from tss.ast import Delay, Origin, TypeName
+from tss import corpus, runtime
+from tss.ast import ONE, Delay, Origin, Plus, TypeName
 from tss.checker import check_process, check_signature
 from tss.errors import SessionTypeError
 from tss.parser import parse_program
@@ -259,3 +260,79 @@ def test_checker_and_reconstruction_reject_a_channel_count_mismatch_alike():
     _, elaborated = elaborate_signature(sig)
     assert [(type(e), str(e)) for e in elaborated] == \
         [(SessionTypeError, want)]
+
+
+# ---------------------------------------------------------------------------
+# The sequents a run's configuration check remembers
+
+ODD = Plus((("zz", ONE),))  # no program of these tests acts on label zz
+
+
+def _message(check, ctx, p, chan, offer):
+    try:
+        check(dict(ctx), p, chan, offer)
+    except SessionTypeError as e:
+        return str(e)
+    return None
+
+
+def _cold(ops):
+    """The explicit checker as `check_process` runs it, with nothing kept."""
+    return lambda *sequent: check_process(ops, *sequent, call_subtyping=True)
+
+
+def _copy_sequents():
+    sig = parse_program(COPY_EXPLICIT)
+    ops = TypeOps(sig)
+    sequents = runtime._Sequents(ops)
+    dcl, ctx, offer = sig.def_goal("copy")
+    sequents.check(ctx, dcl.body, dcl.dest, offer)
+    return ops, sequents
+
+
+def _run_sequents():
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": 2}, "rs")
+    cfg = runtime.init_config(prog.elab, prog.main)
+    declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+    cache: dict = {}
+
+    def check(c):
+        runtime.check_configuration(prog.ops, {}, c, declared, cache)
+
+    check(cfg)
+    runtime.Engine(prog.elab, prog.ops).run(
+        cfg, runtime.make_scheduler("rr"), 10_000, on_step=check)
+    return prog.ops, cache[runtime._Checker].sequents
+
+
+@pytest.mark.parametrize("remembered", [_copy_sequents, _run_sequents])
+def test_a_remembered_sequent_is_rejected_when_its_key_changes(remembered):
+    # Every sequent accepted at any level of a derivation, with one part of
+    # it changed: the offer type, one context type or the offered name.
+    # The changed sequent is rejected as a cold check rejects it.
+    ops, sequents = remembered()
+    accepted = list(sequents.accepted)
+    assert len(accepted) > 4
+    for p, items, chan, offer in accepted:
+        ctx = dict(items)
+        changed = [(ctx, chan, ODD), (ctx, "zz", offer)]
+        changed += [({**ctx, c: ODD}, chan, offer) for c in ctx]
+        for ctx2, chan2, offer2 in changed:
+            cold = _message(_cold(ops), ctx2, p, chan2, offer2)
+            assert cold is not None
+            assert _message(sequents.check, ctx2, p, chan2, offer2) == cold
+        assert _message(sequents.check, ctx, p, chan, offer) is None
+
+
+def test_a_rejected_sequent_is_never_remembered():
+    sig = parse_program(COPY_EXPLICIT)
+    ops = TypeOps(sig)
+    sequents = runtime._Sequents(ops)
+    dcl, ctx, _ = sig.def_goal("copy")
+    bits = TypeName("bits")  # one unit too early for the declared ()bits
+    cold = _message(_cold(ops), ctx, dcl.body, dcl.dest, bits)
+    assert cold is not None
+    for _ in range(2):
+        assert _message(sequents.check, ctx, dcl.body, dcl.dest, bits) == cold
+    assert (dcl.body, frozenset(ctx.items()), dcl.dest, bits) \
+        not in sequents.accepted

@@ -342,3 +342,77 @@ def test_run_ends_without_a_traceback(tmp_path, capsys, file, argv):
     # An exception escaping `main` fails the test: that is a traceback.
     assert run("run", str(path), "--cost", "rs", *argv) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Binding errors: a negative delay count and a name no definition uses
+
+NEGATIVE_DELAY = """
+type t[n] = ()^{n} 1
+decl f[n] : . |- (x : t[n])
+proc x <- f[n] = close x
+decl g[n] : . |- (x : ()^{n+4} 1)
+proc x <- g[n] = delay{n} ; delay{4} ; close x
+"""
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("check", "--def"), ("run", "--main"), ("reconstruct", "--def")])
+@pytest.mark.parametrize("root", ["f", "g"])  # in a type, in a process
+def test_a_negative_delay_count_is_an_error(tmp_path, capsys, cmd, flag, root):
+    # `()^-4 1` would not parse back, and a run would run it as `1`.
+    path = tmp_path / "negative.tss"
+    path.write_text(NEGATIVE_DELAY)
+    assert run(cmd, str(path), flag, root, "--bind", "n=-4") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: delay count n is -4 under n=-4; a delay count "
+                   "must be at least 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "tree_rs.tss", "--main", "tmain", "--bind", "h=1,zz=2"],
+    ["check", "tree_rs.tss", "--def", "tmain", "--bind", "zz=2,h=1"],
+    ["check", "append_rs.tss", "--def", "amain", "--bind", "n=1,k=1,r=0,zz=2"],
+    ["check", "six_r.tss", "--bind", "zz=2"],
+    ["reconstruct", "tree_rs.tss", "--bind", "zz=2"],
+    ["instantiate", "tree_rs.tss", "--def", "tmain", "--bind", "h=1,zz=2"]])
+def test_a_binding_no_definition_uses_is_an_error(capsys, argv):
+    # A misspelt name next to the right one; `r` of append_rs is read free
+    # by its definitions, so it counts as used.
+    argv = [str(CORPUS_DIR / a) if a.endswith(".tss") else a for a in argv]
+    assert run(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: binding for unused parameter(s) zz\n"
+
+
+# ---------------------------------------------------------------------------
+# `tss check` ends in an exit status, never a traceback
+
+def _mutants(text):
+    """A fixed list of damaged copies of `text`: truncations, deleted spans
+    and lines, and inserted punctuation, at positions spread over the text.
+    Cuts at line ends mostly parse, so they reach the later stages."""
+    n, lines = len(text), text.splitlines(keepends=True)
+    m = len(lines)
+    out = [text[:n * k // 4] for k in (1, 2, 3)]
+    out += ["".join(lines[:m * k // 3]) for k in (1, 2)]
+    out += [text[:n * k // 5] + text[n * k // 5 + 9:] for k in (1, 2, 3, 4)]
+    out += ["".join(lines[:i] + lines[i + 1:]) for i in (m // 4, m // 2, -2)]
+    out += [text[:n * k // 6] + mark + text[n * k // 6:]
+            for k, mark in zip((1, 2, 3, 4, 5), "(;}:,")]
+    return out
+
+
+@pytest.mark.parametrize("file", ["six_r.tss", "copy_r.tss", "counter_r.tss",
+                                  "queue_rs.tss"])
+def test_damaged_files_check_without_a_traceback(tmp_path, capsys, file):
+    path = tmp_path / file
+    for i, text in enumerate(_mutants((CORPUS_DIR / file).read_text())):
+        path.write_text(text)
+        for cost in ("free", "r", "rs"):
+            # An exception escaping `main` fails the test: a traceback.
+            assert run("check", str(path), "--cost", cost) in (0, 1, 2), \
+                (i, cost)
+    assert "Traceback" not in capsys.readouterr().err

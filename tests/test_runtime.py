@@ -8,6 +8,7 @@ import pytest
 
 from fuzzgen import gen_program
 import tss.ast
+import tss.checker
 from tss import corpus, runtime
 from tss.ast import (ONE, Close, Fwd, Now, Plus, SendChan, SendLabel,
                      TailCall, Wait, When, free_chans, next_type)
@@ -558,18 +559,19 @@ def test_warm_check_starts_over_when_the_interface_changes(six):
 def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
     # A deterministic stand-in for the cost of a checked step: the nodes
     # the free-channel walk visits (`free_chans` keeps each node's set, so
-    # only `_free_chans` walks) and the weak-subtyping calls
-    # `check_configuration` makes.  Re-deriving them for every object grows
-    # with n.
-    calls = {"_free_chans": 0, "is_weak_subtype": 0}
+    # only `_free_chans` walks), the weak-subtyping calls
+    # `check_configuration` makes and the process nodes the explicit
+    # checker types.  Re-deriving them for every object grows with n.
+    calls = {"_free_chans": 0, "is_weak_subtype": 0, "check": 0}
     checking = [False]
     for module, name in ((tss.ast, "_free_chans"),
-                         (runtime, "is_weak_subtype")):
+                         (runtime, "is_weak_subtype"),
+                         (tss.checker.Checker, "check")):
         def counting(*args, _real=getattr(module, name), _name=name):
             calls[_name] += checking[0]
             return _real(*args)
         monkeypatch.setattr(module, name, counting)
-    per_step = {}
+    per_step, steps_of, sequents = {}, {}, {}
     for n in (8, 32):
         prog = corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs")
         elab, ops = prog.elab, prog.ops
@@ -589,8 +591,16 @@ def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
                                           on_step=on_step)
         assert status == "quiescent"
         per_step[n] = {k: v / steps[0] for k, v in calls.items()}
+        steps_of[n] = steps[0]
+        sequents[n] = len(cache[runtime._Checker].sequents.accepted)
     for name in calls:
         assert per_step[32][name] <= 2 * per_step[8][name], per_step
+    # A step's code is typed under its own names, and a sequent met before
+    # is not typed again: typing every verdict took about 7 nodes a step.
+    assert per_step[32]["check"] <= 1.0, per_step
+    # The sequents kept grow with the program's definitions, not the run.
+    assert steps_of[32] >= 13 * steps_of[8], steps_of
+    assert sequents[32] <= 4 * sequents[8], sequents
 
 
 def test_configuration_check_runs_code_set_by_the_step_not_by_the_run():
