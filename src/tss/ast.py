@@ -11,12 +11,13 @@ index expression built.
 
 Process nodes are frozen dataclasses that carry source positions excluded
 from equality, so they are not interned; each computes its structural hash
-once.  `SUBPROC_FIELDS` and `BINDER_FIELDS` state once which fields of a
-process form hold its sub-processes and which channel it binds over them;
-walks reach every form they do not treat specially through `subprocs`,
-`bound_by` and `map_subprocs`.  A new form takes an entry there, its cases
-in `free_chans` and `rename_chans`, and its own rules in the checker, the
-reconstruction, the interpreter, the printer and the parser.
+once.  `SUBPROC_FIELDS`, `BINDER_FIELDS` and `CHAN_FIELDS` state once which
+fields of a process form hold its sub-processes, which channel it binds over
+them, and which name the channels it uses itself; walks reach every form
+they do not treat specially through `subprocs`, `bound_by`, `own_chans` and
+`map_subprocs`, and `free_chans` and `rename_chans` are read off the three
+tables.  A new form takes an entry in each table and its own rules in the
+checker, the reconstruction, the interpreter, the printer and the parser.
 """
 
 from __future__ import annotations
@@ -390,6 +391,15 @@ SUBPROC_FIELDS: dict[type, tuple[str, ...]] = {
 BINDER_FIELDS: dict[type, str] = {Spawn: "dest", Cut: "dest", RecvChan: "bind"}
 
 
+# The fields of each process form that name channels free in it, binders
+# left out.  A call's `chans` holds a tuple of names, every other field one.
+CHAN_FIELDS: dict[type, tuple[str, ...]] = {
+    Spawn: ("chans",), TailCall: ("dest", "chans"), Cut: (),
+    Fwd: ("dest", "src"), SendLabel: ("chan",), Case: ("chan",),
+    Close: ("chan",), Wait: ("chan",), SendChan: ("chan", "payload"),
+    RecvChan: ("chan",), Delay: (), When: ("chan",), Now: ("chan",)}
+
+
 def _tuple_getter(names: tuple[str, ...]) -> Callable[[ProcExpr], tuple]:
     """A function from a node to the tuple of its fields `names`."""
     if len(names) == 1:
@@ -398,13 +408,26 @@ def _tuple_getter(names: tuple[str, ...]) -> Callable[[ProcExpr], tuple]:
     return attrgetter(*names) if names else lambda p: ()
 
 
-# Per form, computed once: getters for its sub-processes and for all its
-# constructor fields in order, and where the former sit among the latter.
+def _chans_getter(names: tuple[str, ...]) -> Callable[[ProcExpr], tuple]:
+    """A function from a node to the channel names in its fields `names`,
+    with a call's `chans` (always last) spliced in."""
+    if names[-1:] != ("chans",):
+        return _tuple_getter(names)
+    get = _tuple_getter(names[:-1])
+    return lambda p: get(p) + p.chans
+
+
+# Per form, computed once: getters for its sub-processes, its own channels
+# and all its constructor fields in order, and where the first two sit among
+# the last.
 _SUBPROCS_OF = {cls: _tuple_getter(names)
                 for cls, names in SUBPROC_FIELDS.items()}
+_CHANS_OF = {cls: _chans_getter(names) for cls, names in CHAN_FIELDS.items()}
 _FIELDS_OF = {cls: _tuple_getter(cls.__match_args__) for cls in SUBPROC_FIELDS}
 _SUBPROC_AT = {cls: tuple(map(cls.__match_args__.index, names))
                for cls, names in SUBPROC_FIELDS.items()}
+_CHAN_AT = {cls: tuple(map(cls.__match_args__.index, names))
+            for cls, names in CHAN_FIELDS.items()}
 
 
 def subprocs(p: ProcExpr) -> tuple[ProcExpr, ...]:
@@ -418,6 +441,12 @@ def bound_by(p: ProcExpr) -> tuple[str, ...]:
     """The channel `p` binds over its sub-processes, as `(name,)`, or `()`."""
     name = BINDER_FIELDS.get(type(p))
     return () if name is None else (getattr(p, name),)
+
+
+def own_chans(p: ProcExpr) -> tuple[str, ...]:
+    """The channels `p` names itself, outside its sub-processes and
+    binder, in field order."""
+    return _CHANS_OF[type(p)](p)
 
 
 def map_subprocs(p: ProcExpr, f: Callable[[ProcExpr], ProcExpr]) -> ProcExpr:
@@ -440,8 +469,8 @@ def map_subprocs(p: ProcExpr, f: Callable[[ProcExpr], ProcExpr]) -> ProcExpr:
 def free_chans(p: ProcExpr) -> frozenset[str]:
     """Channels a process uses or offers, with binders removed.  The set is
     computed once per node and kept on it, as `memo_hash` keeps hashes, so
-    it is a frozenset that callers share.  A node whose set equals its
-    continuation's keeps that very set."""
+    it is a frozenset that callers share.  A node whose set equals one of
+    its sub-processes' keeps that very set."""
     try:
         return p._free
     except AttributeError:
@@ -450,87 +479,44 @@ def free_chans(p: ProcExpr) -> frozenset[str]:
         return out
 
 
-def _with(names: frozenset[str], *more: str) -> frozenset[str]:
-    """`names` with `more` added; `names` itself if it has them all."""
-    return names if names.issuperset(more) else names.union(more)
-
-
 def _free_chans(p: ProcExpr) -> frozenset[str]:
-    match p:
-        case Spawn(dest, _, _, chans, cont):
-            inner = free_chans(cont)
-            return _with(inner - {dest} if dest in inner else inner, *chans)
-        case TailCall(dest, _, _, chans):
-            return frozenset((dest, *chans))
-        case Cut(dest, _, body, cont):
-            return (free_chans(body) | free_chans(cont)) - {dest}
-        case Fwd(dest, src):
-            return frozenset((dest, src))
-        case SendLabel(chan, _, cont) | Wait(chan, cont) | When(chan, cont) | Now(chan, cont):
-            return _with(free_chans(cont), chan)
-        case Case(chan, branches):
-            sets = [free_chans(b) for _, b in branches]
-            out = frozenset((chan,)).union(*sets)
-            return next((s for s in sets if s == out), out)
-        case Close(chan):
-            return frozenset((chan,))
-        case SendChan(chan, payload, cont):
-            return _with(free_chans(cont), chan, payload)
-        case RecvChan(bind, chan, cont):
-            inner = free_chans(cont)
-            return _with(inner - {bind} if bind in inner else inner, chan)
-        case Delay(_, _, cont):
-            return free_chans(cont)
-    raise AssertionError(f"unknown process node {p!r}")
+    """The union of the sub-processes' sets, less the binder, plus the
+    node's own channels."""
+    own = own_chans(p)
+    subs = subprocs(p)
+    if not subs:
+        return frozenset(own)
+    sets = list(map(free_chans, subs))
+    out = sets[0].union(*sets[1:]) if len(sets) > 1 else sets[0]
+    for name in bound_by(p):
+        if name in out:
+            out = out - {name}
+    if not out.issuperset(own):
+        out = out.union(own)
+    if len(sets) > 1:
+        out = next((s for s in sets if s == out), out)
+    return out
 
 
 def rename_chans(p: ProcExpr, sub: dict[str, str]) -> ProcExpr:
-    """Capture-aware channel renaming (binders shadow the substitution)."""
+    """Capture-aware channel renaming (binders shadow the substitution).
+    Every other field, source position included, is kept."""
     if not sub:
         return p
-
-    def get(x: str) -> str:
-        return sub.get(x, x)
-
-    def under(binder: str) -> dict[str, str]:
-        if binder in sub:
-            inner = dict(sub)
-            del inner[binder]
-            return inner
-        return sub
-
-    match p:
-        case Spawn(dest, proc, args, chans, cont, via):
-            return Spawn(dest, proc, args, tuple(get(c) for c in chans),
-                         rename_chans(cont, under(dest)), via, p.pos)
-        case TailCall(dest, proc, args, chans):
-            return TailCall(get(dest), proc, args, tuple(get(c) for c in chans), p.pos)
-        case Cut(dest, annot, body, cont):
-            inner = under(dest)
-            return Cut(dest, annot, rename_chans(body, inner),
-                       rename_chans(cont, inner), p.pos)
-        case Fwd(dest, src):
-            return Fwd(get(dest), get(src), p.pos)
-        case SendLabel(chan, label, cont):
-            return SendLabel(get(chan), label, rename_chans(cont, sub), p.pos)
-        case Case(chan, branches):
-            return Case(get(chan),
-                        tuple((lab, rename_chans(b, sub)) for lab, b in branches), p.pos)
-        case Close(chan):
-            return Close(get(chan), p.pos)
-        case Wait(chan, cont):
-            return Wait(get(chan), rename_chans(cont, sub), p.pos)
-        case SendChan(chan, payload, cont):
-            return SendChan(get(chan), get(payload), rename_chans(cont, sub), p.pos)
-        case RecvChan(bind, chan, cont):
-            return RecvChan(bind, get(chan), rename_chans(cont, under(bind)), p.pos)
-        case Delay(count, origin, cont):
-            return Delay(count, origin, rename_chans(cont, sub), p.pos)
-        case When(chan, cont):
-            return When(get(chan), rename_chans(cont, sub), p.pos)
-        case Now(chan, cont):
-            return Now(get(chan), rename_chans(cont, sub), p.pos)
-    raise AssertionError(f"unknown process node {p!r}")
+    cls = type(p)
+    values = list(_FIELDS_OF[cls](p))
+    for i in _CHAN_AT[cls]:
+        x = values[i]
+        values[i] = sub.get(x, x) if type(x) is str else \
+            tuple([sub.get(c, c) for c in x])
+    for name in bound_by(p):
+        if name in sub:
+            sub = {x: y for x, y in sub.items() if x != name}
+    for i in _SUBPROC_AT[cls]:
+        q = values[i]
+        values[i] = tuple([(lab, rename_chans(b, sub)) for lab, b in q]) \
+            if cls is Case else rename_chans(q, sub)
+    return cls(*values)
 
 
 # --------------------------------------------------------------------------

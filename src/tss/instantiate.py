@@ -4,9 +4,11 @@ Families like `list[n]` (clauses keyed by patterns 0 / n+1) are turned into
 ordinary definitions at concrete naturals; every reachable reference is
 instantiated once and renamed to a mangled ground name (`list[3]` becomes
 `list$3`).  Parameters that occur free in a body (a global rate, say) are
-taken from the same binding as the root's own indices.  A bound name that
-is neither a root's parameter nor free in some clause is an error, as is a
-delay count that grounds below zero.
+taken from the same binding as the root's own indices.  A negative bound
+value is an error, as is a bound name that is neither a root's parameter
+nor free in some clause.  Index expressions have only literals, `+` and `*`, and a
+pattern `n+k` binds `n` only to a value of at least 0, so no index or delay
+count grounds below zero.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Iterable, Iterator
 from .ast import (Box, Cut, DeclClause, DefClause, Delay, Diamond, IndexExpr,
                   Lolli, Next, PatSucc, PatVar, Plus, ProcDecl, ProcDef,
                   ProcExpr, SessionType, Signature, Spawn, TailCall, Tensor,
-                  TypeClause, TypeDef, TypeName, With, eval_index, fmt_index,
-                  index_vars, map_subprocs, next_type, pat_match, subprocs,
-                  type_refs)
+                  TypeClause, TypeDef, TypeName, With, eval_index, index_vars,
+                  map_subprocs, next_type, pat_match, subprocs, type_refs)
 from .errors import EvalError, ScopeError
 
 
@@ -122,16 +123,6 @@ class _Grounder:
             mangled, [DefClause((), dcl.dest, dcl.chans, body)])
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _count(count: IndexExpr, env: dict[str, int]) -> int:
-        """A delay count grounded under `env`, which must be a natural."""
-        n = eval_index(count, env)
-        if n < 0:
-            bound = ", ".join(f"{v}={env[v]}" for v in sorted(index_vars(count)))
-            raise EvalError(f"delay count {fmt_index(count)} is {n} under "
-                            f"{bound}; a delay count must be at least 0")
-        return n
-
     def type_(self, t: SessionType, env: dict[str, int]) -> SessionType:
         match t:
             case Plus(bs):
@@ -143,7 +134,7 @@ class _Grounder:
             case Lolli(a, b):
                 return Lolli(self.type_(a, env), self.type_(b, env))
             case Next(count, inner):
-                return next_type(self._count(count, env),
+                return next_type(eval_index(count, env),
                                  self.type_(inner, env))
             case Box(inner):
                 return Box(self.type_(inner, env))
@@ -169,7 +160,7 @@ class _Grounder:
                 return Cut(dest, self.type_(annot, env), self.proc(body, env),
                            self.proc(cont, env), p.pos)
             case Delay(count, origin, cont):
-                n = self._count(count, env)
+                n = eval_index(count, env)
                 rest = self.proc(cont, env)
                 return rest if n == 0 else Delay(n, origin, rest, p.pos)
         return map_subprocs(p, lambda q: self.proc(q, env))
@@ -204,8 +195,13 @@ def instantiate(sig: Signature, name: str, binding: dict[str, int] | None = None
 def instantiate_many(sig: Signature, names: list[str],
                      binding: dict[str, int] | None = None) -> Signature:
     """Ground several roots under one shared parameter binding.  Every bound
-    name must be a root's parameter or free in some clause of `sig`."""
+    value must be a natural, and every bound name a root's parameter or free
+    in some clause of `sig`."""
     binding = binding or {}
+    negative = [f"{name}={v}" for name, v in binding.items() if v < 0]
+    if negative:
+        raise EvalError(f"negative binding {', '.join(negative)}; an index "
+                        f"must be at least 0")
     g = _Grounder(sig, dict(binding))
     unused = set(binding)
     for name in names:

@@ -39,7 +39,7 @@ class Program:
         final, status = Engine(self.elab, self.ops).run(
             cfg, make_scheduler(sched, seed), steps, trace=trace,
             on_step=check_each_step(self.ops, cfg) if check else None)
-        return final, status, root_chain(final, cfg.order[0])
+        return final, status, root_chain(final, next(iter(cfg.objs)))
 
 
 def load(text: str, roots: list[str], bind: dict[str, int], cost: str,

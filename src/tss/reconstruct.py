@@ -27,7 +27,7 @@ from .ast import (Box, Case, Close, Cut, DefClause, Delay, Diamond, Fwd, Lolli,
                   Now, One, Origin, Plus, ProcDef, ProcExpr, RecvChan,
                   SendChan, SendLabel, SessionType, Signature, Spawn, TailCall,
                   Tensor, Wait, When, With, branch_get, branch_labels,
-                  free_chans, map_subprocs, subprocs)
+                  free_chans, map_subprocs, own_chans, subprocs)
 from .errors import ReconstructionError, SessionTypeError
 from .printer import fmt_type
 from .subtyping import is_subtype
@@ -94,7 +94,8 @@ class _Elab:
             msg = msg()
         if p is None:
             return msg
-        return f"{msg} [at {type(p).__name__}{' ' + str(p.pos) if p.pos else ''}]"
+        at = f" {p.pos[0]}:{p.pos[1]}" if p.pos else ""
+        return f"{msg} [at {type(p).__name__}{at}]"
 
     # ------------------------------------------------------------------
     def elab(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
@@ -158,7 +159,10 @@ class _Elab:
                         all(ops.patient(t, "box") for c, t in ctx.items() if c != y):
                     out.append(("when_ctx", y, base.inner))
         if len(out) > 1:
-            targets = self._head_targets(ctx, p, offer_chan)
+            # The head's own channels; a cut or a tick names none, and then
+            # any channel may need attention.  A forward or a tail call has
+            # been checked to name the offered channel.
+            targets = own_chans(p) or (offer_chan, *ctx)
             out.sort(key=lambda c: c[1] not in targets)
         if with_delay:
             shifted = self._shift_all(ctx, offer)
@@ -190,23 +194,6 @@ class _Elab:
         if soff is None:
             return None
         return sctx, soff
-
-    def _head_targets(self, ctx: Ctx, p: ProcExpr, offer_chan: str) -> frozenset[str]:
-        match p:
-            case SendLabel(chan, _, _) | Case(chan, _) | Close(chan) \
-                    | Wait(chan, _) | When(chan, _) | Now(chan, _) \
-                    | RecvChan(_, chan, _):
-                return frozenset((chan,))
-            case SendChan(chan, payload, _):
-                return frozenset((chan, payload))
-            case Fwd(_, src):
-                return frozenset((src, offer_chan))
-            case Spawn(_, _, _, chans, _):
-                return frozenset(chans)
-            case TailCall(_, _, _, chans):
-                return frozenset(chans) | {offer_chan}
-            case _:  # tick, cut: any channel may need attention
-                return frozenset(ctx) | {offer_chan}
 
     def _try_temporals(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
                        offer: SessionType, depth: int,
@@ -251,6 +238,20 @@ class _Elab:
             fwd = self.bridges[id(p)] = Fwd(p.dest, fresh, pos=p.pos)
         return fwd
 
+    def _exposed(self, t: SessionType, want: type, chan: str, depth: int,
+                 p: ProcExpr):
+        """`t` exposed, if it is a `want`.  Otherwise None, and when `t` is
+        exposed at another connective, the goal at `p` is recorded as
+        failed."""
+        base = self.ops.expose(t)
+        if isinstance(base, want):
+            return base
+        if base is not None:
+            self._give_up(depth, p, lambda: f"wrong protocol state on {chan} "
+                          f"(expected {want.__name__}, found "
+                          f"{fmt_type(base)})")
+        return None
+
     # ------------------------------------------------------------------
     def _goal(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
               offer: SessionType, depth: int):
@@ -293,8 +294,8 @@ class _Elab:
 
             case SendLabel(chan, label, cont):
                 if chan == offer_chan:
-                    base = ops.expose(offer)
-                    if isinstance(base, Plus):
+                    base = self._exposed(offer, Plus, chan, depth, p)
+                    if base is not None:
                         nxt = branch_get(base.branches, label)
                         if nxt is None:
                             fail(depth, p, lambda: f"label {label} is not "
@@ -304,8 +305,8 @@ class _Elab:
                             if sub is not None:
                                 return SendLabel(chan, label, sub, p.pos)
                 elif chan in ctx:
-                    base = ops.expose(ctx[chan])
-                    if isinstance(base, With):
+                    base = self._exposed(ctx[chan], With, chan, depth, p)
+                    if base is not None:
                         nxt = branch_get(base.branches, label)
                         if nxt is None:
                             fail(depth, p,
@@ -324,15 +325,15 @@ class _Elab:
 
             case Case(chan, branches):
                 if chan == offer_chan:
-                    base = ops.expose(offer)
-                    if isinstance(base, With):
+                    base = self._exposed(offer, With, chan, depth, p)
+                    if base is not None:
                         got = self._case_commit(ctx, branches, base, chan,
                                                 offer_chan, offer, True, p, depth)
                         if got is not None:
                             return got
                 elif chan in ctx:
-                    base = ops.expose(ctx[chan])
-                    if isinstance(base, Plus):
+                    base = self._exposed(ctx[chan], Plus, chan, depth, p)
+                    if base is not None:
                         got = self._case_commit(ctx, branches, base, chan,
                                                 offer_chan, offer, False, p, depth)
                         if got is not None:
@@ -346,7 +347,7 @@ class _Elab:
                 if chan != offer_chan:
                     fail(depth, p, f"close must act on {offer_chan}")
                     return None
-                if isinstance(ops.expose(offer), One):
+                if self._exposed(offer, One, chan, depth, p) is not None:
                     if not ctx:
                         return p
                     fail(depth, p, "close with channels left in the context")
@@ -357,7 +358,7 @@ class _Elab:
                 if chan not in ctx:
                     fail(depth, p, f"unknown channel {chan}")
                     return None
-                if isinstance(ops.expose(ctx[chan]), One):
+                if self._exposed(ctx[chan], One, chan, depth, p) is not None:
                     ctx2 = dict(ctx)
                     del ctx2[chan]
                     sub = self.elab(ctx2, cont, offer_chan, offer, depth + 1)
@@ -371,28 +372,28 @@ class _Elab:
                     return None
                 pt = ctx[payload]
                 if chan == offer_chan:
-                    base = ops.expose(offer)
-                    if isinstance(base, Tensor) and ops.type_equal(pt, base.left):
+                    base = self._exposed(offer, Tensor, chan, depth, p)
+                    if base is not None and ops.type_equal(pt, base.left):
                         ctx2 = dict(ctx)
                         del ctx2[payload]
                         sub = self.elab(ctx2, cont, offer_chan, base.right,
                                         depth + 1)
                         if sub is not None:
                             return SendChan(chan, payload, sub, p.pos)
-                    elif isinstance(base, Tensor):
+                    elif base is not None:
                         fail(depth, p, lambda: f"payload {payload} : "
                              f"{fmt_type(pt)} does not match "
                              f"{fmt_type(base.left)}")
                 elif chan in ctx:
-                    base = ops.expose(ctx[chan])
-                    if isinstance(base, Lolli) and ops.type_equal(pt, base.arg):
+                    base = self._exposed(ctx[chan], Lolli, chan, depth, p)
+                    if base is not None and ops.type_equal(pt, base.arg):
                         ctx2 = dict(ctx)
                         del ctx2[payload]
                         ctx2[chan] = base.cont
                         sub = self.elab(ctx2, cont, offer_chan, offer, depth + 1)
                         if sub is not None:
                             return SendChan(chan, payload, sub, p.pos)
-                    elif isinstance(base, Lolli):
+                    elif base is not None:
                         fail(depth, p, lambda: f"payload {payload} : "
                              f"{fmt_type(pt)} does not match "
                              f"{fmt_type(base.arg)}")
@@ -407,8 +408,8 @@ class _Elab:
                          f"received channel name {bind} shadows a live channel")
                     return None
                 if chan == offer_chan:
-                    base = ops.expose(offer)
-                    if isinstance(base, Lolli):
+                    base = self._exposed(offer, Lolli, chan, depth, p)
+                    if base is not None:
                         ctx2 = dict(ctx)
                         ctx2[bind] = base.arg
                         sub = self.elab(ctx2, cont, offer_chan, base.cont,
@@ -416,8 +417,8 @@ class _Elab:
                         if sub is not None:
                             return RecvChan(bind, chan, sub, p.pos)
                 elif chan in ctx:
-                    base = ops.expose(ctx[chan])
-                    if isinstance(base, Tensor):
+                    base = self._exposed(ctx[chan], Tensor, chan, depth, p)
+                    if base is not None:
                         ctx2 = dict(ctx)
                         ctx2[bind] = base.left
                         ctx2[chan] = base.right

@@ -175,15 +175,23 @@ class Trace:
 
 @dataclass
 class Configuration:
+    """The objects of a run by the channel each provides.  Channel order is
+    the key order of `objs`, which is creation order: a fresh channel is
+    added at the end, a rule replaces the object at a surviving channel in
+    place, and a dead channel is deleted."""
     objs: dict[str, Obj]
-    order: list[str]  # creation order of provided channels
     counter: int
     ptypes: dict[str, SessionType]  # provider-side interface, absolute
     ctypes: dict[str, SessionType]  # consumer-side interface, absolute
 
+    @property
+    def order(self) -> list[str]:
+        """The provided channels in creation order."""
+        return list(self.objs)
+
     def copy(self) -> "Configuration":
-        return Configuration(dict(self.objs), list(self.order), self.counter,
-                             dict(self.ptypes), dict(self.ctypes))
+        return Configuration(dict(self.objs), self.counter, dict(self.ptypes),
+                             dict(self.ctypes))
 
     def messages(self) -> list[Obj]:
         return [o for o in self.objs.values() if o.kind == "msg"]
@@ -232,7 +240,7 @@ def init_config(sig: Signature, main: str) -> Configuration:
     counter = _fresh_floor(sig)
     root = f"c{counter}"
     obj = Obj("proc", root, 0, TailCall(root, main, (), ()))
-    return Configuration({root: obj}, [root], counter + 1,
+    return Configuration({root: obj}, counter + 1,
                          {root: decl.offer_type}, {root: decl.offer_type})
 
 
@@ -246,9 +254,10 @@ class RoundRobin:
         self._last: Optional[str] = None
 
     def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
-        order = config.order
+        objs = config.objs
+        order = list(objs)
         enabled = candidates.__contains__
-        start = order.index(self._last) + 1 if self._last in order else 0
+        start = order.index(self._last) + 1 if self._last in objs else 0
         choice = next(filter(enabled, order[start:]), None) \
             or next(filter(enabled, order), None)
         if choice is None:
@@ -264,7 +273,7 @@ class SeededRandom:
     def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
         if not candidates:
             return None
-        order = list(filter(candidates.__contains__, config.order))
+        order = list(filter(candidates.__contains__, config.objs))
         return candidates[self._rng.choice(order)]
 
 
@@ -275,7 +284,7 @@ class TimeSynchronous:
     def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
         if not candidates:
             return None
-        order = list(filter(candidates.__contains__, config.order))
+        order = list(filter(candidates.__contains__, config.objs))
         for c in order:
             if candidates[c].name != "○C":
                 return candidates[c]
@@ -453,12 +462,10 @@ class Engine:
     def _add(self, config: Configuration, obj: Obj, ptype: SessionType) -> None:
         """A fresh channel: both sides of its interface start at `ptype`."""
         config.objs[obj.chan] = obj
-        config.order.append(obj.chan)
         config.ptypes[obj.chan] = config.ctypes[obj.chan] = ptype
 
     def _drop(self, config: Configuration, chan: str) -> None:
         del config.objs[chan]
-        config.order.remove(chan)
         config.ptypes.pop(chan, None)
         config.ctypes.pop(chan, None)
 
@@ -1019,7 +1026,7 @@ def check_each_step(ops: TypeOps, config: Configuration
     against its root channel's declared type and return the `on_step`
     callback for `Engine.run` that checks every later configuration the
     same way, with one cache for the whole run."""
-    root = config.order[0]
+    root = next(iter(config.objs))
     declared = {root: config.ptypes[root]}
     cache: dict = {}
     check_configuration(ops, {}, config, declared, cache)

@@ -9,11 +9,13 @@ from typing import get_args
 import pytest
 
 from tss import acceptance, corpus
-from tss.ast import (ONE, SUBPROC_FIELDS, Box, Case, Close, Cut, Delay,
-                     Diamond, Fwd, IAdd, IMul, IVar, Lolli, Next, Now, One,
-                     Origin, Plus, ProcExpr, RecvChan, SendChan, SendLabel,
-                     SessionType, Spawn, TailCall, Tensor, TypeName, Wait,
-                     When, With, bound_by, map_subprocs, next_type, subprocs)
+from tss.ast import (CHAN_FIELDS, ONE, SUBPROC_FIELDS, Box, Case, Close, Cut,
+                     Delay, Diamond, Fwd, IAdd, IMul, IVar, Lolli, Next, Now,
+                     One, Origin, Plus, ProcExpr, RecvChan, SendChan,
+                     SendLabel, SessionType, Spawn, TailCall, Tensor,
+                     TypeName, Wait, When, With, bound_by, free_chans,
+                     map_subprocs, next_type, own_chans, rename_chans,
+                     subprocs)
 from tss.instantiate import instantiate, instantiate_many
 from tss.parser import parse_program, parse_type
 from tss.printer import fmt_type
@@ -180,7 +182,8 @@ def test_process_nodes_hash_structurally_without_positions():
 
 # One node of each process form, each sub-process a distinct object.
 FORMS = [
-    Spawn("y", "p", (), ("z",), Close("x"), via_tailcall=True, pos=(1, 2)),
+    Spawn("y", "p", (), ("z",), Wait("y", Close("x")), via_tailcall=True,
+          pos=(1, 2)),
     TailCall("x", "p", (), ("z",), pos=(1, 3)),
     Cut("y", ONE, Close("y"), Wait("y", Close("x")), pos=(1, 4)),
     Fwd("x", "y", pos=(1, 5)),
@@ -198,6 +201,7 @@ FORMS = [
 
 def test_traversal_table_covers_every_process_form():
     assert set(SUBPROC_FIELDS) == set(get_args(ProcExpr))
+    assert set(CHAN_FIELDS) == set(get_args(ProcExpr))
     assert {type(p) for p in FORMS} == set(get_args(ProcExpr))
 
 
@@ -237,3 +241,42 @@ def test_map_replaces_exactly_the_subprocesses(p):
 def test_bound_by_names_the_binder(p):
     expected = {Spawn: ("y",), Cut: ("y",), RecvChan: ("w",)}
     assert bound_by(p) == expected.get(type(p), ())
+
+
+# Per node of FORMS: its own channels, its free channels, and the node
+# renamed under SUB, which renames every name; a binder and what it binds
+# keep their name.
+SUB = {"w": "w1", "x": "x1", "y": "y1", "z": "z1"}
+CHANNELS = [
+    (("z",), {"x", "z"},
+     Spawn("y", "p", (), ("z1",), Wait("y", Close("x1")))),
+    (("x", "z"), {"x", "z"}, TailCall("x1", "p", (), ("z1",))),
+    ((), {"x"}, Cut("y", ONE, Close("y"), Wait("y", Close("x1")))),
+    (("x", "y"), {"x", "y"}, Fwd("x1", "y1")),
+    (("x",), {"x"}, SendLabel("x1", "a", Close("x1"))),
+    (("y",), {"x", "y"},
+     Case("y1", (("a", Close("x1")), ("b", Wait("y1", Close("x1")))))),
+    (("x",), {"x"}, Close("x1")),
+    (("y",), {"x", "y"}, Wait("y1", Close("x1"))),
+    (("x", "z"), {"x", "z"}, SendChan("x1", "z1", Close("x1"))),
+    (("y",), {"x", "y"}, RecvChan("w", "y1", Fwd("x1", "w"))),
+    ((), {"x"}, Delay(2, Origin.SOURCE, Close("x1"))),
+    (("y",), {"x", "y"}, When("y1", Close("x1"))),
+    (("x",), {"x"}, Now("x1", Close("x1"))),
+]
+
+
+@pytest.mark.parametrize("p, own, free, renamed",
+                         [(p, *c) for p, c in zip(FORMS, CHANNELS)],
+                         ids=[type(p).__name__ for p in FORMS])
+def test_channels_of_each_process_form(p, own, free, renamed):
+    assert type(renamed) is type(p)
+    assert own_chans(p) == own
+    assert free_chans(p) == free
+    out = rename_chans(p, SUB)
+    assert out == renamed
+    # Fields outside equality are kept too.
+    assert out.pos == p.pos
+    if isinstance(p, Spawn):
+        assert out.via_tailcall is p.via_tailcall is True
+    assert rename_chans(p, {}) is p

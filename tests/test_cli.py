@@ -345,7 +345,7 @@ def test_run_ends_without_a_traceback(tmp_path, capsys, file, argv):
 
 
 # ---------------------------------------------------------------------------
-# Binding errors: a negative delay count and a name no definition uses
+# Binding errors: a negative binding and a name no definition uses
 
 NEGATIVE_DELAY = """
 type t[n] = ()^{n} 1
@@ -353,21 +353,25 @@ decl f[n] : . |- (x : t[n])
 proc x <- f[n] = close x
 decl g[n] : . |- (x : ()^{n+4} 1)
 proc x <- g[n] = delay{n} ; delay{4} ; close x
+type u[n] = +{ a : 1 }
+decl h[n] : . |- (x : u[n])
+proc x <- h[n] = x.a ; close x
 """
 
 
 @pytest.mark.parametrize("cmd, flag", [
     ("check", "--def"), ("run", "--main"), ("reconstruct", "--def")])
-@pytest.mark.parametrize("root", ["f", "g"])  # in a type, in a process
+# A delay count in a type and in a process, and a type name's index.
+@pytest.mark.parametrize("root", ["f", "g", "h"])
 def test_a_negative_delay_count_is_an_error(tmp_path, capsys, cmd, flag, root):
-    # `()^-4 1` would not parse back, and a run would run it as `1`.
+    # `()^-4 1` and `u$-4` would not parse back, and a run would run the
+    # former as `1`.
     path = tmp_path / "negative.tss"
     path.write_text(NEGATIVE_DELAY)
     assert run(cmd, str(path), flag, root, "--bind", "n=-4") == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: delay count n is -4 under n=-4; a delay count "
-                   "must be at least 0\n")
+    assert err == "error: negative binding n=-4; an index must be at least 0\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -113,6 +113,19 @@ proc x <- plus1 <- y =
 """), "r")
     _, errors = elaborate_signature(ticked)
     assert len(errors) == 1 and isinstance(errors[0], ReconstructionError)
+    # Nor do actions on a channel whose type has another connective, and
+    # the failure names the goal and its position.
+    for text, goal in [
+            ("decl f : . |- (x : 1)\nproc x <- f = x.b0 ; close x\n",
+             "wrong protocol state on x (expected Plus, found 1) "
+             "[at SendLabel 2:15]"),
+            ("decl f : . |- (x : +{a : 1})\nproc x <- f = close x\n",
+             "wrong protocol state on x (expected One, found +{a : 1}) "
+             "[at Close 2:15]")]:
+        _, errors = elaborate_signature(parse_program(text))
+        assert [str(e) for e in errors] == [
+            f"in f: no temporal elaboration exists; deepest failing goal: "
+            f"{goal}"]
 
 
 def test_erasure_recovers_the_ticked_source():

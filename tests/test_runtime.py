@@ -88,7 +88,7 @@ def test_six_trace_and_chain(six):
 
 def test_empty_configuration_is_quiescent(six):
     eng = Engine(six.elab, six.ops)
-    cfg = Configuration({}, [], 0, {}, {})
+    cfg = Configuration({}, 0, {}, {})
     assert eng.step(cfg, make_scheduler("rr")) is None
 
 
@@ -180,7 +180,7 @@ def test_empty_configuration_types_as_pass_through(six):
     ops = six.ops
     from tss.ast import TypeName
     bits = TypeName("bits")
-    empty = Configuration({}, [], 0, {}, {})
+    empty = Configuration({}, 0, {}, {})
     check_configuration(ops, {"c0": bits}, empty, {"c0": bits})
     with pytest.raises(ConfigTypeError):
         check_configuration(ops, {}, empty, {"c0": bits})
@@ -195,7 +195,7 @@ def test_config_with_two_clients_rejected(six):
         {"c1": Obj("proc", "c1", 0, Cl("c1")),
          "c2": Obj("proc", "c2", 0, Wait("c1", Cl("c2"))),
          "c3": Obj("proc", "c3", 0, Wait("c1", Cl("c3")))},
-        ["c1", "c2", "c3"], 4,
+        4,
         {"c1": one, "c2": one, "c3": one},
         {"c1": one, "c2": one, "c3": one})
     with pytest.raises(ConfigTypeError, match="two clients"):
@@ -209,7 +209,7 @@ def test_cyclic_wiring_rejected(six):
     cfg = Configuration(
         {"c1": Obj("proc", "c1", 0, Wait("c2", Cl("c1"))),
          "c2": Obj("proc", "c2", 0, Wait("c1", Cl("c2")))},
-        ["c1", "c2"], 3,
+        3,
         {"c1": one, "c2": one}, {"c1": one, "c2": one})
     with pytest.raises(ConfigTypeError, match="cyclic"):
         check_configuration(ops, {}, cfg, {})
@@ -492,7 +492,7 @@ def test_warm_configuration_check_agrees_with_cold_on_generated_programs(seed):
 def test_check_rejects_an_object_filed_under_another_channel(six):
     # The check types an object at the channel it provides; one filed
     # under another channel is no configuration the engine builds.
-    cfg = Configuration({"c0": Obj("proc", "c1", 0, Close("c1"))}, ["c0"], 2,
+    cfg = Configuration({"c0": Obj("proc", "c1", 0, Close("c1"))}, 2,
                         {"c0": ONE, "c1": ONE}, {"c0": ONE, "c1": ONE})
     expected = "channel c0 holds an object providing c1"
     assert _outcome(six.ops, cfg, {"c0": ONE}) == expected
@@ -506,10 +506,10 @@ def test_warm_check_rechecks_an_object_whose_interface_changed(six):
     # interface (and the offer) changed: its verdict must be re-derived.
     ops = six.ops
     obj = Obj("msg", "c0", 0, Close("c0"))
-    cfg = Configuration({"c0": obj}, ["c0"], 1, {"c0": ONE}, {"c0": ONE})
+    cfg = Configuration({"c0": obj}, 1, {"c0": ONE}, {"c0": ONE})
     cache: dict = {}
     assert _outcome(ops, cfg, {"c0": ONE}, cache) is None
-    odd = Configuration({"c0": obj}, ["c0"], 1, {"c0": ODD}, {"c0": ODD})
+    odd = Configuration({"c0": obj}, 1, {"c0": ODD}, {"c0": ODD})
     cold = _outcome(ops, odd, {"c0": ODD})
     assert cold is not None
     assert _outcome(ops, odd, {"c0": ODD}, cache) == cold
@@ -524,9 +524,9 @@ def test_warm_check_rechecks_the_client_of_a_consumer_side_that_moved(six):
     box, later = parse_type("[]1"), parse_type("()[]1")
     objs = {"c1": Obj("proc", "c1", 0, When("c1", Close("c1"))),
             "c0": Obj("proc", "c0", 0, Now("c1", Wait("c1", Close("c0"))))}
-    ok = Configuration(objs, ["c0", "c1"], 2, {"c0": ONE, "c1": box},
+    ok = Configuration(objs, 2, {"c0": ONE, "c1": box},
                        {"c0": ONE, "c1": box})
-    moved = Configuration(dict(objs), ["c0", "c1"], 2, {"c0": ONE, "c1": box},
+    moved = Configuration(dict(objs), 2, {"c0": ONE, "c1": box},
                           {"c0": ONE, "c1": later})
     cache: dict = {}
     assert _outcome(ops, ok, {"c0": ONE}, cache) is None
@@ -539,9 +539,9 @@ def test_warm_check_starts_over_when_the_interface_changes(six):
     from tss.ast import TypeName
     ops = six.ops
     bits = TypeName("bits")
-    empty = Configuration({}, [], 0, {}, {})
+    empty = Configuration({}, 0, {}, {})
     obj = Obj("msg", "c0", 0, Close("c0"))
-    one = Configuration({"c0": obj}, ["c0"], 1, {"c0": ONE}, {"c0": ONE})
+    one = Configuration({"c0": obj}, 1, {"c0": ONE}, {"c0": ONE})
     cache: dict = {}
     # provides_in: the pass-through channel is no longer given.
     assert _outcome(ops, empty, {"c0": bits}, cache, {"c0": bits}) is None
@@ -706,8 +706,7 @@ def _concrete(config):
     the identity environment."""
     return Configuration(
         {c: Obj(o.kind, o.chan, o.time, o.body) for c, o in config.objs.items()},
-        list(config.order), config.counter, dict(config.ptypes),
-        dict(config.ctypes))
+        config.counter, dict(config.ptypes), dict(config.ctypes))
 
 
 def _check_closures_against_terms(sig, ops, main, steps):
@@ -767,7 +766,7 @@ def _with_client(config, c, client, obj):
     top = c if client is None else client
     given = {y: config.ctypes[y] for o in objs.values() for y in o.used
              if y not in objs}
-    part = Configuration(objs, list(objs), config.counter,
+    part = Configuration(objs, config.counter,
                          {x: config.ptypes[x] for x in objs},
                          {**given, **{x: config.ctypes[x] for x in objs}})
     return part, given, {top: config.ptypes[top]}
