@@ -48,9 +48,9 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("NAT", text[i:j], line, col))
             col += j - i

@@ -19,6 +19,11 @@ from .lexer import Token, tokenize
 # instead of an error naming this bound.
 MAX_NESTING = 100
 
+# How many digits a natural literal may have.  Python's `int` refuses a
+# decimal string beyond 4,300 digits; no count or index needs a tenth of
+# that.
+MAX_NAT_DIGITS = 1000
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -48,6 +53,14 @@ class _Parser:
     def fail(self, msg: str, *expected: str):
         t = self.peek()
         raise ParseError(msg, t.line, t.col, expected)
+
+    def nat(self) -> int:
+        """A natural literal of at most MAX_NAT_DIGITS digits."""
+        t = self.expect("NAT")
+        if len(t.value) > MAX_NAT_DIGITS:
+            raise ParseError(f"a natural may have at most {MAX_NAT_DIGITS} "
+                             f"digits", t.line, t.col)
+        return int(t.value)
 
     def nested(self, parse):
         """Parse a sub-term one nesting level down."""
@@ -85,7 +98,7 @@ class _Parser:
 
     def index_factor(self) -> IndexExpr:
         if self.at("NAT"):
-            return int(self.next().value)
+            return self.nat()
         if self.at("IDENT"):
             return IVar(self.next().value)
         if self.at("("):
@@ -121,11 +134,11 @@ class _Parser:
 
     def index_pattern(self) -> IndexPat:
         if self.at("NAT"):
-            return PatConst(int(self.next().value))
+            return PatConst(self.nat())
         name = self.expect("IDENT").value
         if self.at("+"):
             self.next()
-            off = int(self.expect("NAT").value)
+            off = self.nat()
             return PatSucc(name, off)
         return PatVar(name)
 
@@ -184,7 +197,7 @@ class _Parser:
 
     def next_count(self) -> IndexExpr:
         if self.at("NAT"):
-            return int(self.next().value)
+            return self.nat()
         if self.at("IDENT"):
             return IVar(self.next().value)
         if self.at("{"):

@@ -290,7 +290,11 @@ class _Elab:
                     return None
                 if ops.type_equal(ctx[src], offer):
                     return p
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
+                out = self._try_temporals(ctx, p, offer_chan, offer, depth)
+                if out is None:
+                    fail(depth, p, lambda: f"forwarded types differ (expected "
+                         f"{fmt_type(offer)}, found {fmt_type(ctx[src])})")
+                return out
 
             case SendLabel(chan, label, cont):
                 if chan == offer_chan:
@@ -479,11 +483,15 @@ class _Elab:
                         return p
                     # Bridge the offered type through an explicit forward.
                     fwd = self._bridge(p)
+                    best = self.best_depth, self._best
                     bridge = self.elab({fwd.src: decl.offer_type}, fwd,
                                        offer_chan, offer, depth + 1)
                     if bridge is not None:
                         return Spawn(fwd.src, proc, args, chans, bridge, True,
                                      p.pos)
+                    # A failed bridge is the call's failure, not its
+                    # forward's: the call names both offered types.
+                    self.best_depth, self._best = best
                     fail(depth, p, lambda: f"offered type of {proc} "
                          f"({fmt_type(decl.offer_type)}) cannot be bridged "
                          f"to {fmt_type(offer)}")

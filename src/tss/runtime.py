@@ -44,10 +44,10 @@ leaves its input unchanged and returns the next configuration.  A `Trace`
 keeps the objects each step consumed and produced, and renders them only
 when it is written out.
 
-`check_configuration` types a configuration against its interface.  Across
-the configurations of one run it keeps a checker holding the configuration
-it last accepted and checks again only the channels a step changed, as
-preservation is proved one rule at a time.  It types an object's code
+`check_configuration` types a configuration against its interface.  Once it
+has accepted a configuration of a run, that configuration logs its writes,
+and the next check reads the log and checks again only the channels a step
+wrote, as preservation is proved one rule at a time.  It types an object's code
 under the code's own channel names, so a checked step substitutes nothing,
 and it keeps the sequents it accepted for such code at every level of
 their derivations: after a step the continuation's typing is a
@@ -62,9 +62,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
-from itertools import chain, compress
-from operator import is_not
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
@@ -178,11 +177,17 @@ class Configuration:
     """The objects of a run by the channel each provides.  Channel order is
     the key order of `objs`, which is creation order: a fresh channel is
     added at the end, a rule replaces the object at a surviving channel in
-    place, and a dead channel is deleted."""
+    place, and a dead channel is deleted.
+
+    The maps change only through `put`, `drop`, `set_ptype` and `set_ctype`.
+    Once a check with a cache accepts the configuration, `log` holds what
+    they wrote since: the object each written channel held before (None if
+    new), and the channels whose provider and consumer type was written."""
     objs: dict[str, Obj]
     counter: int
     ptypes: dict[str, SessionType]  # provider-side interface, absolute
     ctypes: dict[str, SessionType]  # consumer-side interface, absolute
+    log: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def order(self) -> list[str]:
@@ -193,8 +198,35 @@ class Configuration:
         return Configuration(dict(self.objs), self.counter, dict(self.ptypes),
                              dict(self.ctypes))
 
-    def messages(self) -> list[Obj]:
-        return [o for o in self.objs.values() if o.kind == "msg"]
+    def put(self, obj: Obj, ptype: SessionType | None = None) -> None:
+        """Place `obj` at its channel; given `ptype`, both sides of the
+        channel's interface are set to it."""
+        chan, log = obj.chan, self.log
+        if log is not None:
+            log[0].setdefault(chan, self.objs.get(chan))
+            if ptype is not None:
+                log[1][chan] = log[2][chan] = None
+        self.objs[chan] = obj
+        if ptype is not None:
+            self.ptypes[chan] = self.ctypes[chan] = ptype
+
+    def drop(self, chan: str) -> None:
+        """Delete a dead channel: its object and its interface."""
+        if self.log is not None:
+            self.log[0].setdefault(chan, self.objs[chan])
+        del self.objs[chan]
+        self.ptypes.pop(chan, None)
+        self.ctypes.pop(chan, None)
+
+    def set_ptype(self, chan: str, t: SessionType) -> None:
+        if self.log is not None:
+            self.log[1][chan] = None
+        self.ptypes[chan] = t
+
+    def set_ctype(self, chan: str, t: SessionType) -> None:
+        if self.log is not None:
+            self.log[2][chan] = None
+        self.ctypes[chan] = t
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +491,6 @@ class Engine:
         config.counter += 1
         return name
 
-    def _add(self, config: Configuration, obj: Obj, ptype: SessionType) -> None:
-        """A fresh channel: both sides of its interface start at `ptype`."""
-        config.objs[obj.chan] = obj
-        config.ptypes[obj.chan] = config.ctypes[obj.chan] = ptype
-
-    def _drop(self, config: Configuration, chan: str) -> None:
-        del config.objs[chan]
-        config.ptypes.pop(chan, None)
-        config.ctypes.pop(chan, None)
-
     # -- enabled-rule discovery ----------------------------------------------
     def enabled(self, config: Configuration) -> dict[str, _Rule]:
         """For each proc object that can fire, its unique rule instance: read
@@ -547,20 +569,19 @@ class Engine:
         nxt = next_type(o.time, side.after(base, code))
         cont = {**env, code.chan: fresh}
         if chan == o.chan:
-            config.objs[chan] = Obj("msg", chan, o.time,
-                                    _message(code, env, Fwd(chan, fresh)))
-            self._add(config, Obj("proc", fresh, o.time, code.cont, cont), nxt)
+            config.put(Obj("msg", chan, o.time,
+                           _message(code, env, Fwd(chan, fresh))))
+            config.put(Obj("proc", fresh, o.time, code.cont, cont), nxt)
         else:
-            config.objs[o.chan] = Obj("proc", o.chan, o.time, code.cont, cont)
-            self._add(config, Obj("msg", fresh, o.time,
-                                  _message(code, env, Fwd(fresh, chan))), nxt)
+            config.put(Obj("proc", o.chan, o.time, code.cont, cont))
+            config.put(Obj("msg", fresh, o.time,
+                           _message(code, env, Fwd(fresh, chan))), nxt)
         return [config.objs[o.chan], config.objs[fresh]]
 
     def _close(self, config: Configuration, o: Obj) -> list[Obj]:
         code = o.code
-        config.objs[o.chan] = Obj("msg", o.chan, o.time,
-                                  Close(o.env.get(code.chan, code.chan),
-                                        code.pos))
+        config.put(Obj("msg", o.chan, o.time,
+                       Close(o.env.get(code.chan, code.chan), code.pos)))
         return [config.objs[o.chan]]
 
     def _cut(self, config: Configuration, o: Obj) -> list[Obj]:
@@ -568,9 +589,9 @@ class Engine:
         assert isinstance(code, Cut)
         fresh = self._fresh(config)
         env = {**o.env, code.dest: fresh}
-        config.objs[o.chan] = Obj("proc", o.chan, o.time, code.cont, env)
-        self._add(config, Obj("proc", fresh, o.time, code.body, env),
-                  next_type(o.time, code.annot))
+        config.put(Obj("proc", o.chan, o.time, code.cont, env))
+        config.put(Obj("proc", fresh, o.time, code.body, env),
+                   next_type(o.time, code.annot))
         return [config.objs[o.chan], config.objs[fresh]]
 
     def _def(self, config: Configuration, o: Obj) -> list[Obj]:
@@ -586,15 +607,15 @@ class Engine:
         spawned = {dcl.dest: fresh, **dict(zip(dcl.chans, chans))}
         # The spawned body consumes its arguments at the declared types.
         for actual, (_, want) in zip(chans, decl.ctx):
-            config.ctypes[actual] = next_type(o.time, want)
+            config.set_ctype(actual, next_type(o.time, want))
         if isinstance(code, Spawn):
             cont = Obj("proc", o.chan, o.time, code.cont,
                        {**env, code.dest: fresh})
         else:
             cont = Obj("proc", o.chan, o.time, Fwd(o.chan, fresh))
-        config.objs[o.chan] = cont
-        self._add(config, Obj("proc", fresh, o.time, dcl.body, spawned),
-                  next_type(o.time, decl.offer_type))
+        config.put(cont)
+        config.put(Obj("proc", fresh, o.time, dcl.body, spawned),
+                   next_type(o.time, decl.offer_type))
         return [cont, config.objs[fresh]]
 
     def _delay(self, config: Configuration, o: Obj) -> list[Obj]:
@@ -607,7 +628,7 @@ class Engine:
         later = Obj(o.kind, o.chan, o.time + 1, cont, o.env)
         # Same environment, and a delay's free channels are its cont's.
         object.__setattr__(later, "used", o.used)
-        config.objs[o.chan] = later
+        config.put(later)
         return [later]
 
     def _receive(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
@@ -618,10 +639,10 @@ class Engine:
         mb, code, env = m.body, o.code, o.env
         if env.get(code.chan, code.chan) == o.chan:
             at = nxt = m.chan
-            self._drop(config, o.chan)
+            config.drop(o.chan)
         else:  # a close leaves no next channel
             at, nxt = o.chan, None if isinstance(mb, Close) else mb.cont.src
-            self._drop(config, m.chan)
+            config.drop(m.chan)
         cont = dict(code.branches)[mb.label] if isinstance(code, Case) \
             else code.cont
         sub = {} if nxt is None else {code.chan: nxt}
@@ -629,16 +650,16 @@ class Engine:
             sub[code.bind] = mb.payload
         proc = Obj("proc", at, m.time, cont, {**env, **sub} if sub else env)
         self._reanchor(config, proc, o.time, m.time, skip=nxt)
-        config.objs[at] = proc
+        config.put(proc)
         return [proc]
 
     def _fwd_up(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # id+C: message travels up through the forward: msg(d), fwd c<-d.
         ptype = config.ptypes[m.chan]
-        self._drop(config, m.chan)
-        config.objs[o.chan] = Obj("msg", o.chan, m.time,
-                                  rename_chans(m.body, {m.chan: o.chan}))
-        config.ptypes[o.chan] = ptype
+        config.drop(m.chan)
+        config.put(Obj("msg", o.chan, m.time,
+                       rename_chans(m.body, {m.chan: o.chan})))
+        config.set_ptype(o.chan, ptype)
         return [config.objs[o.chan]]
 
     def _fwd_down(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
@@ -647,10 +668,10 @@ class Engine:
         assert isinstance(code, Fwd)
         src = o.env.get(code.src, code.src)
         ctype = config.ctypes[o.chan]
-        self._drop(config, o.chan)
-        config.objs[m.chan] = Obj("msg", m.chan, m.time,
-                                  rename_chans(m.body, {o.chan: src}))
-        config.ctypes[src] = ctype
+        config.drop(o.chan)
+        config.put(Obj("msg", m.chan, m.time,
+                       rename_chans(m.body, {o.chan: src})))
+        config.set_ctype(src, ctype)
         return [config.objs[m.chan]]
 
     def _reanchor(self, config: Configuration, proc: Obj, old_time: int,
@@ -664,12 +685,12 @@ class Engine:
             local = self.ops.shift_left_n(config.ctypes[y], old_time)
             if local is None:
                 raise RunError(f"cannot re-anchor {y}")
-            config.ctypes[y] = next_type(new_time, local)
+            config.set_ctype(y, next_type(new_time, local))
         if proc.chan != skip and proc.chan in config.ptypes:
             local = self.ops.shift_right_n(config.ptypes[proc.chan], old_time)
             if local is None:
                 raise RunError(f"cannot re-anchor {proc.chan}")
-            config.ptypes[proc.chan] = next_type(new_time, local)
+            config.set_ptype(proc.chan, next_type(new_time, local))
 
     # -- stepping -------------------------------------------------------------
     def step(self, config: Configuration, scheduler,
@@ -743,27 +764,6 @@ def is_poised(config: Configuration) -> bool:
     return all(is_poised_obj(o) for o in config.objs.values())
 
 
-def _changed(new: dict, old: dict) -> list:
-    """The keys at which `new` holds another value than `old`, compared by
-    identity: first those of `new` in its order (added or replaced), then
-    those only `old` has.  Both passes run in C, with no Python step per
-    key."""
-    out = list(compress(new, map(is_not, new.values(), map(old.get, new))))
-    # Keys only `old` has exist iff it has more than the keys both have.
-    if len(old) > len(new) - len(out) + sum(map(old.__contains__, out)):
-        out.extend(old.keys() - new.keys())
-    return out
-
-
-def _sync(old: dict, new: dict, keys: list) -> None:
-    """Make `old` agree with `new` at `keys`."""
-    for k in keys:
-        if k in new:
-            old[k] = new[k]
-        else:
-            del old[k]
-
-
 class _Sequents(Checker):
     """The explicit checker of one run's configuration check.  It keeps
     every sequent it accepted, at every level of a derivation, and returns
@@ -785,37 +785,37 @@ class _Sequents(Checker):
 
 class _Checker:
     """What `check_configuration` last accepted for one run: the interface
-    and `TypeOps` it was checked against, the objects and both interface
-    maps as they were, and the client of each channel an object uses (each
-    object carries the channels it uses).  Every key is a channel of that
-    configuration, so the state is as large as the configuration, not as
-    long as the run.
+    and `TypeOps` it was checked against, the channels each object uses,
+    the client of each channel, and the log the configuration keeps.  Every
+    key is a channel of that configuration, so the state is as large as the
+    configuration, not as long as the run.
 
     It also holds `sequents`, the sequents its checker accepted for code
     typed under the code's own names.  Those name only a definition's own
     channels, so they are bounded by the program's ground definitions and
     the types their channels take, not by the length of the run.
 
-    A call compares the configuration with this state by identity and
-    checks again only what changed, as each rule of the multiset rewriting
-    changes a bounded number of objects.  A change of `ops` or of either
-    interface, and any fault, starts over from empty state, where every
-    channel has changed and no sequent is known."""
+    A call on the configuration carrying this log checks again only the
+    channels the log names, a bounded number per rewriting step, and starts
+    a new log.  Any other configuration (a copy), a change of `ops` or of
+    either interface, and any fault start over from empty state, where
+    every channel counts as written and no sequent is known."""
 
     def __init__(self):
         self.ops: TypeOps | None = None
         self.provides = None  # (provides_in, provides_out), as items
-        self.objs: dict[str, Obj] = {}
-        self.ptypes: dict[str, SessionType] = {}
-        self.ctypes: dict[str, SessionType] = {}
+        self.used: dict[str, frozenset[str]] = {}  # chan -> channels it uses
         self.client: dict[str, str] = {}  # chan -> the object using it
         self.sequents: _Sequents | None = None
+        self.log: tuple[dict, dict, dict] | None = None
 
     def check(self, ops: TypeOps, provides_in: dict[str, SessionType],
-              config: Configuration,
-              provides_out: dict[str, SessionType]) -> None:
+              config: Configuration, provides_out: dict[str, SessionType],
+              keep: bool) -> None:
+        """Check `config`; with `keep`, it logs its writes from here on."""
         provides = (tuple(provides_in.items()), tuple(provides_out.items()))
-        if ops is not self.ops or provides != self.provides:
+        if ops is not self.ops or provides != self.provides \
+                or config.log is not self.log:
             self.__init__()
         # A fault found from accepted state is reported as a check from
         # empty state reports it: the first in configuration order.
@@ -823,6 +823,8 @@ class _Checker:
             try:
                 self._update(ops, provides_in, config, provides_out)
                 self.provides = provides
+                if keep:
+                    self.log = config.log = ({}, {}, {})
                 return
             except ConfigTypeError:
                 self.__init__()
@@ -835,19 +837,18 @@ class _Checker:
     def _update(self, ops: TypeOps, provides_in: dict[str, SessionType],
                 config: Configuration,
                 provides_out: dict[str, SessionType]) -> None:
-        """Check what changed since the accepted state and accept the
-        result; from the empty state every channel has changed.  Raises
-        ConfigTypeError on a fault, leaving the state half updated."""
+        """Check what the log names and accept the result; from the empty
+        state every channel counts as written.  Raises ConfigTypeError on a
+        fault, leaving the state half updated."""
+        objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
         fresh = self.ops is None
         if fresh:
             self.ops, self.sequents = ops, _Sequents(ops)
-        objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
-        seen, client = self.objs, self.client
-        moved = _changed(objs, seen)
-        pmoved = _changed(ptypes, self.ptypes)
-        cmoved = _changed(ctypes, self.ctypes)
-        _sync(self.ptypes, ptypes, pmoved)
-        _sync(self.ctypes, ctypes, cmoved)
+            written, pmoved, cmoved = dict.fromkeys(objs), ptypes, ctypes
+        else:
+            written, pmoved, cmoved = config.log
+        used, client = self.used, self.client
+        moved = [c for c, o in written.items() if objs.get(c) is not o]
 
         # Each channel has one client: unlink the objects that moved, then
         # link the ones now there.  An edge new at its channel may close a
@@ -855,8 +856,8 @@ class _Checker:
         before: dict[str, frozenset[str]] = {}
         lost: list[str] = []
         for c in moved:
-            if c in seen:
-                before[c] = old = seen[c].used
+            if c in used:
+                before[c] = old = used.pop(c)
                 for y in old:
                     del client[y]
                     lost.append(y)
@@ -866,15 +867,13 @@ class _Checker:
         for c in moved:
             o = objs.get(c)
             if o is None:
-                del seen[c]
                 continue
             if o.chan != c:
                 raise ConfigTypeError(f"channel {c} holds an object providing "
                                       f"{o.chan}")
-            if c not in seen:
+            if c not in before:
                 added.append(c)
-            seen[c] = o
-            now = o.used
+            used[c] = now = o.used
             old = before.get(c, ())
             for y in now:
                 if y in client:
@@ -1007,17 +1006,17 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
 
     A caller re-checking the successive configurations of one run passes
     one dict as `cache` for the whole run.  Its one entry is a `_Checker`
-    holding the configuration it last accepted, and a call checks again
-    only what changed since.  Without a cache the same code runs from
+    holding what it last accepted; the configuration it accepted then logs
+    its writes, and a call on it checks again only what the log names.
+    Without a cache, or on another configuration, the same code runs from
     empty state.  A fault found from accepted state drops the state and is
     reported by a check from empty state, so the message never depends on
     the cache."""
-    checker = None if cache is None else cache.get(_Checker)
-    if checker is None:
-        checker = _Checker()
-        if cache is not None:
-            cache[_Checker] = checker
-    checker.check(ops, provides_in, config, provides_out)
+    if cache is None:
+        return _Checker().check(ops, provides_in, config, provides_out, False)
+    if _Checker not in cache:
+        cache[_Checker] = _Checker()
+    cache[_Checker].check(ops, provides_in, config, provides_out, True)
 
 
 def check_each_step(ops: TypeOps, config: Configuration

@@ -8,7 +8,7 @@ import pytest
 from fuzzgen import gen_program
 from tss.cli import main
 from tss.corpus import CORPUS_DIR
-from tss.parser import MAX_NESTING, parse_program
+from tss.parser import MAX_NAT_DIGITS, MAX_NESTING, parse_program
 from tss.printer import pretty_print
 
 
@@ -30,6 +30,34 @@ def test_parse_error_exit_two(tmp_path, capsys):
     bad.write_text("type t = +{")
     assert run("check", str(bad)) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("src, where, message", [
+    # A superscript digit is a digit to `str.isdigit` but not to `int`.
+    ("type t = ()^{²} 1\n", "1:14", "unexpected character '²'"),
+    ("type t[n] = ()^{n} 1\ndecl f : . |- (x : t[²])\n", "2:22",
+     "unexpected character '²'"),
+    ("decl f[n] : . |- (x : 1)\nproc x <- f[²] = close x\n", "2:13",
+     "unexpected character '²'"),
+    # `int` refuses a decimal string beyond 4,300 digits.
+    ("type t = ()^{" + "9" * 5000 + "} 1\n", "1:14",
+     f"a natural may have at most {MAX_NAT_DIGITS} digits"),
+    ("decl f[n] : . |- (x : 1)\nproc x <- f[n+" + "9" * 5000 + "] = close x\n",
+     "2:15", f"a natural may have at most {MAX_NAT_DIGITS} digits")],
+    ids=["count", "index", "pattern", "long count", "long offset"])
+def test_a_malformed_natural_is_a_parse_error(tmp_path, capsys, src, where,
+                                              message):
+    bad = tmp_path / "bad.tss"
+    bad.write_text(src)
+    # An exception escaping `main` fails the test: that is a traceback.
+    assert run("check", str(bad)) == 2
+    assert capsys.readouterr().err == f"parse error: {where}: {message}\n"
+
+
+def test_a_natural_of_the_longest_length_parses():
+    digits = "9" * MAX_NAT_DIGITS
+    assert parse_program(f"type t = ()^{{{digits}}} 1").type_body("t").count \
+        == int(digits)
 
 
 def test_subtype_true(capsys):

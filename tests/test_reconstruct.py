@@ -113,6 +113,10 @@ proc x <- plus1 <- y =
 """), "r")
     _, errors = elaborate_signature(ticked)
     assert len(errors) == 1 and isinstance(errors[0], ReconstructionError)
+    # The failure names the forward that no temporal step can repair.
+    assert str(errors[0]) == (
+        "in plus1: no temporal elaboration exists; deepest failing goal: "
+        "forwarded types differ (expected ()bits, found bits) [at Fwd 5:25]")
     # Nor do actions on a channel whose type has another connective, and
     # the failure names the goal and its position.
     for text, goal in [

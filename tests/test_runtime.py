@@ -1,8 +1,10 @@
+import ast as pyast
 import dataclasses
 import json
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -394,59 +396,62 @@ def _outcome(ops, cfg, declared, cache=None, given=None):
     return None
 
 
-def _faulty_copies(cfg):
-    """Copies of a well-typed configuration, each with one fault."""
+def _faulty_copies(ops, cfg, declared):
+    """Copies of a well-typed configuration, each with one fault, and each
+    with the cache that accepted it before the fault.  A fault is written
+    through the configuration's write methods, so a check with that cache
+    reads it from the log; only an object filed under another channel,
+    which no write method makes, is written to a copy that no check
+    accepted."""
+    faults = []
+
     def copy(*objs):
-        out = cfg.copy()
+        out, cache = cfg.copy(), {}
+        assert _outcome(ops, out, declared, cache) is None
         for o in objs:
-            out.objs[o.chan] = o
-            out.ptypes.setdefault(o.chan, ONE)
-            out.ctypes.setdefault(o.chan, ONE)
+            out.put(o, None if o.chan in out.objs else ONE)
+        faults.append((out, cache))
         return out
 
     victim = cfg.order[len(cfg.order) // 2]
     o = cfg.objs[victim]
-    faults = []
     # An incompatible interface entry on either side.
-    for side in ("ptypes", "ctypes"):
-        faults.append(copy())
-        getattr(faults[-1], side)[victim] = ODD
+    copy().set_ptype(victim, ODD)
+    copy().set_ctype(victim, ODD)
     # Two faults of one kind, at the first and the last channel: a check of
     # what changed meets the provider side's first, a check in the
     # configuration's order the first channel's.
     chans = list(cfg.objs)
-    faults.append(copy())
-    faults[-1].ptypes[chans[-1]] = ODD
-    faults[-1].ctypes[chans[0]] = ODD
+    both = copy()
+    both.set_ptype(chans[-1], ODD)
+    both.set_ctype(chans[0], ODD)
     # The victim's channel reused by a different object, which cannot
     # typecheck.
-    faults.append(copy(Obj(o.kind, victim, o.time,
-                           SendLabel(victim, "zz", o.body))))
+    copy(Obj(o.kind, victim, o.time, SendLabel(victim, "zz", o.body)))
     # The victim's object filed under its channel but providing another.
-    faults.append(copy())
-    faults[-1].objs[victim] = Obj(o.kind, "z4", o.time, o.body)
+    filed = cfg.copy()
+    filed.objs[victim] = Obj(o.kind, "z4", o.time, o.body)
+    faults.append((filed, {}))
     # A cycle.
-    faults.append(copy(Obj("proc", "z1", 0, Wait("z2", Close("z1"))),
-                       Obj("proc", "z2", 0, Wait("z1", Close("z2")))))
+    copy(Obj("proc", "z1", 0, Wait("z2", Close("z1"))),
+         Obj("proc", "z2", 0, Wait("z1", Close("z2"))))
     client = {y: c for c, p in cfg.objs.items()
               for y in free_chans(p.body) - {c}}
     if client:
         y = next(iter(client))
         # Only the consumer side of y, which an unchanged object uses.
-        faults.append(copy())
-        faults[-1].ctypes[y] = ODD
+        copy().set_ctype(y, ODD)
         # A second client of y.
-        faults.append(copy(Obj("proc", "z3", 0, Wait(y, Close("z3")))))
+        copy(Obj("proc", "z3", 0, Wait(y, Close("z3"))))
         # The channel of y's client reused by an object that also uses a
         # channel with a client already.
         c = client[y]
         other = next((z for z, d in client.items() if d != c), None)
         if other is not None:
             p = cfg.objs[c]
-            faults.append(copy(Obj(p.kind, c, p.time, Wait(other, p.body))))
+            copy(Obj(p.kind, c, p.time, Wait(other, p.body)))
         # A missing provider of y.
-        faults.append(copy())
-        del faults[-1].objs[y]
+        copy().drop(y)
     return faults
 
 
@@ -459,17 +464,22 @@ def _check_warm_against_cold(sig, ops, main, steps):
 
         def on_step(c):
             assert _outcome(ops, c, declared, cache) is None
-            assert _outcome(ops, c, declared) is None
+            # The state the log kept current is the state a check from
+            # empty state builds.
+            fresh: dict = {}
+            assert _outcome(ops, c.copy(), declared, fresh) is None
+            warm, cold = cache[runtime._Checker], fresh[runtime._Checker]
+            assert warm.client == cold.client and warm.used == cold.used
             count[0] += 1
             if count[0] >= 4 and count[0] & (count[0] - 1) == 0:
                 # At steps 4, 8, 16, ...: faults in copies of this
                 # configuration, each checked with the cache that accepted
-                # this configuration last.
-                for broken in _faulty_copies(c):
+                # the copy before the fault was written.
+                for broken, accepted in _faulty_copies(ops, c, declared):
                     cold = _outcome(ops, broken, declared)
                     assert cold is not None
-                    assert _outcome(ops, broken, declared, cache) == cold
-                    assert _outcome(ops, c, declared, cache) is None
+                    assert _outcome(ops, broken, declared, accepted) == cold
+                    assert _outcome(ops, c, declared, accepted) is None
 
         on_step(cfg)
         Engine(sig, ops).run(cfg, make_scheduler(sched, seed), steps,
@@ -526,13 +536,15 @@ def test_warm_check_rechecks_the_client_of_a_consumer_side_that_moved(six):
             "c0": Obj("proc", "c0", 0, Now("c1", Wait("c1", Close("c0"))))}
     ok = Configuration(objs, 2, {"c0": ONE, "c1": box},
                        {"c0": ONE, "c1": box})
-    moved = Configuration(dict(objs), 2, {"c0": ONE, "c1": box},
-                          {"c0": ONE, "c1": later})
     cache: dict = {}
     assert _outcome(ops, ok, {"c0": ONE}, cache) is None
+    moved = ok.copy()
+    moved.set_ctype("c1", later)
     cold = _outcome(ops, moved, {"c0": ONE})
     assert cold is not None and cold.startswith("proc(c0, 0,")
-    assert _outcome(ops, moved, {"c0": ONE}, cache) == cold
+    # The same write to the accepted configuration is read from its log.
+    ok.set_ctype("c1", later)
+    assert _outcome(ops, ok, {"c0": ONE}, cache) == cold
 
 
 def test_warm_check_starts_over_when_the_interface_changes(six):
@@ -554,6 +566,75 @@ def test_warm_check_starts_over_when_the_interface_changes(six):
     assert cold is not None
     assert _outcome(ops, one, {"c0": ODD}, cache) == cold
     assert _outcome(ops, one, {"c0": ONE}, cache) is None
+
+
+@pytest.mark.parametrize("write", ["put", "put typed", "drop", "set_ptype",
+                                   "set_ctype"])
+def test_a_fault_written_to_the_accepted_configuration_is_found(write):
+    # The configuration a checked run rewrites, as the check accepted it
+    # after its last step: one fault written to it through one write
+    # method is read from its log, and reported as a check from empty
+    # state reports it.
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": 2}, "rs")
+    ops = prog.ops
+    cfg = init_config(prog.elab, prog.main)
+    declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+    cache: dict = {}
+    live, status = Engine(prog.elab, ops).run(
+        cfg, make_scheduler("rr"), 40,
+        on_step=lambda c: check_configuration(ops, {}, c, declared, cache))
+    assert status == "budget"
+    assert live.log is not None and live.log is cache[runtime._Checker].log
+    c, y = next((c, min(o.used)) for c, o in live.objs.items()
+                if o.kind == "proc" and o.used)
+    o = live.objs[c]
+    if write == "put":
+        live.put(Obj(o.kind, c, o.time, SendLabel(c, "zz", o.body)))
+    elif write == "put typed":  # the same object, at another interface
+        live.put(o, ODD)
+    elif write == "drop":
+        live.drop(y)
+    else:
+        getattr(live, write)(c if write == "set_ptype" else y, ODD)
+    cold = _outcome(ops, live, declared)
+    assert cold is not None
+    assert _outcome(ops, live, declared, cache) == cold
+
+
+def test_only_the_configuration_writes_its_maps():
+    # The check reads a configuration's writes from its log, so a write
+    # that bypasses `Configuration`'s methods would go unchecked.
+    maps = {"objs", "ptypes", "ctypes"}
+    writes = {"pop", "popitem", "setdefault", "update", "clear"}
+
+    def is_map(node):
+        return isinstance(node, pyast.Attribute) and node.attr in maps
+
+    found = []
+    for path in sorted(Path(runtime.__file__).parent.glob("*.py")):
+        tree = pyast.parse(path.read_text())
+        inside = {id(n) for c in pyast.walk(tree)
+                  if isinstance(c, pyast.ClassDef) and c.name == "Configuration"
+                  for n in pyast.walk(c)}
+        for node in pyast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, (pyast.Assign, pyast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (pyast.AugAssign, pyast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            for t in targets:
+                for sub in pyast.walk(t):
+                    if isinstance(sub, pyast.Subscript) and is_map(sub.value) \
+                            or is_map(sub):
+                        found.append(f"{path.name}:{sub.lineno}")
+            if isinstance(node, pyast.Call) \
+                    and isinstance(node.func, pyast.Attribute) \
+                    and node.func.attr in writes and is_map(node.func.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_configuration_check_work_per_step_does_not_grow(monkeypatch):
