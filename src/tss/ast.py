@@ -16,8 +16,9 @@ fields of a process form hold its sub-processes, which channel it binds over
 them, and which name the channels it uses itself; walks reach every form
 they do not treat specially through `subprocs`, `bound_by`, `own_chans` and
 `map_subprocs`, and `free_chans` and `rename_chans` are read off the three
-tables.  A new form takes an entry in each table and its own rules in the
-checker, the reconstruction, the interpreter, the printer and the parser.
+tables.  A new form takes an entry in each table, its typing rule in
+`checker.rule` (which the explicit checker and the reconstruction both
+read), and its own rules in the interpreter, the printer and the parser.
 """
 
 from __future__ import annotations
@@ -455,8 +456,12 @@ def map_subprocs(p: ProcExpr, f: Callable[[ProcExpr], ProcExpr]) -> ProcExpr:
     `f` gives back every sub-process unchanged."""
     old = subprocs(p)
     new = tuple(map(f, old))
-    if all(map(is_, new, old)):
-        return p
+    return p if all(map(is_, new, old)) else with_subprocs(p, new)
+
+
+def with_subprocs(p: ProcExpr, new) -> ProcExpr:
+    """`p` with the sub-processes `new`, in source order, and every other
+    field (source position included) kept."""
     if type(p) is Case:
         return Case(p.chan, tuple(zip([lab for lab, _ in p.branches], new)),
                     p.pos)

@@ -1,10 +1,19 @@
-"""The explicit, syntax-directed typechecker for ground signatures.
+"""The typing rules of the explicit system, one per process form, and the
+syntax-directed typechecker that reads them.
 
-`check_process` decides one sequent.  Rule dispatch follows the head of the
-process expression; channels are used linearly, so the leaf rules insist the
-context is exactly consumed.  With `call_subtyping=True`, process invocations
-compare actual against declared argument types with the subtype relation
-instead of equality (the call-site rule used for reconstructed programs).
+`rule` states what one sequent `ctx |- p :: (x : offer)` asks of its head
+form.  It answers with the premises, the sequents of p's sub-processes in
+`subprocs` order, or with a `Stop`: why the rule does not apply.  Both
+engines read the same rules: `Checker.check` raises a `Stop` as an error
+and checks every premise, and time reconstruction (`reconstruct._Elab`)
+uses a `Stop`'s kind to decide whether a temporal step may help.  The time
+rules are stated once too: `shift_all` shifts a whole sequent, `delay_stop`
+says why it cannot be shifted, and `patience` is the side condition of
+when? that the `[]R`/`<>L` rules and reconstruction share.
+
+Process invocations compare actual against declared argument types with
+the relation `call`: equality, or with `call_subtyping=True` the subtype
+relation (the call-site rule used for reconstructed programs).
 """
 
 from __future__ import annotations
@@ -20,6 +29,12 @@ from .typeops import TypeOps
 
 Ctx = dict[str, SessionType]
 
+# The kinds of a Stop.  `SCOPE`: no temporal step can help (a name, an
+# arity, shadowing, a leftover context).  `SHAPE`: a type is exposed at the
+# wrong connective, or a type or label does not match.  `WAIT`: a type is
+# not yet exposed.
+SCOPE, SHAPE, WAIT = "scope", "shape", "wait"
+
 
 def _fmt_ctx(ctx: Ctx) -> str:
     if not ctx:
@@ -27,293 +42,377 @@ def _fmt_ctx(ctx: Ctx) -> str:
     return ", ".join(f"{c}:{fmt_type(t)}" for c, t in ctx.items())
 
 
-def _err(msg, rule, p, *, expected="", found="", ctx=None):
-    return SessionTypeError(msg, rule=rule, pos=getattr(p, "pos", None),
-                            expected=expected, found=found,
-                            ctx=_fmt_ctx(ctx) if ctx is not None else "")
+def _fmt(v) -> str:
+    return fmt_type(v) if isinstance(v, SessionType) else v or ""
+
+
+class Stop:
+    """Why a rule does not apply: its kind, the paper's name of the rule,
+    the message, and what was expected and found (types or text), with the
+    context when it is at fault.  Types are formatted only by `error`."""
+
+    __slots__ = ("kind", "rule", "msg", "expected", "found", "ctx")
+
+    def __init__(self, kind: str, rule: str, msg: str, expected=None,
+                 found=None, ctx: Ctx | None = None):
+        self.kind = kind
+        self.rule = rule
+        self.msg = msg
+        self.expected = expected
+        self.found = found
+        self.ctx = ctx
+
+    def error(self, p: ProcExpr) -> SessionTypeError:
+        """The error of this stop at the node `p`."""
+        return SessionTypeError(
+            self.msg, rule=self.rule, pos=getattr(p, "pos", None),
+            expected=_fmt(self.expected), found=_fmt(self.found),
+            ctx="" if self.ctx is None else _fmt_ctx(self.ctx))
+
+
+# ---------------------------------------------------------------------------
+# Side conditions shared by several rules
+
+def _exposed(ops: TypeOps, t: SessionType, want: type, chan: str, rule: str):
+    """The head of `t` if it is a `want`, else the stop: wait while `t` is
+    delayed, shape when it is exposed at another connective."""
+    got = ops.expose(t)
+    if got is None:
+        return Stop(WAIT, rule, f"channel {chan} is not ready for this action",
+                    want.__name__, t)
+    if not isinstance(got, want):
+        return Stop(SHAPE, rule, f"wrong protocol state on {chan}",
+                    want.__name__, got)
+    return got
+
+
+def _unknown(chan: str, ctx: Ctx, rule: str) -> Stop:
+    return Stop(SCOPE, rule, f"channel {chan} is not in the context", ctx=ctx)
+
+
+def _shadows(name: str, ctx: Ctx, rule: str) -> Stop:
+    return Stop(SCOPE, rule, f"channel name {name} shadows a live channel",
+                ctx=ctx)
+
+
+def patience(ops: TypeOps, ctx: Ctx, rule: str, skip: str | None = None,
+             offer: SessionType | None = None) -> Stop | None:
+    """The side condition of when?: every channel of `ctx` but `skip` can
+    wait indefinitely (()^n [] _), and so can `offer` (()^n <> _) when
+    given.  None when it holds, else the stop naming the first that
+    cannot."""
+    for c, t in ctx.items():
+        if c != skip and not ops.patient(t, "box"):
+            return Stop(SHAPE, rule, f"channel {c} cannot wait indefinitely",
+                        "()^n [] _", t)
+    if offer is not None and not ops.patient(offer, "diamond"):
+        return Stop(SHAPE, rule, "offered type cannot wait for now!",
+                    "()^n <> _", offer)
+    return None
+
+
+def shift_all(ops: TypeOps, ctx: Ctx, offer: SessionType, n: int):
+    """The sequent n time units later, every antecedent shifted left and
+    the offer right, in time independent of n; None when a shift is
+    undefined."""
+    sctx: Ctx = {}
+    for c, t in ctx.items():
+        s = ops.shift_left_n(t, n)
+        if s is None:
+            return None
+        sctx[c] = s
+    soff = ops.shift_right_n(offer, n)
+    if soff is None:
+        return None
+    return sctx, soff
+
+
+def _delay_room(ops: TypeOps, t: SessionType, keeps: type) -> float:
+    """How many unit shifts t allows: its leading delays, unless a `keeps`
+    head or an infinite delay tower allows any number."""
+    count, base = ops.strip(t)
+    return float("inf") if isinstance(base, (keeps, TypeName)) else count
+
+
+def delay_stop(ops: TypeOps, ctx: Ctx, offer: SessionType, n: int) -> Stop:
+    """Why a delay of n units is undefined, as the unit-by-unit loop says
+    it: the types are shifted as far as all of them allow, and the first
+    that does not allow the next unit is named."""
+    safe = min([_delay_room(ops, t, Box) for t in ctx.values()]
+               + [_delay_room(ops, offer, Diamond)])
+    for c, t in ctx.items():
+        t = ops.shift_left_n(t, safe)
+        if ops.shift_left(t) is None:
+            return Stop(SHAPE, "()LR", f"channel {c} does not allow a delay",
+                        found=t)
+    return Stop(SHAPE, "()LR", "offered type does not allow a delay",
+                found=ops.shift_right_n(offer, safe))
+
+
+def consume_call(ops: TypeOps, ctx: Ctx, p, call) -> Ctx | Stop:
+    """The context left once the call `p` has taken its channels, each
+    related by `call` to its parameter's type, or the stop."""
+    decl = ops.sig.decl(p.proc)
+    chans = p.chans
+    if len(chans) != len(decl.ctx):
+        return Stop(SCOPE, "def", f"{p.proc} takes {len(decl.ctx)} channel(s),"
+                    f" got {len(chans)}")
+    if len(set(chans)) != len(chans):
+        return Stop(SCOPE, "def", "a channel is passed twice to a call",
+                    ctx=ctx)
+    rest = dict(ctx)
+    for actual, (formal, want) in zip(chans, decl.ctx):
+        if actual not in ctx:
+            return _unknown(actual, ctx, "def")
+        t = ctx[actual]
+        if not call(t, want):
+            return Stop(SHAPE, "def", f"argument {actual} does not match "
+                        f"parameter {formal} of {p.proc}", want, t)
+        del rest[actual]
+    return rest
+
+
+# ---------------------------------------------------------------------------
+# The rules, one per process form.  Each takes (ops, ctx, p, x, offer, call)
+# and returns the premises, as (ctx, q, chan, offer) tuples, or a Stop.
+
+def _fwd(ops, ctx, p, x, offer, call):
+    if p.dest != x:
+        return Stop(SCOPE, "id", f"forward must provide the offered channel {x}")
+    src = p.src
+    if src not in ctx:
+        return Stop(SCOPE, "id", f"forward source {src} is not in the context",
+                    ctx=ctx)
+    if len(ctx) != 1:
+        return Stop(SCOPE, "id", "forward leaves channels unconsumed", ctx=ctx)
+    t = ctx[src]
+    if not ops.type_equal(t, offer):
+        waits = ops.expose(t) is None and ops.expose(offer) is None
+        return Stop(WAIT if waits else SHAPE, "id", "forwarded types differ",
+                    offer, t)
+    return ()
+
+
+def _spawn(ops, ctx, p, x, offer, call):
+    rest = consume_call(ops, ctx, p, call)
+    if type(rest) is Stop:
+        return rest
+    if p.dest in rest or p.dest == x:
+        return _shadows(p.dest, rest, "def")
+    rest[p.dest] = ops.sig.decl(p.proc).offer_type
+    return ((rest, p.cont, x, offer),)
+
+
+def _tail_call(ops, ctx, p, x, offer, call):
+    """With `offer` None the offered types are not compared: reconstruction
+    bridges them itself."""
+    if p.dest != x:
+        return Stop(SCOPE, "def", f"tail call must provide the offered channel "
+                    f"{x}")
+    rest = consume_call(ops, ctx, p, call)
+    if type(rest) is Stop:
+        return rest
+    if rest:
+        return Stop(SCOPE, "def", "tail call leaves channels unconsumed",
+                    ctx=rest)
+    declared = ops.sig.decl(p.proc).offer_type
+    if offer is not None and not call(declared, offer):
+        return Stop(SHAPE, "def", f"offered type of {p.proc} does not match",
+                    offer, declared)
+    return ()
+
+
+def _cut(ops, ctx, p, x, offer, call):
+    dest = p.dest
+    if dest in ctx or dest == x:
+        return _shadows(dest, ctx, "cut")
+    used = free_chans(p.body) - {dest}
+    missing = used - ctx.keys()
+    if missing:
+        return Stop(SCOPE, "cut", f"cut body uses unknown channel(s) "
+                    f"{', '.join(sorted(missing))}", ctx=ctx)
+    ctx_body = {c: t for c, t in ctx.items() if c in used}
+    ctx_cont = {c: t for c, t in ctx.items() if c not in used}
+    ctx_cont[dest] = p.annot
+    return ((ctx_body, p.body, dest, p.annot), (ctx_cont, p.cont, x, offer))
+
+
+# The connective a one-channel action needs and the rule it applies, on the
+# offered channel and on a used one.
+_HEADS = {SendLabel: (Plus, "+R", With, "&L"), Case: (With, "&R", Plus, "+L"),
+          SendChan: (Tensor, "*R", Lolli, "-oL"),
+          RecvChan: (Lolli, "-oR", Tensor, "*L"),
+          Now: (Diamond, "<>R", Box, "[]L"), When: (Box, "[]R", Diamond, "<>L")}
+
+
+def _head(ops, ctx, p, x, offer):
+    """The exposed head of the type of the channel `p` acts on, or the
+    stop."""
+    right, rule_r, left, rule_l = _HEADS[type(p)]
+    chan = p.chan
+    if chan == x:
+        return _exposed(ops, offer, right, chan, rule_r)
+    if chan not in ctx:
+        return _unknown(chan, ctx, rule_l)
+    return _exposed(ops, ctx[chan], left, chan, rule_l)
+
+
+def _send_label(ops, ctx, p, x, offer, call):
+    t = _head(ops, ctx, p, x, offer)
+    if type(t) is Stop:
+        return t
+    on_offer = p.chan == x
+    nxt = branch_get(t.branches, p.label)
+    if nxt is None:
+        return Stop(SHAPE, "+R" if on_offer else "&L", f"label {p.label} is "
+                    f"not {'offered' if on_offer else 'accepted'}",
+                    "|".join(branch_labels(t.branches)), p.label)
+    if on_offer:
+        return ((ctx, p.cont, x, nxt),)
+    return (({**ctx, p.chan: nxt}, p.cont, x, offer),)
+
+
+def _case(ops, ctx, p, x, offer, call):
+    t = _head(ops, ctx, p, x, offer)
+    if type(t) is Stop:
+        return t
+    want = set(branch_labels(t.branches))
+    have = {lab for lab, _ in p.branches}
+    if want != have:
+        return Stop(SHAPE, "&R" if p.chan == x else "+L",
+                    "case branches do not match the protocol labels",
+                    "|".join(sorted(want)), "|".join(sorted(have)))
+    d = dict(t.branches)
+    if p.chan == x:
+        return tuple([(ctx, body, x, d[lab]) for lab, body in p.branches])
+    return tuple([({**ctx, p.chan: d[lab]}, body, x, offer)
+                  for lab, body in p.branches])
+
+
+def _close(ops, ctx, p, x, offer, call):
+    if p.chan != x:
+        return Stop(SCOPE, "1R", f"close must act on the offered channel {x}")
+    t = _exposed(ops, offer, One, x, "1R")
+    if type(t) is Stop:
+        return t
+    if ctx:
+        return Stop(SCOPE, "1R", "close with channels left in the context",
+                    ctx=ctx)
+    return ()
+
+
+def _wait(ops, ctx, p, x, offer, call):
+    chan = p.chan
+    if chan not in ctx:
+        return _unknown(chan, ctx, "1L")
+    t = _exposed(ops, ctx[chan], One, chan, "1L")
+    if type(t) is Stop:
+        return t
+    ctx2 = dict(ctx)
+    del ctx2[chan]
+    return ((ctx2, p.cont, x, offer),)
+
+
+def _send_chan(ops, ctx, p, x, offer, call):
+    payload = p.payload
+    if payload not in ctx:
+        return _unknown(payload, ctx, "send")
+    t = _head(ops, ctx, p, x, offer)
+    if type(t) is Stop:
+        return t
+    pt = ctx[payload]
+    want = t.left if p.chan == x else t.arg
+    if not ops.type_equal(pt, want):
+        return Stop(SHAPE, "*R" if p.chan == x else "-oL",
+                    f"sent channel {payload} has the wrong type", want, pt)
+    ctx2 = dict(ctx)
+    del ctx2[payload]
+    if p.chan == x:
+        return ((ctx2, p.cont, x, t.right),)
+    ctx2[p.chan] = t.cont
+    return ((ctx2, p.cont, x, offer),)
+
+
+def _recv_chan(ops, ctx, p, x, offer, call):
+    t = _head(ops, ctx, p, x, offer)
+    if type(t) is Stop:
+        return t
+    bind = p.bind
+    if bind in ctx or bind == x:
+        return _shadows(bind, ctx, "-oR" if p.chan == x else "*L")
+    if p.chan == x:
+        return (({**ctx, bind: t.arg}, p.cont, x, t.cont),)
+    return (({**ctx, bind: t.left, p.chan: t.right}, p.cont, x, offer),)
+
+
+def _delay(ops, ctx, p, x, offer, call):
+    count = p.count
+    if not isinstance(count, int) or count < 1:
+        return Stop(SCOPE, "()LR", f"delay count must be a ground positive "
+                    f"natural, got {count!r}")
+    shifted = shift_all(ops, ctx, offer, count)
+    if shifted is None:
+        return delay_stop(ops, ctx, offer, count)
+    return ((shifted[0], p.cont, x, shifted[1]),)
+
+
+def _now(ops, ctx, p, x, offer, call):
+    t = _head(ops, ctx, p, x, offer)
+    if type(t) is Stop:
+        return t
+    if p.chan == x:
+        return ((ctx, p.cont, x, t.inner),)
+    return (({**ctx, p.chan: t.inner}, p.cont, x, offer),)
+
+
+def _when(ops, ctx, p, x, offer, call):
+    t = _head(ops, ctx, p, x, offer)
+    if type(t) is Stop:
+        return t
+    if p.chan == x:
+        stop = patience(ops, ctx, "[]R")
+    else:
+        stop = patience(ops, ctx, "<>L", p.chan, offer)
+    if stop is not None:
+        return stop
+    if p.chan == x:
+        return ((ctx, p.cont, x, t.inner),)
+    return (({**ctx, p.chan: t.inner}, p.cont, x, offer),)
+
+
+_RULES = {Fwd: _fwd, Spawn: _spawn, TailCall: _tail_call, Cut: _cut,
+          SendLabel: _send_label, Case: _case, Close: _close, Wait: _wait,
+          SendChan: _send_chan, RecvChan: _recv_chan, Delay: _delay,
+          Now: _now, When: _when}
+
+
+def rule(ops: TypeOps, ctx: Ctx, p: ProcExpr, x: str, offer: SessionType,
+         call):
+    """The rule of p's form for `ctx |- p :: (x : offer)`: the premises, a
+    tuple of (ctx, q, chan, offer) for p's sub-processes q in `subprocs`
+    order, or a `Stop`.  `call` relates a call's argument types to its
+    parameters'.  No rule changes `ctx`, and a premise may share it."""
+    fn = _RULES.get(type(p))
+    if fn is None:
+        return Stop(SCOPE, "?", f"unhandled process form {type(p).__name__}")
+    return fn(ops, ctx, p, x, offer, call)
 
 
 class Checker:
     def __init__(self, ops: TypeOps, call_subtyping: bool = False):
         self.ops = ops
-        self.call_subtyping = call_subtyping
         if call_subtyping:
-            self._sub = lambda a, b: is_subtype(ops, a, b)
+            self.call = lambda a, b: is_subtype(ops, a, b)
         else:
-            self._sub = ops.type_equal
-
-    # ------------------------------------------------------------------
-    def _expose(self, t: SessionType, want, chan: str, rule: str, p) -> SessionType:
-        got = self.ops.expose(t)
-        if got is None:
-            raise _err(f"channel {chan} is not ready for this action",
-                       rule, p, expected=want.__name__, found=fmt_type(t))
-        if not isinstance(got, want):
-            raise _err(f"wrong protocol state on {chan}", rule, p,
-                       expected=want.__name__, found=fmt_type(got))
-        return got
-
-    def _fresh(self, name: str, ctx: Ctx, offer_chan: str, p, rule: str) -> None:
-        if name in ctx or name == offer_chan:
-            raise _err(f"channel name {name} shadows a live channel", rule, p,
-                       ctx=ctx)
+            self.call = ops.type_equal
 
     def check(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
               offer_type: SessionType) -> None:
-        ops = self.ops
-        match p:
-            case Fwd(dest, src):
-                if dest != offer_chan:
-                    raise _err(f"forward must provide the offered channel "
-                               f"{offer_chan}", "id", p)
-                if src not in ctx:
-                    raise _err(f"forward source {src} is not in the context",
-                               "id", p, ctx=ctx)
-                if set(ctx) != {src}:
-                    raise _err("forward leaves channels unconsumed", "id", p,
-                               ctx=ctx)
-                if not ops.type_equal(ctx[src], offer_type):
-                    raise _err("forwarded types differ", "id", p,
-                               expected=fmt_type(offer_type),
-                               found=fmt_type(ctx[src]))
-
-            case Spawn(dest, proc, _, chans, cont):
-                ctx2 = self._consume_call(ctx, proc, chans, p, "def")
-                decl = ops.sig.decl(proc)
-                self._fresh(dest, ctx2, offer_chan, p, "def")
-                ctx2[dest] = decl.offer_type
-                self.check(ctx2, cont, offer_chan, offer_type)
-
-            case TailCall(dest, proc, _, chans):
-                if dest != offer_chan:
-                    raise _err(f"tail call must provide the offered channel "
-                               f"{offer_chan}", "def", p)
-                ctx2 = self._consume_call(ctx, proc, chans, p, "def")
-                if ctx2:
-                    raise _err("tail call leaves channels unconsumed", "def", p,
-                               ctx=ctx2)
-                decl = ops.sig.decl(proc)
-                if not self._sub(decl.offer_type, offer_type):
-                    raise _err(f"offered type of {proc} does not match", "def",
-                               p, expected=fmt_type(offer_type),
-                               found=fmt_type(decl.offer_type))
-
-            case Cut(dest, annot, body, cont):
-                self._fresh(dest, ctx, offer_chan, p, "cut")
-                used = free_chans(body) - {dest}
-                missing = used - set(ctx)
-                if missing:
-                    raise _err(f"cut body uses unknown channel(s) "
-                               f"{', '.join(sorted(missing))}", "cut", p, ctx=ctx)
-                ctx_body = {c: t for c, t in ctx.items() if c in used}
-                ctx_cont = {c: t for c, t in ctx.items() if c not in used}
-                self.check(ctx_body, body, dest, annot)
-                ctx_cont[dest] = annot
-                self.check(ctx_cont, cont, offer_chan, offer_type)
-
-            case SendLabel(chan, label, cont):
-                if chan == offer_chan:
-                    t = self._expose(offer_type, Plus, chan, "+R", p)
-                    nxt = branch_get(t.branches, label)
-                    if nxt is None:
-                        raise _err(f"label {label} is not offered", "+R", p,
-                                   expected="|".join(branch_labels(t.branches)),
-                                   found=label)
-                    self.check(ctx, cont, offer_chan, nxt)
-                else:
-                    t = self._expose(self._use(ctx, chan, p, "&L"), With, chan,
-                                     "&L", p)
-                    nxt = branch_get(t.branches, label)
-                    if nxt is None:
-                        raise _err(f"label {label} is not accepted", "&L", p,
-                                   expected="|".join(branch_labels(t.branches)),
-                                   found=label)
-                    ctx2 = dict(ctx)
-                    ctx2[chan] = nxt
-                    self.check(ctx2, cont, offer_chan, offer_type)
-
-            case Case(chan, branches):
-                if chan == offer_chan:
-                    t = self._expose(offer_type, With, chan, "&R", p)
-                    self._same_labels(t, branches, "&R", p)
-                    d = dict(t.branches)
-                    for lab, body in branches:
-                        self.check(dict(ctx), body, offer_chan, d[lab])
-                else:
-                    t = self._expose(self._use(ctx, chan, p, "+L"), Plus, chan,
-                                     "+L", p)
-                    self._same_labels(t, branches, "+L", p)
-                    d = dict(t.branches)
-                    for lab, body in branches:
-                        ctx2 = dict(ctx)
-                        ctx2[chan] = d[lab]
-                        self.check(ctx2, body, offer_chan, offer_type)
-
-            case Close(chan):
-                if chan != offer_chan:
-                    raise _err(f"close must act on the offered channel "
-                               f"{offer_chan}", "1R", p)
-                self._expose(offer_type, One, chan, "1R", p)
-                if ctx:
-                    raise _err("close with channels left in the context", "1R",
-                               p, ctx=ctx)
-
-            case Wait(chan, cont):
-                self._expose(self._use(ctx, chan, p, "1L"), One, chan, "1L", p)
-                ctx2 = dict(ctx)
-                del ctx2[chan]
-                self.check(ctx2, cont, offer_chan, offer_type)
-
-            case SendChan(chan, payload, cont):
-                pt = self._use(ctx, payload, p, "send")
-                if chan == offer_chan:
-                    t = self._expose(offer_type, Tensor, chan, "*R", p)
-                    if not self.ops.type_equal(pt, t.left):
-                        raise _err(f"sent channel {payload} has the wrong type",
-                                   "*R", p, expected=fmt_type(t.left),
-                                   found=fmt_type(pt))
-                    ctx2 = dict(ctx)
-                    del ctx2[payload]
-                    self.check(ctx2, cont, offer_chan, t.right)
-                else:
-                    t = self._expose(self._use(ctx, chan, p, "-oL"), Lolli,
-                                     chan, "-oL", p)
-                    if not self.ops.type_equal(pt, t.arg):
-                        raise _err(f"sent channel {payload} has the wrong type",
-                                   "-oL", p, expected=fmt_type(t.arg),
-                                   found=fmt_type(pt))
-                    ctx2 = dict(ctx)
-                    del ctx2[payload]
-                    ctx2[chan] = t.cont
-                    self.check(ctx2, cont, offer_chan, offer_type)
-
-            case RecvChan(bind, chan, cont):
-                if chan == offer_chan:
-                    t = self._expose(offer_type, Lolli, chan, "-oR", p)
-                    self._fresh(bind, ctx, offer_chan, p, "-oR")
-                    ctx2 = dict(ctx)
-                    ctx2[bind] = t.arg
-                    self.check(ctx2, cont, offer_chan, t.cont)
-                else:
-                    t = self._expose(self._use(ctx, chan, p, "*L"), Tensor,
-                                     chan, "*L", p)
-                    self._fresh(bind, ctx, offer_chan, p, "*L")
-                    ctx2 = dict(ctx)
-                    ctx2[bind] = t.left
-                    ctx2[chan] = t.right
-                    self.check(ctx2, cont, offer_chan, offer_type)
-
-            case Delay(count, _, cont):
-                if not isinstance(count, int) or count < 1:
-                    raise _err(f"delay count must be a ground positive natural,"
-                               f" got {count!r}", "()LR", p)
-                ctx2, off2 = self._shift_all(ctx, offer_type, p, count)
-                self.check(ctx2, cont, offer_chan, off2)
-
-            case Now(chan, cont):
-                if chan == offer_chan:
-                    t = self._expose(offer_type, Diamond, chan, "<>R", p)
-                    self.check(ctx, cont, offer_chan, t.inner)
-                else:
-                    t = self._expose(self._use(ctx, chan, p, "[]L"), Box, chan,
-                                     "[]L", p)
-                    ctx2 = dict(ctx)
-                    ctx2[chan] = t.inner
-                    self.check(ctx2, cont, offer_chan, offer_type)
-
-            case When(chan, cont):
-                if chan == offer_chan:
-                    t = self._expose(offer_type, Box, chan, "[]R", p)
-                    self._all_patient(ctx, p, "[]R")
-                    self.check(ctx, cont, offer_chan, t.inner)
-                else:
-                    t = self._expose(self._use(ctx, chan, p, "<>L"), Diamond,
-                                     chan, "<>L", p)
-                    rest = {c: u for c, u in ctx.items() if c != chan}
-                    self._all_patient(rest, p, "<>L")
-                    if not self.ops.patient(offer_type, "diamond"):
-                        raise _err("offered type cannot wait for now!", "<>L",
-                                   p, expected="()^n <> _",
-                                   found=fmt_type(offer_type))
-                    ctx2 = dict(ctx)
-                    ctx2[chan] = t.inner
-                    self.check(ctx2, cont, offer_chan, offer_type)
-
-            case _:
-                raise _err(f"unhandled process form {type(p).__name__}", "?", p)
-
-    # ------------------------------------------------------------------
-    def _use(self, ctx: Ctx, chan: str, p, rule: str) -> SessionType:
-        if chan not in ctx:
-            raise _err(f"channel {chan} is not in the context", rule, p,
-                       ctx=ctx)
-        return ctx[chan]
-
-    def _same_labels(self, t, branches, rule, p) -> None:
-        want = set(branch_labels(t.branches))
-        have = {lab for lab, _ in branches}
-        if want != have:
-            raise _err("case branches do not match the protocol labels", rule,
-                       p, expected="|".join(sorted(want)),
-                       found="|".join(sorted(have)))
-
-    def _all_patient(self, ctx: Ctx, p, rule: str) -> None:
-        for c, t in ctx.items():
-            if not self.ops.patient(t, "box"):
-                raise _err(f"channel {c} cannot wait indefinitely", rule, p,
-                           expected="()^n [] _", found=fmt_type(t))
-
-    def _shift_all(self, ctx: Ctx, offer_type: SessionType, p, n: int):
-        """Every type shifted n units, in time independent of n.  When a
-        shift is undefined, the error is the one the unit-by-unit loop
-        raises: the types are shifted as far as all of them allow, and the
-        next unit is taken on its own."""
-        ops = self.ops
-        ctx2 = {c: ops.shift_left_n(t, n) for c, t in ctx.items()}
-        off = ops.shift_right_n(offer_type, n)
-        if off is not None and None not in ctx2.values():
-            return ctx2, off
-        safe = min([self._delay_room(t, Box) for t in ctx.values()]
-                   + [self._delay_room(offer_type, Diamond)])
-        ctx = {c: ops.shift_left_n(t, safe) for c, t in ctx.items()}
-        return self._shift_unit(ctx, ops.shift_right_n(offer_type, safe), p)
-
-    def _delay_room(self, t: SessionType, keeps) -> float:
-        """How many unit shifts t allows: its leading delays, unless a
-        `keeps` head or an infinite delay tower allows any number."""
-        count, base = self.ops.strip(t)
-        return float("inf") if isinstance(base, (keeps, TypeName)) else count
-
-    def _shift_unit(self, ctx: Ctx, offer_type: SessionType, p):
-        ctx2: Ctx = {}
-        for c, t in ctx.items():
-            s = self.ops.shift_left(t)
-            if s is None:
-                raise _err(f"channel {c} does not allow a delay", "()LR", p,
-                           found=fmt_type(t))
-            ctx2[c] = s
-        off = self.ops.shift_right(offer_type)
-        if off is None:
-            raise _err("offered type does not allow a delay", "()LR", p,
-                       found=fmt_type(offer_type))
-        return ctx2, off
-
-    def _consume_call(self, ctx: Ctx, proc: str, chans, p, rule: str) -> Ctx:
-        decl = self.ops.sig.decl(proc)
-        if len(chans) != len(decl.ctx):
-            raise _err(f"{proc} takes {len(decl.ctx)} channel(s), got "
-                       f"{len(chans)}", rule, p)
-        if len(set(chans)) != len(chans):
-            raise _err("a channel is passed twice to a call", rule, p, ctx=ctx)
-        ctx2 = dict(ctx)
-        for actual, (formal, want) in zip(chans, decl.ctx):
-            t = self._use(ctx, actual, p, rule)
-            if not self._sub(t, want):
-                raise _err(f"argument {actual} does not match parameter "
-                           f"{formal} of {proc}", rule, p,
-                           expected=fmt_type(want), found=fmt_type(t))
-            del ctx2[actual]
-        return ctx2
+        got = rule(self.ops, ctx, p, offer_chan, offer_type, self.call)
+        if type(got) is Stop:
+            raise got.error(p)
+        for sequent in got:
+            self.check(*sequent)
 
 
 def check_process(ops: TypeOps, ctx: Ctx, p: ProcExpr, offer_chan: str,

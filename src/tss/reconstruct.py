@@ -1,12 +1,19 @@
 """Time reconstruction: typecheck tick-annotated source with no explicit
 temporal actions and elaborate it into an explicit program.
 
-The search is driven by the head action of the process.  Between structural
-steps it may insert a unit delay (shifting every channel), a now!/when? on
-the offered channel, or a now!/when? on a used channel, subject to the same
-side conditions the explicit checker enforces.  Choice points (now! against
-delay, and so on) backtrack; failed goals are memoized; delays are placed as
-late as possible by trying every action-free candidate before a delay.
+The search reads the explicit system's rules (`checker.rule`), driven by
+the head action of the process.  When a rule stops, its kind says whether
+a temporal step may help: a scope stop fails the goal, a shape stop is
+recorded as the goal's failure and the temporal steps are tried, and a
+wait stop (a type not yet exposed) tries them silently: only when no step
+applies at all is it recorded, as the undefined delay says it
+(`checker.delay_stop`), or as itself where a delay changes no type.
+The temporal steps are a unit delay (shifting every channel), a now!/when?
+on the offered channel, or a now!/when? on a used channel, under the side
+conditions the explicit rules state.  Choice points (now! against delay,
+and so on) backtrack; failed goals are memoized; delays are placed as late
+as possible by trying every action-free candidate before a delay.  A tick
+is the delay the cost model asked for, so no further delay is tried there.
 
 A delay is always the last candidate, so a goal that takes one returns what
 its shifted goal returns behind one more delay unit: `_Elab.elab` follows a
@@ -23,13 +30,13 @@ declared one is expanded into a spawn followed by a bridged forward.
 
 from __future__ import annotations
 
-from .ast import (Box, Case, Close, Cut, DefClause, Delay, Diamond, Fwd, Lolli,
-                  Now, One, Origin, Plus, ProcDef, ProcExpr, RecvChan,
-                  SendChan, SendLabel, SessionType, Signature, Spawn, TailCall,
-                  Tensor, Wait, When, With, branch_get, branch_labels,
-                  free_chans, map_subprocs, own_chans, subprocs)
+from .ast import (Box, Case, Close, DefClause, Delay, Diamond, Fwd, Now,
+                  Origin, ProcDef, ProcExpr, RecvChan, SendChan, SendLabel,
+                  SessionType, Signature, Spawn, TailCall, Wait, When,
+                  map_subprocs, own_chans, subprocs, with_subprocs)
+from .checker import (SCOPE, SHAPE, WAIT, Stop, delay_stop, patience, rule,
+                      shift_all)
 from .errors import ReconstructionError, SessionTypeError
-from .printer import fmt_type
 from .subtyping import is_subtype
 from .typeops import TypeOps
 
@@ -71,31 +78,26 @@ _SILENT_HEADS = (Fwd, SendLabel, SendChan, RecvChan, Case, Close, Wait)
 class _Elab:
     def __init__(self, ops: TypeOps, budget: int):
         self.ops = ops
+        self.call = lambda a, b: is_subtype(ops, a, b)
         self.budget = budget
         self.done: dict = {}  # goal -> elaborated term or None
         self.bridges: dict[int, Fwd] = {}  # id(tail call) -> bridging forward
         self.best_depth = -1
-        self._best = None  # (node or None, message or message thunk)
+        self._best: tuple[ProcExpr, Stop] | None = None
 
-    def _give_up(self, depth: int, p, msg) -> None:
-        """Record a failure at `depth`.  `msg` is a string or a function
-        returning one; it is formatted only when `best_msg` is read."""
+    def _give_up(self, depth: int, p: ProcExpr, stop: Stop) -> None:
+        """Record that the goal at `p` failed at `depth` with `stop`."""
         if depth >= self.best_depth:
             self.best_depth = depth
-            self._best = (p, msg)
+            self._best = (p, stop)
 
     @property
     def best_msg(self) -> str:
-        """The deepest failure, placed at its node when it has one."""
+        """The deepest failure, as the explicit checker reports it."""
         if self._best is None:
             return "no goal attempted"
-        p, msg = self._best
-        if callable(msg):
-            msg = msg()
-        if p is None:
-            return msg
-        at = f" {p.pos[0]}:{p.pos[1]}" if p.pos else ""
-        return f"{msg} [at {type(p).__name__}{at}]"
+        p, stop = self._best
+        return str(stop.error(p))
 
     # ------------------------------------------------------------------
     def elab(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
@@ -137,27 +139,29 @@ class _Elab:
     # ------------------------------------------------------------------
     def _temporals(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
                    offer: SessionType, with_delay: bool):
-        """Applicable temporal steps.  Steps aimed at a channel the head
-        action needs come first, every action-free step precedes a delay.
-        A delay's data is (units, shifted ctx, shifted offer): when it is
-        the only step of a silent head, the goals of the next m - 1 units
-        (m the least leading-delay count) would be forced the same way, so
-        it shifts m units at once."""
+        """Applicable temporal steps, or None when there are none because
+        the delay is undefined.  A step is (Now or When, its channel, the
+        type that channel takes, whether it is the offered one), or (None,
+        None, data, False) for the delay.  Steps aimed at a channel the
+        head action needs come first, every action-free step precedes a
+        delay.  A delay's data is (units, shifted ctx, shifted offer): when
+        it is the only step of a silent head, the goals of the next m - 1
+        units (m the least leading-delay count) would be forced the same
+        way, so it shifts m units at once."""
         ops = self.ops
         out = []
         ob = ops.expose(offer)
         if isinstance(ob, Diamond):
-            out.append(("now_offer", offer_chan, ob.inner))
-        if isinstance(ob, Box) and all(ops.patient(t, "box") for t in ctx.values()):
-            out.append(("when_offer", offer_chan, ob.inner))
+            out.append((Now, offer_chan, ob.inner, True))
+        if isinstance(ob, Box) and patience(ops, ctx, "[]R") is None:
+            out.append((When, offer_chan, ob.inner, True))
         for y, ty in ctx.items():
             base = ops.expose(ty)
             if isinstance(base, Box):
-                out.append(("now_ctx", y, base.inner))
-            elif isinstance(base, Diamond):
-                if ops.patient(offer, "diamond") and \
-                        all(ops.patient(t, "box") for c, t in ctx.items() if c != y):
-                    out.append(("when_ctx", y, base.inner))
+                out.append((Now, y, base.inner, False))
+            elif isinstance(base, Diamond) and \
+                    patience(ops, ctx, "<>L", y, offer) is None:
+                out.append((When, y, base.inner, False))
         if len(out) > 1:
             # The head's own channels; a cut or a tick names none, and then
             # any channel may need attention.  A forward or a tail call has
@@ -165,65 +169,46 @@ class _Elab:
             targets = own_chans(p) or (offer_chan, *ctx)
             out.sort(key=lambda c: c[1] not in targets)
         if with_delay:
-            shifted = self._shift_all(ctx, offer)
-            if shifted is not None:
-                sctx, soff = shifted
-                progress = soff is not offer or any(sctx[c] is not ctx[c]
-                                                    for c in ctx)
-                if progress:
-                    units = 1
-                    if not out and isinstance(p, _SILENT_HEADS):
-                        # Every shift was defined and nothing is exposed,
-                        # so every type has a leading delay.
-                        units = min(ops.strip(t)[0]
-                                    for t in (offer, *ctx.values()))
-                        if units > 1:
-                            sctx, soff = self._shift_all(ctx, offer, units)
-                    out.append(("delay", None, (units, sctx, soff)))
+            shifted = shift_all(ops, ctx, offer, 1)
+            if shifted is None:
+                return out or None
+            sctx, soff = shifted
+            if soff is not offer or any(sctx[c] is not ctx[c] for c in ctx):
+                units = 1
+                if not out and isinstance(p, _SILENT_HEADS):
+                    # Every shift was defined and nothing is exposed, so
+                    # every type has a leading delay.
+                    units = min(ops.strip(t)[0]
+                                for t in (offer, *ctx.values()))
+                    if units > 1:
+                        sctx, soff = shift_all(ops, ctx, offer, units)
+                out.append((None, None, (units, sctx, soff), False))
         return out
-
-    def _shift_all(self, ctx: Ctx, offer: SessionType, n: int = 1):
-        ops = self.ops
-        sctx: Ctx = {}
-        for c, t in ctx.items():
-            s = ops.shift_left_n(t, n)
-            if s is None:
-                return None
-            sctx[c] = s
-        soff = ops.shift_right_n(offer, n)
-        if soff is None:
-            return None
-        return sctx, soff
 
     def _try_temporals(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
                        offer: SessionType, depth: int,
-                       with_delay: bool = True):
+                       wait: Stop | None = None, with_delay: bool = True):
         """The first temporal step that elaborates, or, when only the delay
-        is left, its (units, ctx, offer) for `elab` to continue with."""
-        for kind, y, data in self._temporals(ctx, p, offer_chan, offer,
-                                             with_delay):
-            if kind == "now_offer":
-                sub = self.elab(ctx, p, offer_chan, data, depth + 1)
-                if sub is not None:
-                    return Now(offer_chan, sub)
-            elif kind == "when_offer":
-                sub = self.elab(ctx, p, offer_chan, data, depth + 1)
-                if sub is not None:
-                    return When(offer_chan, sub)
-            elif kind == "now_ctx":
-                ctx2 = dict(ctx)
-                ctx2[y] = data
-                sub = self.elab(ctx2, p, offer_chan, offer, depth + 1)
-                if sub is not None:
-                    return Now(y, sub)
-            elif kind == "when_ctx":
-                ctx2 = dict(ctx)
-                ctx2[y] = data
-                sub = self.elab(ctx2, p, offer_chan, offer, depth + 1)
-                if sub is not None:
-                    return When(y, sub)
-            else:  # delay, always the last step
+        is left, its (units, ctx, offer) for `elab` to continue with.  A
+        goal stopped by `wait` that has no step at all fails as the delay
+        does, or as `wait` says when a delay would change no type (an
+        infinite delay tower)."""
+        steps = self._temporals(ctx, p, offer_chan, offer, with_delay)
+        if not steps:
+            if wait is not None:
+                self._give_up(depth, p, wait if steps == [] else
+                              delay_stop(self.ops, ctx, offer, 1))
+            return None
+        for form, y, data, on_offer in steps:
+            if form is None:  # the delay, always the last step
                 return data
+            if on_offer:
+                sub = self.elab(ctx, p, offer_chan, data, depth + 1)
+            else:
+                sub = self.elab({**ctx, y: data}, p, offer_chan, offer,
+                                depth + 1)
+            if sub is not None:
+                return form(y, sub)
         return None
 
     def _bridge(self, p: TailCall) -> Fwd:
@@ -238,314 +223,62 @@ class _Elab:
             fwd = self.bridges[id(p)] = Fwd(p.dest, fresh, pos=p.pos)
         return fwd
 
-    def _exposed(self, t: SessionType, want: type, chan: str, depth: int,
-                 p: ProcExpr):
-        """`t` exposed, if it is a `want`.  Otherwise None, and when `t` is
-        exposed at another connective, the goal at `p` is recorded as
-        failed."""
-        base = self.ops.expose(t)
-        if isinstance(base, want):
-            return base
-        if base is not None:
-            self._give_up(depth, p, lambda: f"wrong protocol state on {chan} "
-                          f"(expected {want.__name__}, found "
-                          f"{fmt_type(base)})")
+    def _bridged(self, p: TailCall, offer_chan: str, offer: SessionType,
+                 depth: int) -> ProcExpr | None:
+        """A tail call that has taken its channels, offering `offer`: the
+        call itself when it declares that type, else a spawn followed by a
+        forward from the declared type to it."""
+        declared = self.ops.sig.decl(p.proc).offer_type
+        if self.ops.type_equal(declared, offer):
+            return p
+        fwd = self._bridge(p)
+        best = self.best_depth, self._best
+        bridge = self.elab({fwd.src: declared}, fwd, offer_chan, offer,
+                           depth + 1)
+        if bridge is not None:
+            return Spawn(fwd.src, p.proc, p.args, p.chans, bridge, True, p.pos)
+        # A failed bridge is the call's failure, not its forward's: the
+        # call names both offered types.
+        self.best_depth, self._best = best
+        self._give_up(depth, p, Stop(SHAPE, "def", f"offered type of {p.proc} "
+                                     f"cannot be bridged", offer, declared))
         return None
 
     # ------------------------------------------------------------------
     def _goal(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
               offer: SessionType, depth: int):
-        ops = self.ops
-        fail = self._give_up
-
-        match p:
-            case Delay(count, origin, cont):
-                if origin is not Origin.TICK or count != 1:
-                    raise ReconstructionError(
-                        "input already contains explicit delays")
-                shifted = self._shift_all(ctx, offer)
-                if shifted is not None:
-                    sub = self.elab(shifted[0], cont, offer_chan, shifted[1],
-                                    depth + 1)
-                    if sub is not None:
-                        return Delay(1, Origin.TICK, sub, p.pos)
-                else:
-                    fail(depth, p, "a tick is not permitted here")
-                return self._try_temporals(ctx, p, offer_chan, offer, depth,
-                                           with_delay=False)
-
-            case When() | Now():
-                raise ReconstructionError(
-                    "input already contains when?/now! actions")
-
-            case Fwd(dest, src):
-                if dest != offer_chan:
-                    fail(depth, p, f"forward must provide {offer_chan}")
-                    return None
-                if src not in ctx:
-                    fail(depth, p, f"forward source {src} is not available")
-                    return None
-                if len(ctx) != 1:
-                    fail(depth, p, "forward leaves channels unconsumed")
-                    return None
-                if ops.type_equal(ctx[src], offer):
-                    return p
-                out = self._try_temporals(ctx, p, offer_chan, offer, depth)
-                if out is None:
-                    fail(depth, p, lambda: f"forwarded types differ (expected "
-                         f"{fmt_type(offer)}, found {fmt_type(ctx[src])})")
+        cls = type(p)
+        if cls is When or cls is Now:
+            raise ReconstructionError(
+                "input already contains when?/now! actions")
+        # A tail call's offered type is bridged here, not compared.
+        got = rule(self.ops, ctx, p, offer_chan,
+                   None if cls is TailCall else offer, self.call)
+        # A tick is the delay itself: no other delay is tried in its place.
+        with_delay = cls is not Delay
+        if type(got) is Stop:
+            if got.kind != WAIT:
+                self._give_up(depth, p, got)
+            if got.kind == SCOPE:
+                return None
+            return self._try_temporals(ctx, p, offer_chan, offer, depth,
+                                       got if got.kind == WAIT else None,
+                                       with_delay)
+        if cls is TailCall:
+            out = self._bridged(p, offer_chan, offer, depth)
+            if out is not None:
                 return out
-
-            case SendLabel(chan, label, cont):
-                if chan == offer_chan:
-                    base = self._exposed(offer, Plus, chan, depth, p)
-                    if base is not None:
-                        nxt = branch_get(base.branches, label)
-                        if nxt is None:
-                            fail(depth, p, lambda: f"label {label} is not "
-                                 f"offered by {fmt_type(offer)}")
-                        else:
-                            sub = self.elab(ctx, cont, offer_chan, nxt, depth + 1)
-                            if sub is not None:
-                                return SendLabel(chan, label, sub, p.pos)
-                elif chan in ctx:
-                    base = self._exposed(ctx[chan], With, chan, depth, p)
-                    if base is not None:
-                        nxt = branch_get(base.branches, label)
-                        if nxt is None:
-                            fail(depth, p,
-                                 f"label {label} is not accepted on {chan}")
-                        else:
-                            ctx2 = dict(ctx)
-                            ctx2[chan] = nxt
-                            sub = self.elab(ctx2, cont, offer_chan, offer,
-                                            depth + 1)
-                            if sub is not None:
-                                return SendLabel(chan, label, sub, p.pos)
-                else:
-                    fail(depth, p, f"unknown channel {chan}")
-                    return None
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case Case(chan, branches):
-                if chan == offer_chan:
-                    base = self._exposed(offer, With, chan, depth, p)
-                    if base is not None:
-                        got = self._case_commit(ctx, branches, base, chan,
-                                                offer_chan, offer, True, p, depth)
-                        if got is not None:
-                            return got
-                elif chan in ctx:
-                    base = self._exposed(ctx[chan], Plus, chan, depth, p)
-                    if base is not None:
-                        got = self._case_commit(ctx, branches, base, chan,
-                                                offer_chan, offer, False, p, depth)
-                        if got is not None:
-                            return got
-                else:
-                    fail(depth, p, f"unknown channel {chan}")
-                    return None
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case Close(chan):
-                if chan != offer_chan:
-                    fail(depth, p, f"close must act on {offer_chan}")
-                    return None
-                if self._exposed(offer, One, chan, depth, p) is not None:
-                    if not ctx:
-                        return p
-                    fail(depth, p, "close with channels left in the context")
-                    return None
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case Wait(chan, cont):
-                if chan not in ctx:
-                    fail(depth, p, f"unknown channel {chan}")
-                    return None
-                if self._exposed(ctx[chan], One, chan, depth, p) is not None:
-                    ctx2 = dict(ctx)
-                    del ctx2[chan]
-                    sub = self.elab(ctx2, cont, offer_chan, offer, depth + 1)
-                    if sub is not None:
-                        return Wait(chan, sub, p.pos)
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case SendChan(chan, payload, cont):
-                if payload not in ctx:
-                    fail(depth, p, f"unknown payload channel {payload}")
-                    return None
-                pt = ctx[payload]
-                if chan == offer_chan:
-                    base = self._exposed(offer, Tensor, chan, depth, p)
-                    if base is not None and ops.type_equal(pt, base.left):
-                        ctx2 = dict(ctx)
-                        del ctx2[payload]
-                        sub = self.elab(ctx2, cont, offer_chan, base.right,
-                                        depth + 1)
-                        if sub is not None:
-                            return SendChan(chan, payload, sub, p.pos)
-                    elif base is not None:
-                        fail(depth, p, lambda: f"payload {payload} : "
-                             f"{fmt_type(pt)} does not match "
-                             f"{fmt_type(base.left)}")
-                elif chan in ctx:
-                    base = self._exposed(ctx[chan], Lolli, chan, depth, p)
-                    if base is not None and ops.type_equal(pt, base.arg):
-                        ctx2 = dict(ctx)
-                        del ctx2[payload]
-                        ctx2[chan] = base.cont
-                        sub = self.elab(ctx2, cont, offer_chan, offer, depth + 1)
-                        if sub is not None:
-                            return SendChan(chan, payload, sub, p.pos)
-                    elif base is not None:
-                        fail(depth, p, lambda: f"payload {payload} : "
-                             f"{fmt_type(pt)} does not match "
-                             f"{fmt_type(base.arg)}")
-                else:
-                    fail(depth, p, f"unknown channel {chan}")
-                    return None
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case RecvChan(bind, chan, cont):
-                if bind in ctx or bind == offer_chan:
-                    fail(depth, p,
-                         f"received channel name {bind} shadows a live channel")
-                    return None
-                if chan == offer_chan:
-                    base = self._exposed(offer, Lolli, chan, depth, p)
-                    if base is not None:
-                        ctx2 = dict(ctx)
-                        ctx2[bind] = base.arg
-                        sub = self.elab(ctx2, cont, offer_chan, base.cont,
-                                        depth + 1)
-                        if sub is not None:
-                            return RecvChan(bind, chan, sub, p.pos)
-                elif chan in ctx:
-                    base = self._exposed(ctx[chan], Tensor, chan, depth, p)
-                    if base is not None:
-                        ctx2 = dict(ctx)
-                        ctx2[bind] = base.left
-                        ctx2[chan] = base.right
-                        sub = self.elab(ctx2, cont, offer_chan, offer, depth + 1)
-                        if sub is not None:
-                            return RecvChan(bind, chan, sub, p.pos)
-                else:
-                    fail(depth, p, f"unknown channel {chan}")
-                    return None
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case Cut(dest, annot, body, cont):
-                if dest in ctx or dest == offer_chan:
-                    fail(depth, p, f"cut channel {dest} shadows a live channel")
-                    return None
-                used = free_chans(body) - {dest}
-                if not used <= set(ctx):
-                    fail(depth, p, f"cut body uses unknown channels "
-                         f"{', '.join(sorted(used - set(ctx)))}")
-                    return None
-                ctx_body = {c: t for c, t in ctx.items() if c in used}
-                ctx_cont = {c: t for c, t in ctx.items() if c not in used}
-                eb = self.elab(ctx_body, body, dest, annot, depth + 1)
-                if eb is not None:
-                    ctx_cont = dict(ctx_cont)
-                    ctx_cont[dest] = annot
-                    ec = self.elab(ctx_cont, cont, offer_chan, offer, depth + 1)
-                    if ec is not None:
-                        return Cut(dest, annot, eb, ec, p.pos)
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case Spawn(dest, proc, args, chans, cont, via):
-                if dest in ctx or dest == offer_chan:
-                    fail(depth, p,
-                         f"spawned channel {dest} shadows a live channel")
-                    return None
-                ctx2 = self._consume(ctx, p, proc, chans, depth)
-                if ctx2 is not None:
-                    decl = ops.sig.decl(proc)
-                    ctx2[dest] = decl.offer_type
-                    sub = self.elab(ctx2, cont, offer_chan, offer, depth + 1)
-                    if sub is not None:
-                        return Spawn(dest, proc, args, chans, sub, via, p.pos)
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-            case TailCall(dest, proc, args, chans):
-                if dest != offer_chan:
-                    fail(depth, p, f"tail call must provide {offer_chan}")
-                    return None
-                if set(ctx) != set(chans):
-                    fail(depth, p,
-                         "tail call does not consume the context exactly")
-                    return None
-                ctx2 = self._consume(ctx, p, proc, chans, depth)
-                if ctx2 is not None:
-                    decl = ops.sig.decl(proc)
-                    if ops.type_equal(decl.offer_type, offer):
-                        return p
-                    # Bridge the offered type through an explicit forward.
-                    fwd = self._bridge(p)
-                    best = self.best_depth, self._best
-                    bridge = self.elab({fwd.src: decl.offer_type}, fwd,
-                                       offer_chan, offer, depth + 1)
-                    if bridge is not None:
-                        return Spawn(fwd.src, proc, args, chans, bridge, True,
-                                     p.pos)
-                    # A failed bridge is the call's failure, not its
-                    # forward's: the call names both offered types.
-                    self.best_depth, self._best = best
-                    fail(depth, p, lambda: f"offered type of {proc} "
-                         f"({fmt_type(decl.offer_type)}) cannot be bridged "
-                         f"to {fmt_type(offer)}")
-                return self._try_temporals(ctx, p, offer_chan, offer, depth)
-
-        raise AssertionError(f"unknown process node {p!r}")
-
-    # ------------------------------------------------------------------
-    def _case_commit(self, ctx, branches, base, chan, offer_chan, offer,
-                     on_offer: bool, p, depth: int):
-        want = set(branch_labels(base.branches))
-        have = {lab for lab, _ in branches}
-        if want != have:
-            self._give_up(depth, None, lambda: f"case on {chan} has branches "
-                          f"{sorted(have)} but the protocol offers "
-                          f"{sorted(want)}")
-            return None
-        d = dict(base.branches)
-        out = []
-        for lab, body in branches:
-            if on_offer:
-                sub = self.elab(dict(ctx), body, offer_chan, d[lab], depth + 1)
+        else:
+            subs = []
+            for sequent in got:
+                sub = self.elab(*sequent, depth + 1)
+                if sub is None:
+                    break
+                subs.append(sub)
             else:
-                ctx2 = dict(ctx)
-                ctx2[chan] = d[lab]
-                sub = self.elab(ctx2, body, offer_chan, offer, depth + 1)
-            if sub is None:
-                return None
-            out.append((lab, sub))
-        return Case(chan, tuple(out), p.pos)
-
-    def _consume(self, ctx: Ctx, p: ProcExpr, proc: str, chans, depth: int):
-        decl = self.ops.sig.decl(proc)
-        if len(chans) != len(decl.ctx):
-            self._give_up(depth, p, f"{proc} takes {len(decl.ctx)} channel(s), "
-                          f"got {len(chans)}")
-            return None
-        if len(set(chans)) != len(chans):
-            self._give_up(depth, p, "a channel is passed twice to a call")
-            return None
-        ctx2 = dict(ctx)
-        for actual, (formal, want) in zip(chans, decl.ctx):
-            if actual not in ctx:
-                self._give_up(depth, p, f"unknown channel {actual}")
-                return None
-            got = ctx[actual]
-            if not is_subtype(self.ops, got, want):
-                self._give_up(depth, p, lambda: f"argument {actual} : "
-                              f"{fmt_type(got)} is not a subtype of "
-                              f"{fmt_type(want)} (parameter {formal} of "
-                              f"{proc})")
-                return None
-            del ctx2[actual]
-        return ctx2
+                return with_subprocs(p, subs) if subs else p
+        return self._try_temporals(ctx, p, offer_chan, offer, depth,
+                                   with_delay=with_delay)
 
 
 def elaborate_process(ops: TypeOps, ctx: Ctx, p: ProcExpr, offer_chan: str,

@@ -206,10 +206,12 @@ proc x <- f <- y = delay{1000000000} ; close x
 
 
 def test_delay_of_n_units_matches_n_unit_delays():
-    # The n-unit shift of a Delay node returns the unit loop's context, or
-    # raises its error: same rule, same message, same channel, same type.
-    from tss.ast import Box, Diamond, One, next_type
-    from tss.checker import Checker
+    # The n-unit shift of a Delay node (`shift_all`, or `delay_stop` when it
+    # is undefined) gives the unit loop's context, or its error: same rule,
+    # same message, same channel, same type.
+    from tss.ast import Box, Close, Diamond, One, next_type
+    from tss.checker import Stop, delay_stop, rule, shift_all
+    from tss.printer import fmt_type
     sig = parse_program("""
 type x = ()x
 type u = ()v
@@ -218,21 +220,36 @@ type a = ()b
 type b = ()^2 []1
 type d = ()<>1
 """)
-    checker = Checker(TypeOps(sig))
+    ops = TypeOps(sig)
     bases = [One(), Box(One()), Diamond(One()), TypeName("x"), TypeName("u"),
              TypeName("a"), TypeName("d")]
     types = [next_type(k, b) for k in range(4) for b in bases]
     node = Delay(1, Origin.SOURCE, None)
 
-    def outcome(shift):
-        try:
-            return shift()
-        except SessionTypeError as e:
+    def n_units(ctx, offer, n):
+        shifted = shift_all(ops, ctx, offer, n)
+        got = rule(ops, ctx, Delay(n, Origin.SOURCE, Close("x")), "x", offer,
+                   ops.type_equal)
+        if shifted is None:
+            e = delay_stop(ops, ctx, offer, n).error(node)
+            assert isinstance(got, Stop) and str(got.error(node)) == str(e)
             return str(e), e.rule, e.found
+        assert got == ((shifted[0], Close("x"), "x", shifted[1]),)
+        return shifted
 
     def unit_loop(ctx, offer, n):
         for _ in range(n):
-            ctx, offer = checker._shift_unit(ctx, offer, node)
+            for c, t in ctx.items():
+                if ops.shift_left(t) is None:
+                    return (f"[()LR] channel {c} does not allow a delay "
+                            f"(expected ?, found {fmt_type(t)})", "()LR",
+                            fmt_type(t))
+            if ops.shift_right(offer) is None:
+                return (f"[()LR] offered type does not allow a delay "
+                        f"(expected ?, found {fmt_type(offer)})", "()LR",
+                        fmt_type(offer))
+            ctx = {c: ops.shift_left(t) for c, t in ctx.items()}
+            offer = ops.shift_right(offer)
         return ctx, offer
 
     for i, left in enumerate(types):
@@ -240,9 +257,7 @@ type d = ()<>1
             for offer in types[i % 3::3]:
                 ctx = {"y": left, "z": right}
                 for n in range(1, 8):
-                    assert outcome(lambda: checker._shift_all(
-                        ctx, offer, node, n)) == outcome(
-                        lambda: unit_loop(ctx, offer, n))
+                    assert n_units(ctx, offer, n) == unit_loop(ctx, offer, n)
 
 
 def test_checker_and_reconstruction_reject_a_channel_count_mismatch_alike():
@@ -336,3 +351,30 @@ def test_a_rejected_sequent_is_never_remembered():
         assert _message(sequents.check, ctx, dcl.body, dcl.dest, bits) == cold
     assert (dcl.body, frozenset(ctx.items()), dcl.dest, bits) \
         not in sequents.accepted
+
+
+def test_every_process_form_has_a_rule():
+    # Both engines read `rule`, so a form it does not know would reach
+    # neither; the table below must name every form `ast` has.
+    from tss.ast import (CHAN_FIELDS, ONE, Case, Close, Cut, Fwd, Now,
+                         RecvChan, SendChan, SendLabel, Spawn, TailCall, Wait,
+                         When)
+    from tss.checker import Stop, rule
+    ops = TypeOps(parse_program("decl f : (y : 1) |- (x : 1)"))
+    end = Close("x")
+    nodes = [Spawn("z", "f", (), ("y",), end), TailCall("x", "f", (), ("y",)),
+             Cut("z", ONE, Close("z"), end), Fwd("x", "y"),
+             SendLabel("x", "a", end), Case("y", (("a", end),)), end,
+             Wait("y", end), SendChan("x", "y", end), RecvChan("z", "x", end),
+             Delay(1, Origin.SOURCE, end), When("x", end), Now("x", end)]
+    assert {type(p) for p in nodes} == set(CHAN_FIELDS)
+
+    def unhandled(got):
+        return isinstance(got, Stop) and got.msg.startswith(
+            "unhandled process form")
+
+    for p in nodes:
+        for chan, offer in (("x", ONE), ("y", Plus((("a", ONE),)))):
+            assert not unhandled(rule(ops, {"y": ONE}, p, chan, offer,
+                                      ops.type_equal)), p
+    assert unhandled(rule(ops, {}, object(), "x", ONE, ops.type_equal))

@@ -1,18 +1,22 @@
 import gc
+import random
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
 
 from fuzzgen import gen_program, strip_temporal
 from tss import reconstruct
-from tss.ast import (Close, DefClause, Delay, Origin, ProcDef, Signature,
-                     TailCall, TypeName)
+from tss.ast import (Close, DefClause, Delay, Origin, ProcDef, RecvChan,
+                     SendChan, SendLabel, Signature, TailCall, TypeName, Wait,
+                     subprocs, with_subprocs)
 from tss.checker import check_signature
 from tss.corpus import check_specs, source
 from tss.cost import instrument
 from tss.errors import ReconstructionError
 from tss.instantiate import instantiate_many
 from tss.parser import parse_program
+from tss.pipeline import load
 from tss.printer import fmt_proc, pretty_print
 from tss.reconstruct import (FwdElaborator, _Elab, elaborate_signature,
                              erase_reconstructed)
@@ -116,16 +120,20 @@ proc x <- plus1 <- y =
     # The failure names the forward that no temporal step can repair.
     assert str(errors[0]) == (
         "in plus1: no temporal elaboration exists; deepest failing goal: "
-        "forwarded types differ (expected ()bits, found bits) [at Fwd 5:25]")
+        "5:25 [id] forwarded types differ (expected ()bits, found bits)")
     # Nor do actions on a channel whose type has another connective, and
     # the failure names the goal and its position.
     for text, goal in [
             ("decl f : . |- (x : 1)\nproc x <- f = x.b0 ; close x\n",
-             "wrong protocol state on x (expected Plus, found 1) "
-             "[at SendLabel 2:15]"),
+             "2:15 [+R] wrong protocol state on x (expected Plus, found 1)"),
             ("decl f : . |- (x : +{a : 1})\nproc x <- f = close x\n",
-             "wrong protocol state on x (expected One, found +{a : 1}) "
-             "[at Close 2:15]")]:
+             "2:15 [1R] wrong protocol state on x (expected One, found "
+             "+{a : 1})"),
+            # A wait on an infinite delay tower, which no delay changes.
+            ("type t = ()t\ntype s = ()s\ndecl f : (y : t) |- (x : s)\n"
+             "proc x <- f <- y = wait y ; close x\n",
+             "4:20 [1L] channel y is not ready for this action (expected "
+             "One, found t)")]:
         _, errors = elaborate_signature(parse_program(text))
         assert [str(e) for e in errors] == [
             f"in f: no temporal elaboration exists; deepest failing goal: "
@@ -311,7 +319,9 @@ def test_a_long_bridge_search_runs_out_of_budget():
     assert len(errors) == 1 and isinstance(errors[0], ReconstructionError)
     msg = str(errors[0])
     assert msg.startswith("in f: search budget exhausted; deepest goal: "
-                          "offered type of g (1) cannot be bridged to ()^")
+                          "5:15 [def] offered type of g cannot be bridged "
+                          "(expected ()^")
+    assert msg.endswith(" 1, found 1)")
 
 
 def test_no_adjacent_reconstruction_delays():
@@ -353,3 +363,62 @@ def test_silent_runs_jump_to_the_same_elaboration(monkeypatch):
     jumped = outcomes()
     monkeypatch.setattr(reconstruct, "_SILENT_HEADS", ())
     assert outcomes() == jumped
+
+
+SPAWN_REUSES_A_CONSUMED_NAME = """
+decl g : (y : 1) |- (x : 1)
+proc x <- g <- y = wait y ; close x
+decl f : (y : 1) |- (x : 1)
+proc x <- f <- y = y <- g <- y ; wait y ; close x
+"""
+
+
+def test_a_spawn_may_reuse_the_name_of_a_channel_its_call_takes():
+    # The spawned channel is fresh once the call has taken its arguments:
+    # the explicit checker and reconstruction read the one spawn rule.
+    sig = parse_program(SPAWN_REUSES_A_CONSUMED_NAME)
+    assert not check_signature(sig)
+    prog = load(SPAWN_REUSES_A_CONSUMED_NAME, [], {}, "free")
+    assert (prog.verdict, prog.errors) == ("ok", [])
+    for name, pdef in sig.procdefs.items():
+        assert prog.elab.procdefs[name].clauses[0].body == \
+            pdef.clauses[0].body
+
+
+# Actions with one continuation, which a mutant leaves out.
+_DROPPABLE = (SendLabel, Wait, SendChan, RecvChan, Delay)
+
+
+def _drops(p):
+    """Every term that is `p` with one action of one continuation left
+    out, in pre-order."""
+    if isinstance(p, _DROPPABLE):
+        yield p.cont
+    subs = subprocs(p)
+    for i, q in enumerate(subs):
+        for q2 in _drops(q):
+            yield with_subprocs(p, subs[:i] + (q2,) + subs[i + 1:])
+
+
+def test_every_reconstruction_failure_names_its_place():
+    # Corpus definitions with one action left out, drawn with a fixed seed:
+    # each failure names the deepest goal's line:col and rule.
+    rng = random.Random(7)
+    failed = 0
+    for spec in check_specs():
+        ground = instantiate_many(parse_program(source(spec.file)),
+                                  [spec.root], spec.bind)
+        ticked = instrument(ground, rng.choice(("free", "r", "rs")))
+        name = rng.choice(sorted(ticked.procdefs))
+        cl = ticked.procdefs[name].clauses[0]
+        mutants = list(_drops(cl.body))
+        for body in rng.sample(mutants, min(2, len(mutants))):
+            sig = Signature(dict(ticked.typedefs), dict(ticked.procdecls),
+                            dict(ticked.procdefs))
+            sig.procdefs[name] = ProcDef(name, [DefClause(
+                (), cl.dest, cl.chans, body, cl.pos)])
+            _, errors = elaborate_signature(sig)
+            for e in errors:
+                assert re.search(r"goal: \d+:\d+ \[", str(e)), str(e)
+            failed += len(errors)
+    assert failed >= 40

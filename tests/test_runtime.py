@@ -438,7 +438,7 @@ def _faulty_copies(ops, cfg, declared):
     client = {y: c for c, p in cfg.objs.items()
               for y in free_chans(p.body) - {c}}
     if client:
-        y = next(iter(client))
+        y = min(client)
         # Only the consumer side of y, which an unchanged object uses.
         copy().set_ctype(y, ODD)
         # A second client of y.
@@ -446,7 +446,8 @@ def _faulty_copies(ops, cfg, declared):
         # The channel of y's client reused by an object that also uses a
         # channel with a client already.
         c = client[y]
-        other = next((z for z, d in client.items() if d != c), None)
+        other = min((z for z, d in client.items() if d != c),
+                    default=None)
         if other is not None:
             p = cfg.objs[c]
             copy(Obj(p.kind, c, p.time, Wait(other, p.body)))
