@@ -20,8 +20,14 @@ its shifted goal returns behind one more delay unit: `_Elab.elab` follows a
 run of delays in a loop and emits it as one merged delay node.  When the
 head is a forward or acts on a single channel and every type is delayed,
 the next goals are forced and fail silently until the least leading delay
-runs out, so that silent run is taken in one jump.  The search budget counts
-the goals examined, a jump counting as one.
+runs out, so that silent run is taken in one jump.  A tail call's delay run
+is jumped too (`_Elab._tail_run`): with the offer and every argument
+delayed, the call fails and delays again until a type is exposed or, for
+offered types with no []/<> head, until the offer's leading delays are the
+declared offer's, where the bridge can meet.  Those goals are not silent,
+so the jump records the failure of the run's last unit, and a goal a jump
+passed counts as examined, as it would be in a unit-at-a-time search.  The
+search budget counts the goals examined, a jump counting as one.
 
 Process invocations compare actual argument types against the declared ones
 with the subtype relation; a tail call whose offered type differs from the
@@ -32,8 +38,8 @@ from __future__ import annotations
 
 from .ast import (Box, Case, Close, DefClause, Delay, Diamond, Fwd, Now,
                   Origin, ProcDef, ProcExpr, RecvChan, SendChan, SendLabel,
-                  SessionType, Signature, Spawn, TailCall, Wait, When,
-                  map_subprocs, own_chans, subprocs, with_subprocs)
+                  SessionType, Signature, Spawn, TailCall, TypeName, Wait,
+                  When, map_subprocs, own_chans, subprocs, with_subprocs)
 from .checker import (SCOPE, SHAPE, WAIT, Stop, delay_stop, patience, rule,
                       shift_all)
 from .errors import ReconstructionError, SessionTypeError
@@ -74,6 +80,10 @@ def erase_reconstructed(p: ProcExpr) -> ProcExpr:
 # goal can only take the delay step and records no failure.
 _SILENT_HEADS = (Fwd, SendLabel, SendChan, RecvChan, Case, Close, Wait)
 
+# Offered heads that may let a bridge meet at other units than the one
+# where the leading delays agree, and the delay tower, which never meets.
+_PATIENT = (Box, Diamond, TypeName)
+
 
 class _Elab:
     def __init__(self, ops: TypeOps, budget: int):
@@ -82,6 +92,9 @@ class _Elab:
         self.budget = budget
         self.done: dict = {}  # goal -> elaborated term or None
         self.bridges: dict[int, Fwd] = {}  # id(tail call) -> bridging forward
+        # The last goal of a tail call's jump -> the most units a jump to it
+        # started before it.
+        self.reached: dict = {}
         self.best_depth = -1
         self._best: tuple[ProcExpr, Stop] | None = None
 
@@ -106,8 +119,9 @@ class _Elab:
         back the shifted goal, which this loop takes next at one budget
         unit per goal examined and one depth level per delay unit.  When
         the run ends, every goal it passed is stored with the result behind
-        one merged delay."""
-        run = None
+        one merged delay.  A tail call's delay run is jumped here (see
+        `_tail_run`)."""
+        run = jumps = None
         while True:
             if self.budget <= 0:
                 raise ReconstructionError(
@@ -117,10 +131,36 @@ class _Elab:
             if key in self.done:
                 out = self.done[key]
                 break
+            units = None
+            if type(p) is TailCall:
+                units = self._tail_run(ctx, p, offer)
+            if units is not None:
+                land_ctx, land_offer = shift_all(self.ops, ctx, offer, units)
+                land = (id(p), frozenset(land_ctx.items()), land_offer)
+                passed = self.reached.get(land, 0)
+                if passed >= units:
+                    # An earlier jump to the same goal started further
+                    # back, so it passed this one.
+                    if run is None:
+                        run = []
+                    run.append((key, units))
+                    out = self.done[land]
+                    break
             out = self._goal(ctx, p, offer_chan, offer, depth)
             if type(out) is not tuple:
                 self.done[key] = out
                 break
+            if units is not None:
+                # The goals between fail and delay too; the last that no
+                # earlier jump passed records its failure.
+                last = units - 1 - passed
+                if last > 0:
+                    self._give_up(depth + last, p, self._tail_stop(
+                        ctx, p, offer_chan, offer, last))
+                if jumps is None:
+                    jumps = []
+                jumps.append((land, units))
+                out = units, land_ctx, land_offer
             units, ctx, offer = out
             depth += units
             if run is None:
@@ -134,7 +174,51 @@ class _Elab:
                         out = out.cont
                     out = Delay(units, Origin.RECON, out)
                 self.done[key] = out
+        if jumps is not None:
+            for land, units in jumps:
+                if units > self.reached.get(land, 0):
+                    self.reached[land] = units
         return out
+
+    def _tail_run(self, ctx: Ctx, p: TailCall,
+                  offer: SessionType) -> int | None:
+        """The units a tail-call goal's delay run goes before anything can
+        change, or None when it is not known.  With the offer and every
+        argument delayed, the delay is the goal's only temporal step, and
+        the goal fails at each unit until a type is exposed or, when
+        neither offered type has a [] or <> head (or is a delay tower),
+        until the offer keeps exactly the declared offer's leading delays:
+        the one unit where the bridge can meet.  Each is a fixed unit
+        ahead, so every goal of the run lands on the same one.  On the way
+        the argument check may come and go; `_tail_stop` says how the last
+        unit fails."""
+        ops = self.ops
+        n, base = ops.strip(offer)
+        d, dbase = ops.strip(ops.sig.decl(p.proc).offer_type)
+        if n == 0 or isinstance(base, _PATIENT) or \
+                isinstance(dbase, _PATIENT):
+            return None
+        marks = [n, n - d]
+        for t in ctx.values():
+            a, abase = ops.strip(t)
+            if a == 0:
+                return None
+            if not isinstance(abase, TypeName):
+                marks.append(a)
+        return min(k for k in marks if k > 0)
+
+    def _tail_stop(self, ctx: Ctx, p: TailCall, offer_chan: str,
+                   offer: SessionType, units: int) -> Stop:
+        """What the tail-call goal `units` into its forced run records."""
+        ctx, offer = shift_all(self.ops, ctx, offer, units)
+        got = rule(self.ops, ctx, p, offer_chan, None, self.call)
+        if type(got) is Stop:
+            return got
+        return self._bridge_stop(p, offer)
+
+    def _bridge_stop(self, p: TailCall, offer: SessionType) -> Stop:
+        return Stop(SHAPE, "def", f"offered type of {p.proc} cannot be "
+                    f"bridged", offer, self.ops.sig.decl(p.proc).offer_type)
 
     # ------------------------------------------------------------------
     def _temporals(self, ctx: Ctx, p: ProcExpr, offer_chan: str,
@@ -240,8 +324,7 @@ class _Elab:
         # A failed bridge is the call's failure, not its forward's: the
         # call names both offered types.
         self.best_depth, self._best = best
-        self._give_up(depth, p, Stop(SHAPE, "def", f"offered type of {p.proc} "
-                                     f"cannot be bridged", offer, declared))
+        self._give_up(depth, p, self._bridge_stop(p, offer))
         return None
 
     # ------------------------------------------------------------------

@@ -377,6 +377,11 @@ _SENDS = {
 }
 
 
+def _at(pos: tuple[int, int] | None, msg: str) -> str:
+    """`msg` prefixed with a source line:col, when there is one."""
+    return msg if pos is None else f"{pos[0]}:{pos[1]}: {msg}"
+
+
 def _message(act: ProcExpr, env: dict[str, str], cont: Fwd) -> ProcExpr:
     """The message a send leaves: the action `act` with its channels mapped
     through `env`, continued by `cont`."""
@@ -562,10 +567,11 @@ class Engine:
         else:
             view = self.ops.shift_left_n(config.ctypes[chan], o.time)
         if view is None:
-            raise RunError(f"interface of {chan} undefined at its own time")
+            raise RunError(_at(code.pos, f"interface of {chan} undefined at "
+                               f"its own time"))
         base = self.ops.expose(view)
         if not isinstance(base, side.shape):
-            raise RunError(f"{chan} {side.error}")
+            raise RunError(_at(code.pos, f"{chan} {side.error}"))
         nxt = next_type(o.time, side.after(base, code))
         cont = {**env, code.chan: fresh}
         if chan == o.chan:
@@ -601,7 +607,8 @@ class Engine:
         chans = [env.get(c, c) for c in code.chans]
         decl = self.sig.decl(proc)
         if proc not in self.sig.procdefs:
-            raise RunError(f"process '{proc}' has no definition")
+            raise RunError(_at(code.pos,
+                               f"process '{proc}' has no definition"))
         dcl = self.sig.procdefs[proc].clauses[0]
         fresh = self._fresh(config)
         spawned = {dcl.dest: fresh, **dict(zip(dcl.chans, chans))}
@@ -622,7 +629,7 @@ class Engine:
         code = o.code
         assert isinstance(code, Delay)
         if not isinstance(code.count, int):
-            raise RunError("delay with a non-ground count")
+            raise RunError(_at(code.pos, "delay with a non-ground count"))
         cont = code.cont if code.count == 1 else \
             Delay(code.count - 1, code.origin, code.cont)
         later = Obj(o.kind, o.chan, o.time + 1, cont, o.env)
@@ -705,9 +712,10 @@ class Engine:
         if rule is None:
             bad = [o for o in config.objs.values() if not is_poised_obj(o)]
             if bad:
-                raise StuckError(
+                raise StuckError(_at(
+                    next((o.code.pos for o in bad if o.code.pos), None),
                     f"configuration is stuck and not poised: "
-                    f"{', '.join(o.render() for o in bad)}")
+                    f"{', '.join(o.render() for o in bad)}"))
             return None
         live = self._live
         if live is not None and live.config is config:

@@ -22,46 +22,64 @@ def is_subtype(ops: TypeOps, a: SessionType, b: SessionType,
     when deciding many pairs; results whose search never ran into a cycle
     on the current path are recorded in it (a cycle-tainted failure is only
     valid for the path that produced it, so it is not)."""
-    steps = [0]
-    cycles = [0]
-    path: set = set()
-    yes: set = set()
-    if memo is None:
-        memo = {}
+    return _Search(ops, budget, trace, {} if memo is None else memo).sub(a, b)
 
-    def sub(a: SessionType, b: SessionType) -> bool:
-        steps[0] += 1
-        if steps[0] > budget:
+
+class _Search:
+    """The state of one `is_subtype` query.  (An object rather than nested
+    closures: closures that call each other form a reference cycle, which
+    only the cycle collector frees.)"""
+
+    __slots__ = ("ops", "budget", "trace", "memo", "steps", "cycles", "path",
+                 "yes")
+
+    def __init__(self, ops: TypeOps, budget: int, trace: list[str] | None,
+                 memo: dict):
+        self.ops = ops
+        self.budget = budget
+        self.trace = trace
+        self.memo = memo
+        self.steps = 0
+        self.cycles = 0
+        self.path: set = set()
+        self.yes: set = set()
+
+    def sub(self, a: SessionType, b: SessionType) -> bool:
+        self.steps += 1
+        if self.steps > self.budget:
             raise BudgetExceededError("subtyping budget exceeded")
         key = (a, b)
+        memo = self.memo
         if key in memo:
             return memo[key]
-        if key in yes:
+        if key in self.yes:
             return True
+        path = self.path
         if key in path:
-            cycles[0] += 1
+            self.cycles += 1
             return False
-        if ops.type_equal(a, b):
-            if trace is not None:
-                trace.append("refl")
+        if self.ops.type_equal(a, b):
+            if self.trace is not None:
+                self.trace.append("refl")
             memo[key] = True
             return True
         path.add(key)
-        seen_cycles = cycles[0]
+        seen_cycles = self.cycles
         try:
-            ok = dispatch(a, b)
+            ok = self.dispatch(a, b)
         finally:
             path.discard(key)
         if ok:
-            yes.add(key)
+            self.yes.add(key)
             memo[key] = True
-        elif cycles[0] == seen_cycles:
+        elif self.cycles == seen_cycles:
             memo[key] = False
         return ok
 
-    def dispatch(a: SessionType, b: SessionType) -> bool:
-        na, ta = ops.strip(a)
-        nb, tb = ops.strip(b)
+    def dispatch(self, a: SessionType, b: SessionType) -> bool:
+        rule = self.rule
+        na, ta = self.ops.strip(a)
+        nb, tb = self.ops.strip(b)
         # An infinite delay tower (x = ()x) never exposes an action but
         # absorbs any finite number of delay steps, so only rules acting
         # on the opposite side can fire.
@@ -76,8 +94,8 @@ def is_subtype(ops: TypeOps, a: SessionType, b: SessionType,
                 return rule("[]L", ta.inner, b)
             return False
         m = min(na, nb)
-        if m and trace is not None:
-            trace.append("()()")
+        if m and self.trace is not None:
+            self.trace.append("()()")
         na, nb = na - m, nb - m
 
         if na == 0 and nb == 0:
@@ -111,17 +129,16 @@ def is_subtype(ops: TypeOps, a: SessionType, b: SessionType,
             return rule("<>L", ta.inner, next_type(nb, tb))
         return False
 
-    def rule(name: str, a: SessionType, b: SessionType) -> bool:
-        mark = len(trace) if trace is not None else 0
-        if trace is not None:
-            trace.append(name)
-        if sub(a, b):
+    def rule(self, name: str, a: SessionType, b: SessionType) -> bool:
+        trace = self.trace
+        if trace is None:
+            return self.sub(a, b)
+        mark = len(trace)
+        trace.append(name)
+        if self.sub(a, b):
             return True
-        if trace is not None:
-            del trace[mark:]
+        del trace[mark:]
         return False
-
-    return sub(a, b)
 
 
 def subtype_oracle(ops: TypeOps, a: SessionType, b: SessionType,
@@ -129,23 +146,33 @@ def subtype_oracle(ops: TypeOps, a: SessionType, b: SessionType,
     """Naive exhaustive search over every rule of the subtyping system,
     with no eager commitments; the reference the fast procedure is tested
     against."""
-    path: set = set()
-    cycles = [0]
-    if memo is None:
-        memo = {}
+    return _Oracle(ops, {} if memo is None else memo).sub(a, b)
 
-    def sub(a: SessionType, b: SessionType) -> bool:
+
+class _Oracle:
+    """The state of one `subtype_oracle` query."""
+
+    __slots__ = ("ops", "memo", "path", "cycles")
+
+    def __init__(self, ops: TypeOps, memo: dict):
+        self.ops = ops
+        self.memo = memo
+        self.path: set = set()
+        self.cycles = 0
+
+    def sub(self, a: SessionType, b: SessionType) -> bool:
         key = (a, b)
+        memo, path, ops = self.memo, self.path, self.ops
         if key in memo:
             return memo[key]
         if key in path:
-            cycles[0] += 1
+            self.cycles += 1
             return False
         if ops.type_equal(a, b):
             memo[key] = True
             return True
         path.add(key)
-        seen_cycles = cycles[0]
+        seen_cycles = self.cycles
         try:
             na, ta = ops.strip(a)
             nb, tb = ops.strip(b)
@@ -157,8 +184,8 @@ def subtype_oracle(ops: TypeOps, a: SessionType, b: SessionType,
                     goals.append((a, tb.inner))
                 if isinstance(tb, TypeName) and isinstance(ta, Box):
                     goals.append((ta.inner, b))
-                ok = any(sub(x, y) for x, y in goals)
-                if ok or cycles[0] == seen_cycles:
+                ok = any(self.sub(x, y) for x, y in goals)
+                if ok or self.cycles == seen_cycles:
                     memo[key] = ok
                 return ok
             if na >= 1 and nb >= 1:  # ()()
@@ -175,14 +202,12 @@ def subtype_oracle(ops: TypeOps, a: SessionType, b: SessionType,
                 goals.append((a, tb.inner))
             if na == 0 and isinstance(ta, Diamond) and isinstance(tb, Diamond):  # <>L
                 goals.append((ta.inner, b))
-            ok = any(sub(x, y) for x, y in goals)
-            if ok or cycles[0] == seen_cycles:
+            ok = any(self.sub(x, y) for x, y in goals)
+            if ok or self.cycles == seen_cycles:
                 memo[key] = ok
             return ok
         finally:
             path.discard(key)
-
-    return sub(a, b)
 
 
 def is_weak_subtype(ops: TypeOps, a: SessionType, b: SessionType) -> bool:

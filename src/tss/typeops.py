@@ -94,63 +94,10 @@ class TypeOps:
             return True
         if key in self._eq_false:
             return False
-        steps = [0]
-        assumed: set = set()
-        candidates: set = set()
-
-        def states_eq(na: int, ta: SessionType, nb: int, tb: SessionType) -> bool:
-            steps[0] += 1
-            if steps[0] > self.budget:
-                raise BudgetExceededError("type equality budget exceeded")
-            la, lb = isinstance(ta, TypeName), isinstance(tb, TypeName)
-            if la and lb:
-                # Two infinite delay towers never communicate: equal.
-                return True
-            if la or lb:
-                # One side loops on delays, the other reaches an action.
-                return False
-            if na != nb:
-                return False
-            if type(ta) is not type(tb):
-                return False
-            match ta, tb:
-                case One(), One():
-                    return True
-                case (Plus(bs1), Plus(bs2)) | (With(bs1), With(bs2)):
-                    d1, d2 = dict(bs1), dict(bs2)
-                    if set(d1) != set(d2):
-                        return False
-                    return all(eq(d1[lab], d2[lab]) for lab in d1)
-                case (Tensor(a1, b1), Tensor(a2, b2)) | (Lolli(a1, b1), Lolli(a2, b2)):
-                    return eq(a1, a2) and eq(b1, b2)
-                case (Box(i1), Box(i2)) | (Diamond(i1), Diamond(i2)):
-                    return eq(i1, i2)
-            return False
-
-        def eq(a: SessionType, b: SessionType) -> bool:
-            if a is b:
-                return True
-            key = self._eq_key(a, b)
-            if key in self._eq_true or key in assumed:
-                return True
-            if key in self._eq_false:
-                return False
-            return settle(key)
-
-        def settle(key: tuple) -> bool:
-            """Decide a goal found in neither memo nor the assumptions."""
-            assumed.add(key)
-            ok = states_eq(*key)
-            assumed.discard(key)
-            if ok:
-                candidates.add(key)
-            else:
-                self._eq_false.add(key)
-            return ok
-
-        result = settle(key)
+        search = _Bisimulation(self)
+        result = search.settle(key)
         if result:
-            self._eq_true |= candidates
+            self._eq_true |= search.candidates
         return result
 
     def _eq_key(self, a: SessionType, b: SessionType) -> tuple:
@@ -240,3 +187,71 @@ class TypeOps:
         if side == "box":
             return isinstance(base, Box)
         return isinstance(base, Diamond)
+
+
+class _Bisimulation:
+    """The state of one `TypeOps.type_equal` query: the goals assumed on
+    the current path and those visited by it.  (An object rather than
+    nested closures: closures that call each other form a reference cycle,
+    which only the cycle collector frees.)"""
+
+    __slots__ = ("ops", "steps", "assumed", "candidates")
+
+    def __init__(self, ops: TypeOps):
+        self.ops = ops
+        self.steps = 0
+        self.assumed: set = set()
+        self.candidates: set = set()
+
+    def states_eq(self, na: int, ta: SessionType, nb: int,
+                  tb: SessionType) -> bool:
+        self.steps += 1
+        if self.steps > self.ops.budget:
+            raise BudgetExceededError("type equality budget exceeded")
+        la, lb = isinstance(ta, TypeName), isinstance(tb, TypeName)
+        if la and lb:
+            # Two infinite delay towers never communicate: equal.
+            return True
+        if la or lb:
+            # One side loops on delays, the other reaches an action.
+            return False
+        if na != nb:
+            return False
+        if type(ta) is not type(tb):
+            return False
+        eq = self.eq
+        match ta, tb:
+            case One(), One():
+                return True
+            case (Plus(bs1), Plus(bs2)) | (With(bs1), With(bs2)):
+                d1, d2 = dict(bs1), dict(bs2)
+                if set(d1) != set(d2):
+                    return False
+                return all(eq(d1[lab], d2[lab]) for lab in d1)
+            case (Tensor(a1, b1), Tensor(a2, b2)) | (Lolli(a1, b1), Lolli(a2, b2)):
+                return eq(a1, a2) and eq(b1, b2)
+            case (Box(i1), Box(i2)) | (Diamond(i1), Diamond(i2)):
+                return eq(i1, i2)
+        return False
+
+    def eq(self, a: SessionType, b: SessionType) -> bool:
+        if a is b:
+            return True
+        ops = self.ops
+        key = ops._eq_key(a, b)
+        if key in ops._eq_true or key in self.assumed:
+            return True
+        if key in ops._eq_false:
+            return False
+        return self.settle(key)
+
+    def settle(self, key: tuple) -> bool:
+        """Decide a goal found in neither memo nor the assumptions."""
+        self.assumed.add(key)
+        ok = self.states_eq(*key)
+        self.assumed.discard(key)
+        if ok:
+            self.candidates.add(key)
+        else:
+            self.ops._eq_false.add(key)
+        return ok

@@ -15,7 +15,7 @@ from tss.corpus import check_specs, source
 from tss.cost import instrument
 from tss.errors import ReconstructionError
 from tss.instantiate import instantiate_many
-from tss.parser import parse_program
+from tss.parser import parse_program, parse_type
 from tss.pipeline import load
 from tss.printer import fmt_proc, pretty_print
 from tss.reconstruct import (FwdElaborator, _Elab, elaborate_signature,
@@ -273,7 +273,7 @@ def test_memo_keys_name_live_nodes():
         gc.collect()
         bridges = getattr(engine, "bridges", {}).values()
         live = {id(n) for n in _nodes(body)} | {id(f) for f in bridges}
-        assert {key[0] for key in engine.done} <= live
+        assert {key[0] for key in (*engine.done, *engine.reached)} <= live
         for call in _nodes(body):
             if isinstance(call, TailCall) and id(call) in engine.bridges:
                 cached = engine.bridges[id(call)]
@@ -312,16 +312,107 @@ proc x <- f = x <- g
 """
 
 
-def test_a_long_bridge_search_runs_out_of_budget():
-    # Each unit of the tail call's delay run tries the bridge again, so the
-    # run is taken unit by unit until the budget ends it.
-    _, errors = elaborate_signature(parse_program(LONG_BRIDGE))
-    assert len(errors) == 1 and isinstance(errors[0], ReconstructionError)
-    msg = str(errors[0])
+def test_a_long_bridge_is_one_jump():
+    # Until the offer's delays reach the declared offer's, the bridge
+    # cannot meet: the tail call's delay run is taken in one jump.
+    elab, _ = elaborate(LONG_BRIDGE, "free")
+    body = elab.procdefs["f"].clauses[0].body
+    assert body == Delay(200000, Origin.RECON, TailCall("x", "g", (), ()))
+    assert fmt_proc(body) == "delay{200000} ;  % reconstructed\nx <- g"
+
+
+# A <> offer the declared <>1 can never be bridged to: a <> head may meet
+# at any unit, so the run is taken one unit at a time.
+MODAL_BRIDGE = """
+decl g : . |- (x : <>1)
+proc x <- g = close x
+decl f : . |- (x : ()^{N} <>()1)
+proc x <- f = x <- g
+"""
+
+
+def test_a_long_search_with_no_elaboration_runs_out_of_budget():
+    def errors(n):
+        _, errs = elaborate_signature(parse_program(
+            MODAL_BRIDGE.replace("N", str(n))))
+        assert len(errs) == 1 and isinstance(errs[0], ReconstructionError)
+        return str(errs[0])
+
+    assert errors(40).startswith("in f: no temporal elaboration exists; ")
+    msg = errors(200000)
     assert msg.startswith("in f: search budget exhausted; deepest goal: "
                           "5:15 [def] offered type of g cannot be bridged "
-                          "(expected ()^")
-    assert msg.endswith(" 1, found 1)")
+                          "(expected ()^"), msg
+    assert msg.endswith(" <>()1, found <>1)")
+
+
+def _goals(sig):
+    """The goals examined to elaborate every definition of `sig`."""
+    return sum(100_000 - engine.budget
+               for _, engine, _ in _elaborate_goals(sig))
+
+
+def test_goals_examined_do_not_grow_with_delay_exponents():
+    # append_rs's delays grow with r; its delay runs are jumped, so the
+    # goals do not.  At r = 0 the recursive call needs no delay at all.
+    goals = {}
+    for r in range(5):
+        ground = instantiate_many(parse_program(source("append_rs.tss")),
+                                  ["amain"], {"n": 64, "k": 64, "r": r})
+        goals[r] = _goals(instrument(ground, "rs"))
+    assert goals[1] == goals[2] == goals[3] == goals[4], goals
+    assert goals[0] <= goals[4] <= 1.1 * goals[0], goals
+    assert _goals(parse_program(LONG_BRIDGE)) <= 10
+    # An argument's delay tower is never exposed, so it does not end a run.
+    assert _goals(parse_program("""
+type t = ()t
+decl g : (y : t) |- (x : ()^{2} +{a : t})
+proc x <- g <- y = x.a ; x <- y
+decl f : (y : t) |- (x : ()^{200000} +{a : t})
+proc x <- f <- y = x <- g <- y
+""")) <= 20
+
+
+# The cut's body takes five units to bridge, and its continuation then
+# fails at a shallower depth: the deepest failure is the call's on the
+# last unit before its bridge meets, inside the jump.
+BRIDGE_THEN_FAIL = """
+decl g : . |- (x : 1)
+proc x <- g = close x
+decl f : . |- (x : 1)
+proc x <- f = y : ()^{5} 1 <- (y <- g) ; wait y ; close x
+"""
+
+
+def test_a_jump_records_the_failure_of_its_last_unit():
+    _, errors = elaborate_signature(parse_program(BRIDGE_THEN_FAIL))
+    assert [str(e) for e in errors] == [
+        "in f: no temporal elaboration exists; deepest failing goal: 5:32 "
+        "[def] offered type of g cannot be bridged (expected ()1, found 1)"]
+
+
+def test_a_goal_an_earlier_jump_passed_is_not_examined_again(monkeypatch):
+    # The unit-at-a-time search memoizes every goal of a run, so meeting
+    # one again records nothing; a jump must behave the same.
+    sig = parse_program("""
+decl g : . |- (x : +{a : 1})
+proc x <- g = x.a ; close x
+""")
+    call = TailCall("x", "g", (), ())
+
+    def search():
+        engine = _Elab(TypeOps(sig), 100_000)
+        assert engine.elab({}, call, "x", parse_type("()^{5} 1"), 0) is None
+        first = engine.best_msg
+        assert engine.elab({}, call, "x", parse_type("()^{3} 1"), 50) is None
+        return first, engine.best_msg, engine
+
+    first, again, engine = search()
+    assert first == again == ("[def] offered type of g cannot be bridged "
+                              "(expected 1, found +{a : 1})")
+    assert 100_000 - engine.budget <= 6
+    monkeypatch.setattr(_Elab, "_tail_run", lambda *args: None)
+    assert search()[:2] == (first, again)
 
 
 def test_no_adjacent_reconstruction_delays():
@@ -348,21 +439,99 @@ def test_no_adjacent_reconstruction_delays():
     assert elaborated >= 60
 
 
+# Tail calls whose bridges or arguments meet, or never meet, inside a
+# delay run: [] and <> heads on the declared and the wanted offer,
+# arguments whose delays run out before the offer's, arguments that expose
+# a [] mid-run, and a delay tower.
+BRIDGES = ["""
+type a = +{ v : 1 }
+decl g : . |- (x : []a)
+proc x <- g = x.v ; close x
+decl d : . |- (x : ()^{2} <>a)
+proc x <- d = x.v ; close x
+decl f1 : . |- (x : ()^{6} []a)
+proc x <- f1 = x <- g
+decl f2 : . |- (x : ()^{3} <>a)
+proc x <- f2 = x <- g
+decl f3 : . |- (x : ()^{5} a)
+proc x <- f3 = x <- g
+decl f4 : . |- (x : ()^{7} <>a)
+proc x <- f4 = x <- d
+decl f5 : . |- (x : ()<>a)
+proc x <- f5 = x <- d
+decl f6 : . |- (x : ()^{4} a)
+proc x <- f6 = x <- d
+decl g5 : . |- (x : ()^{5} 1)
+proc x <- g5 = close x
+decl f7 : . |- (x : ()^{3} <>()^{4} 1)
+proc x <- f7 = x <- g5
+decl f8 : . |- (x : ()^{3} []1)
+proc x <- f8 = x <- g5
+""", """
+decl g : (y : ()^{2} 1) |- (x : ()^{3} 1)
+proc x <- g <- y = wait y ; close x
+decl g1 : (y : 1) |- (x : ()^{7} 1)
+proc x <- g1 <- y = wait y ; close x
+decl f1 : (y : ()^{4} 1) |- (x : ()^{9} 1)
+proc x <- f1 <- y = x <- g <- y
+decl f2 : (y : ()^{5} 1) |- (x : ()^{6} 1)
+proc x <- f2 <- y = x <- g <- y
+decl f3 : (y : ()^{2} 1) |- (x : ()^{9} 1)
+proc x <- f3 <- y = x <- g1 <- y
+decl f4 : (y : ()^{2} 1) |- (x : ()^{11} 1)
+proc x <- f4 <- y = x <- g1 <- y
+decl f5 : (y : ()^{3} 1) (z : ()^{8} 1) |- (x : ()^{12} 1)
+proc x <- f5 <- y z = wait y ; x <- g <- z
+decl b : (y : ()1) |- (x : []1)
+proc x <- b <- y = wait y ; close x
+decl f6 : (y : ()^{3} 1) |- (x : ()^{5} 1)
+proc x <- f6 <- y = x <- b <- y
+""", """
+type a = &{ v : 1 }
+decl g : (y : []a) |- (x : ()^{5} 1)
+proc x <- g <- y = y.v ; wait y ; close x
+decl f1 : (y : ()^{3} []a) |- (x : ()^{8} 1)
+proc x <- f1 <- y = x <- g <- y
+decl f2 : (y : ()^{3} []a) |- (x : ()^{6} 1)
+proc x <- f2 <- y = x <- g <- y
+decl f3 : (y : ()^{2} []a) (z : ()^{6} 1) |- (x : ()^{9} 1)
+proc x <- f3 <- y z = wait z ; x <- g <- y
+""", """
+type t = ()t
+decl g : . |- (x : ()^{3} 1)
+proc x <- g = close x
+decl h : (y : t) |- (x : ()^{2} t)
+proc x <- h <- y = x <- y
+decl f1 : . |- (x : ()^{40} 1)
+proc x <- f1 = x <- g
+decl f2 : . |- (x : ()^{40} +{a : 1})
+proc x <- f2 = x <- g
+decl f3 : (y : t) |- (x : ()^{9} t)
+proc x <- f3 <- y = x <- h <- y
+""", BRIDGE_THEN_FAIL, MODAL_BRIDGE.replace("N", "30")]
+
+
 def test_silent_runs_jump_to_the_same_elaboration(monkeypatch):
-    # Taking every delay run one unit at a time gives the same terms and
-    # the same errors as jumping over the silent runs.
-    def outcomes():
+    # Taking every delay run one unit at a time, silent runs and tail
+    # calls' alike, gives the same terms and the same errors as jumping.
+    sigs = [parse_program(src) for src in BRIDGES]
+    for spec in check_specs():
+        ground = instantiate_many(parse_program(source(spec.file)),
+                                  [spec.root], spec.bind)
+        sigs += [instrument(ground, cost) for cost in ("free", "r", "rs")]
+
+    def outcomes(budget):
         out = []
-        for spec in check_specs():
-            ground = instantiate_many(parse_program(source(spec.file)),
-                                      [spec.root], spec.bind)
-            elab, errors = elaborate_signature(instrument(ground, spec.cost))
+        for sig in sigs:
+            elab, errors = elaborate_signature(sig, budget=budget)
             out.append((pretty_print(elab), [str(e) for e in errors]))
         return out
 
-    jumped = outcomes()
+    jumped = outcomes(100_000)
+    assert sum(bool(errors) for _, errors in jumped) >= 10
     monkeypatch.setattr(reconstruct, "_SILENT_HEADS", ())
-    assert outcomes() == jumped
+    monkeypatch.setattr(_Elab, "_tail_run", lambda *args: None)
+    assert outcomes(10_000_000) == jumped
 
 
 SPAWN_REUSES_A_CONSUMED_NAME = """

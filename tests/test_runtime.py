@@ -12,9 +12,10 @@ from fuzzgen import gen_program
 import tss.ast
 import tss.checker
 from tss import corpus, runtime
-from tss.ast import (ONE, Close, Fwd, Now, Plus, SendChan, SendLabel,
-                     TailCall, Wait, When, free_chans, next_type)
-from tss.errors import ConfigTypeError, RunError
+from tss.ast import (ONE, Close, Delay, Fwd, IVar, Now, Origin, Plus,
+                     SendChan, SendLabel, TailCall, Wait, When, free_chans,
+                     next_type)
+from tss.errors import ConfigTypeError, RunError, StuckError
 from tss.parser import parse_program, parse_type
 from tss.pipeline import load
 from tss.runtime import (Configuration, Engine, Obj, Trace,
@@ -61,6 +62,39 @@ proc x <- copy <- y =
 """, "copy").elab
     with pytest.raises(RunError, match="context"):
         init_config(elab2, "copy")
+
+
+ILL_TYPED_RUNS = [
+    ("decl f : . |- (x : 1)\nproc x <- f = x.a ; close x\n", "f",
+     RunError, "2:15: c1 is not an internal choice"),
+    ("decl g : . |- (y : 1)\ndecl f : . |- (x : 1)\n"
+     "proc x <- f = y <- g ; wait y ; close x\n", "f",
+     RunError, "3:15: process 'g' has no definition"),
+    ("type t = &{ a : 1 }\ndecl g : . |- (y : t)\n"
+     "proc y <- g = case y ( a => close y )\ndecl f : . |- (x : 1)\n"
+     "proc x <- f = y <- g ; wait y ; close x\n", "f",
+     StuckError, "5:24: configuration is stuck and not poised: "
+     "proc(c1, 0, wait c2 ; close c1)")]
+
+
+@pytest.mark.parametrize("src, main, error, msg", ILL_TYPED_RUNS)
+def test_run_errors_name_the_source_position(src, main, error, msg):
+    # An explicit program that fails its check still runs; the rule that
+    # cannot fire, or the stuck object, names the code's line:col.
+    prog = load(src, [main], {}, "free", explicit=True)
+    with pytest.raises(error) as e:
+        prog.run()
+    assert str(e.value) == msg
+
+
+def test_a_delay_error_names_the_source_position():
+    sig = parse_program("decl f : . |- (x : 1)\nproc x <- f = close x\n")
+    o = Obj("proc", "x", 0, Delay(IVar("n"), Origin.SOURCE, Close("x"),
+                                  pos=(4, 7)))
+    cfg = Configuration({"x": o}, 1, {"x": ONE}, {"x": ONE})
+    with pytest.raises(RunError, match=r"^4:7: delay with a non-ground "
+                       r"count$"):
+        Engine(sig, TypeOps(sig))._delay(cfg, o)
 
 
 def test_fresh_counter_starts_above_source_names():

@@ -1,7 +1,9 @@
+import gc
 import itertools
 
 import pytest
 
+from tss.acceptance import modal_universe
 from tss.ast import ONE, Box, Diamond, Next, Signature, TypeName, next_type
 from tss.parser import parse_program
 from tss.subtyping import is_subtype, is_weak_subtype, subtype_oracle
@@ -155,3 +157,20 @@ def test_procedure_oracle_and_forwarding_agree_on_recursive_types():
             s = is_subtype(ops, a, b, memo=memo)
             assert subtype_oracle(ops, a, b, memo=omemo) == s, (a, b)
             assert fe.check(a, b) == s, (a, b)
+
+
+def test_deciding_pairs_leaves_no_reference_cycles(ops):
+    # A query's state is an object, not closures that call each other, so
+    # deciding pairs leaves nothing for the cycle collector (which a
+    # benchmark's frozen set-up would otherwise keep).
+    pairs = list(itertools.product(modal_universe(), repeat=2))[::97]
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b in pairs:
+            is_subtype(ops, a, b)
+            subtype_oracle(ops, a, b)
+            ops.type_equal(a, b)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
