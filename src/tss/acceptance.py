@@ -25,8 +25,11 @@ def modal_universe(depth: int = 4) -> list[SessionType]:
     the single basic type 1."""
     seen: set = set()
     out: list[SessionType] = []
-
-    def gen(stack: list, d: int) -> None:
+    # Depth first, a stack before its extensions, which come in the order
+    # (), ()^2, [], <>: pushed in reverse, they pop in that order.
+    todo: list[list] = [[]]
+    while todo:
+        stack = todo.pop()
         t: SessionType = ONE
         for c in reversed(stack):
             if c == "B":
@@ -38,12 +41,8 @@ def modal_universe(depth: int = 4) -> list[SessionType]:
         if t not in seen:
             seen.add(t)
             out.append(t)
-        if d == depth:
-            return
-        for c in (1, 2, "B", "D"):
-            gen(stack + [c], d + 1)
-
-    gen([], 0)
+        if len(stack) < depth:
+            todo.extend(stack + [c] for c in ("D", "B", 2, 1))
     return out
 
 
@@ -302,7 +301,7 @@ def criterion_10():
         for sched in ("rr", "rand", "sync"):
             trace = Trace()
             prog.run(sched, 1, spec.steps, trace=trace, check=True)
-            steps_checked += len(trace.steps)
+            steps_checked += trace.count
     return True, f"{steps_checked} configurations checked, zero violations"
 
 

@@ -13,6 +13,8 @@ import argparse
 import errno
 import re
 import sys
+from contextlib import ExitStack
+from typing import IO
 
 from . import acceptance
 from .ast import Signature, TypeName, index_vars, type_refs
@@ -35,13 +37,18 @@ def _read(path: str) -> str:
                           f"byte {e.start})", path) from None
 
 
+def _open(path: str, files: ExitStack) -> IO[str]:
+    """Stdout if `path` is '-', else the file `path`, opened for writing
+    and closed when `files` closes."""
+    if path == "-":
+        return sys.stdout
+    return files.enter_context(open(path, "w", encoding="utf-8"))
+
+
 def _write(path: str, text: str) -> None:
     """Write `text` to the file `path`, or to stdout if `path` is '-'."""
-    if path == "-":
-        print(text, end="")
-    else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+    with ExitStack() as files:
+        _open(path, files).write(text)
 
 
 def _parse_bind(text: str) -> dict[str, int]:
@@ -103,14 +110,14 @@ def cmd_run(args) -> int:
                 args.explicit)
     if _report(prog.errors):
         return 1
-    trace = Trace() if (args.trace or args.trace_json) else None
-    final, status, chain = prog.run(args.sched, args.seed, args.steps, trace,
-                                    args.check_config)
-    if args.trace:
-        _write(args.trace, trace.to_text())
-    if args.trace_json:
-        _write(args.trace_json, trace.to_json())
-    print(f"{status} after {len(trace.steps)} steps" if trace else status)
+    with ExitStack() as files:
+        sinks = {p: _open(p, files)
+                 for p in (args.trace, args.trace_json) if p}
+        trace = Trace(sinks.get(args.trace), sinks.get(args.trace_json)) \
+            if sinks else None
+        final, status, chain = prog.run(args.sched, args.seed, args.steps,
+                                        trace, args.check_config)
+    print(f"{status} after {trace.count} steps" if trace else status)
     for kind, payload, t in chain:
         label = f" {payload}" if payload else ""
         print(f"  t={t}: {kind}{label}")

@@ -41,8 +41,7 @@ produced: the procs at the channels such a message uses, and the client of
 its channel.  Its `on_step` callback receives the live copy: it may read it
 but must neither keep nor change it.  `Engine.step` stays functional: it
 leaves its input unchanged and returns the next configuration.  A `Trace`
-keeps the objects each step consumed and produced, and renders them only
-when it is written out.
+writes each step as the run fires it and keeps nothing of it.
 
 `check_configuration` types a configuration against its interface.  Once it
 has accepted a configuration of a run, that configuration logs its writes,
@@ -64,7 +63,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Optional
+from typing import IO, Callable, Optional
 
 from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
                   Plus, ProcExpr, RecvChan, SendChan, SendLabel, SessionType,
@@ -104,11 +103,12 @@ class Obj:
             d["body"] = code
 
     def __getattr__(self, name: str):
-        """Two attributes are computed on first read and then kept in the
+        """Three attributes are computed on first read and then kept in the
         instance dict, where later reads find them without a call: `body`,
-        the concrete term (the code with the environment substituted), and
-        `used`, the run's channels the object uses (its code's free
-        channels mapped through the environment, less its own channel)."""
+        the concrete term (the code with the environment substituted),
+        `used`, the run's channels the object uses (its code's free channels
+        mapped through the environment, less its own channel), and `text`,
+        the object as a trace and an error message show it."""
         if name == "body":
             value = rename_chans(self.code, self.env)
         elif name == "used":
@@ -117,6 +117,11 @@ class Obj:
             if env:
                 value = frozenset([env.get(x, x) for x in value])
             value = value - {self.chan}
+        elif name == "text":
+            body = fmt_proc(self.body).replace("\n", " ")
+            body = body.replace("% reconstructed", "")
+            body = re.sub(r"\s+", " ", body).strip()
+            value = f"{self.kind}({self.chan}, {self.time}, {body})"
         else:
             raise AttributeError(name)
         self.__dict__[name] = value
@@ -131,45 +136,31 @@ class Obj:
     def __hash__(self) -> int:
         return hash((self.kind, self.chan, self.time, self.body))
 
-    def render(self) -> str:
-        body = fmt_proc(self.body).replace("\n", " ")
-        body = body.replace("% reconstructed", "")
-        body = re.sub(r"\s+", " ", body).strip()
-        return f"{self.kind}({self.chan}, {self.time}, {body})"
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    rule: str
-    consumed: tuple[Obj, ...]
-    produced: tuple[Obj, ...]
-
-    def as_dict(self) -> dict:
-        return {"rule": self.rule,
-                "consumed": [o.render() for o in self.consumed],
-                "produced": [o.render() for o in self.produced]}
-
 
 class Trace:
-    """The rules a run fired, with the objects each consumed and produced.
-    Objects are immutable, so a step keeps them as they are and they are
-    rendered only when the trace is written out."""
+    """The rules a run fires, written as it fires them: `add` renders a step
+    and writes it to each sink given, to `text` as the line `rule: consumed
+    -> produced` and to `jsonl` as a JSON object on a line.  An object
+    keeps its text (`Obj.text`), so each is rendered once.  With no sink
+    nothing is rendered and the trace only counts the steps."""
 
-    def __init__(self):
-        self.steps: list[TraceStep] = []
+    def __init__(self, text: IO[str] | None = None,
+                 jsonl: IO[str] | None = None):
+        self.text, self.jsonl = text, jsonl
+        self.count = 0  # steps added
 
     def add(self, rule: str, consumed: list[Obj], produced: list[Obj]) -> None:
-        self.steps.append(TraceStep(rule, tuple(consumed), tuple(produced)))
-
-    def to_text(self) -> str:
-        return "\n".join(
-            f"{s.rule}: {', '.join(o.render() for o in s.consumed)} -> "
-            f"{', '.join(o.render() for o in s.produced) or '(nothing)'}"
-            for s in self.steps) + ("\n" if self.steps else "")
-
-    def to_json(self) -> str:
-        return "\n".join(json.dumps(s.as_dict()) for s in self.steps) + \
-            ("\n" if self.steps else "")
+        self.count += 1
+        if self.text is None and self.jsonl is None:
+            return
+        old = [o.text for o in consumed]
+        new = [o.text for o in produced]
+        if self.text is not None:
+            self.text.write(f"{rule}: {', '.join(old)} -> "
+                            f"{', '.join(new) or '(nothing)'}\n")
+        if self.jsonl is not None:
+            self.jsonl.write(json.dumps(
+                {"rule": rule, "consumed": old, "produced": new}) + "\n")
 
 
 @dataclass
@@ -715,7 +706,7 @@ class Engine:
                 raise StuckError(_at(
                     next((o.code.pos for o in bad if o.code.pos), None),
                     f"configuration is stuck and not poised: "
-                    f"{', '.join(o.render() for o in bad)}"))
+                    f"{', '.join(o.text for o in bad)}"))
             return None
         live = self._live
         if live is not None and live.config is config:
@@ -793,10 +784,11 @@ class _Sequents(Checker):
 
 class _Checker:
     """What `check_configuration` last accepted for one run: the interface
-    and `TypeOps` it was checked against, the channels each object uses,
-    the client of each channel, and the log the configuration keeps.  Every
-    key is a channel of that configuration, so the state is as large as the
-    configuration, not as long as the run.
+    and `TypeOps` it was checked against, the client of each channel, and
+    the log the configuration keeps.  Every key is a channel of that
+    configuration, so the state is as large as the configuration, not as
+    long as the run.  The log's first map holds the object accepted at each
+    channel written since, and so the channels it used.
 
     It also holds `sequents`, the sequents its checker accepted for code
     typed under the code's own names.  Those name only a definition's own
@@ -812,7 +804,6 @@ class _Checker:
     def __init__(self):
         self.ops: TypeOps | None = None
         self.provides = None  # (provides_in, provides_out), as items
-        self.used: dict[str, frozenset[str]] = {}  # chan -> channels it uses
         self.client: dict[str, str] = {}  # chan -> the object using it
         self.sequents: _Sequents | None = None
         self.log: tuple[dict, dict, dict] | None = None
@@ -855,18 +846,17 @@ class _Checker:
             written, pmoved, cmoved = dict.fromkeys(objs), ptypes, ctypes
         else:
             written, pmoved, cmoved = config.log
-        used, client = self.used, self.client
+        client = self.client
         moved = [c for c, o in written.items() if objs.get(c) is not o]
 
-        # Each channel has one client: unlink the objects that moved, then
+        # Each channel has one client: unlink the objects that moved (the
+        # log holds the ones accepted, None where a channel is new), then
         # link the ones now there.  An edge new at its channel may close a
         # cycle.
-        before: dict[str, frozenset[str]] = {}
         lost: list[str] = []
         for c in moved:
-            if c in used:
-                before[c] = old = used.pop(c)
-                for y in old:
+            if written[c] is not None:
+                for y in written[c].used:
                     del client[y]
                     lost.append(y)
         added: list[str] = []
@@ -879,17 +869,16 @@ class _Checker:
             if o.chan != c:
                 raise ConfigTypeError(f"channel {c} holds an object providing "
                                       f"{o.chan}")
-            if c not in before:
+            was = written[c]
+            if was is None:
                 added.append(c)
-            used[c] = now = o.used
-            old = before.get(c, ())
-            for y in now:
+            for y in o.used:
                 if y in client:
                     raise ConfigTypeError(f"channel {y} has two clients "
                                           f"({client[y]} and {c})")
                 client[y] = c
                 linked.append(y)
-                if y not in old:
+                if was is None or y not in was.used:
                     sources.append(c)
         for y in chain(linked, moved):
             if y in client and y not in objs and y not in provides_in:
@@ -987,14 +976,15 @@ class _Checker:
         for y, src in srcs.items():
             local = ops.shift_left_n(src, o.time)
             if local is None:
-                raise ConfigTypeError(
-                    f"{o.render()}: used channel {y} has no defined view "
-                    f"at time {o.time}")
+                raise ConfigTypeError(_at(
+                    o.code.pos, f"{o.text}: used channel {y} has no defined "
+                    f"view at time {o.time}"))
             ctx[names.get(y, y)] = local
         offer = ops.shift_right_n(config.ptypes[o.chan], o.time)
         if offer is None:
-            raise ConfigTypeError(
-                f"{o.render()}: offered type undefined at time {o.time}")
+            raise ConfigTypeError(_at(
+                o.code.pos, f"{o.text}: offered type undefined at time "
+                f"{o.time}"))
         chan = names.get(o.chan, o.chan)
         try:
             if o.env and p is o.code:
@@ -1002,7 +992,7 @@ class _Checker:
             else:
                 check_process(ops, ctx, p, chan, offer, call_subtyping=True)
         except Exception as e:
-            raise ConfigTypeError(f"{o.render()}: {e}") from e
+            raise ConfigTypeError(_at(o.code.pos, f"{o.text}: {e}")) from e
 
 
 def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],

@@ -3,6 +3,7 @@ returns the one node with that structure, so type equality is identity."""
 
 import copy
 import dataclasses
+import gc
 import pickle
 from typing import get_args
 
@@ -132,6 +133,21 @@ def test_modal_universe_is_interned():
     assert len({id(t) for t in first}) == 247
     for t in first:
         assert parse_type(fmt_type(t)) is t, fmt_type(t)
+
+
+def test_modal_universe_leaves_no_reference_cycles():
+    # A call leaves nothing for the cycle collector, which a benchmark's
+    # frozen set-up would otherwise keep.
+    gc.collect()
+    gc.disable()
+    try:
+        types = acceptance.modal_universe()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(types) == 247
+    assert types[0] is ONE
+    assert types[-1] is Diamond(Diamond(Diamond(Diamond(ONE))))
 
 
 def test_corpus_types_reparse_to_the_same_node():

@@ -134,6 +134,39 @@ def test_run_six_trace(capsys):
     assert "defC" in out
 
 
+def test_run_writes_both_traces_a_step_at_a_time(tmp_path, capsys):
+    # To one stream or one file the two traces interleave, one text line and
+    # one JSON line per step; to two files each gets its own lines.
+    six = str(CORPUS_DIR / "six_r.tss")
+    text, jsonl = tmp_path / "six.txt", tmp_path / "six.jsonl"
+    assert run("run", six, "--main", "six", "--cost", "r",
+               "--trace", str(text), "--trace-json", str(jsonl)) == 0
+    status = capsys.readouterr().out
+    assert run("run", six, "--main", "six", "--cost", "r",
+               "--trace", "-", "--trace-json", "-") == 0
+    out = capsys.readouterr().out
+    lines = text.read_text().splitlines()
+    assert len(lines) == 11
+    assert status.startswith("quiescent after 11 steps\n")
+    assert out == "".join(f"{t}\n{j}\n" for t, j in zip(
+        lines, jsonl.read_text().splitlines())) + status
+    assert run("run", six, "--main", "six", "--cost", "r",
+               "--trace", str(text), "--trace-json", str(text)) == 0
+    assert text.read_text() + capsys.readouterr().out == out
+
+
+def test_a_failed_run_leaves_its_trace(tmp_path, capsys):
+    # The steps a run takes before a fault are written as it takes them.
+    src = tmp_path / "nodef.tss"
+    src.write_text("decl g : . |- (y : 1)\ndecl f : . |- (x : 1)\n"
+                   "proc x <- f = y <- g ; wait y ; close x\n")
+    assert run("run", str(src), "--main", "f", "--trace", "-") == 1
+    out, err = capsys.readouterr()
+    assert out == ("defC: proc(c0, 0, c0 <- f) -> proc(c0, 0, c0 <- c1), "
+                   "proc(c1, 0, y <- g ; wait y ; close c1)\n")
+    assert err == "error: 3:15: process 'g' has no definition\n"
+
+
 def test_run_with_binding(capsys):
     assert run("run", str(CORPUS_DIR / "tree_rs.tss"), "--main", "tmain",
                "--bind", "h=1", "--cost", "rs") == 0

@@ -1,8 +1,11 @@
 import ast as pyast
 import dataclasses
+import gc
+import io
 import json
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -80,11 +83,16 @@ ILL_TYPED_RUNS = [
 @pytest.mark.parametrize("src, main, error, msg", ILL_TYPED_RUNS)
 def test_run_errors_name_the_source_position(src, main, error, msg):
     # An explicit program that fails its check still runs; the rule that
-    # cannot fire, or the stuck object, names the code's line:col.
+    # cannot fire, or the stuck object, names the code's line:col.  The
+    # trace is written as the run goes, so it holds the steps before the
+    # fault.
     prog = load(src, [main], {}, "free", explicit=True)
+    text = io.StringIO()
+    trace = Trace(text)
     with pytest.raises(error) as e:
-        prog.run()
+        prog.run(trace=trace)
     assert str(e.value) == msg
+    assert text.getvalue().count("\n") == trace.count > 0
 
 
 def test_a_delay_error_names_the_source_position():
@@ -108,18 +116,63 @@ proc c7 <- f = close c7
 
 
 def test_six_trace_and_chain(six):
-    trace = Trace()
+    text, jsonl = io.StringIO(), io.StringIO()
+    trace = Trace(text, jsonl)
     final, status, chain = six.run(steps=100, trace=trace)
     assert status == "quiescent"
     assert is_poised(final)
-    rules = [s.rule for s in trace.steps]
+    rules = [json.loads(line)["rule"]
+             for line in jsonl.getvalue().splitlines()]
     assert rules[0] == "defC"
     assert "id⁺C" in rules and "○C" in rules and "1S" in rules
     assert chain == [
         ("label", "b0", 0), ("label", "b1", 1), ("label", "b1", 2),
         ("label", "$", 3), ("close", "", 4)]
-    # Structured export carries one record per step.
-    assert trace.to_json().count("\n") == len(trace.steps)
+    # Each sink carries one line per step, and the trace counts them.
+    assert len(rules) == text.getvalue().count("\n") == trace.count
+    assert [line.split(":", 1)[0] for line in text.getvalue().splitlines()] \
+        == rules
+
+
+class _LastLine:
+    """A trace sink that keeps only the line last written to it."""
+    line = ""
+
+    def write(self, line: str) -> None:
+        self.line = line
+
+
+def _peak(n, trace):
+    """The tracemalloc peak, in bytes, of an rr run of `queue_rs` at `n`,
+    loaded afresh so that no run finds the caches of another filled."""
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert prog.run(trace=trace)[1] == "quiescent"
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_traced_run_keeps_nothing_per_step():
+    # The trace's own share of the peak is the traced peak less the
+    # untraced one.  From n=8 to n=32 the steps grow thirteenfold, and the
+    # share grows by less than 64 bytes a step, less than any object a step
+    # could keep: a step is written to its sinks and nothing of it is kept.
+    # (The share still grows with the configuration, whose live objects
+    # keep their text, and the allocator state earlier tests leave moves it
+    # by up to about 100 KB.)  A first traced run at each size takes the
+    # printer's one-time costs and interns the types the run builds.
+    steps, extra = [], []
+    for n in (8, 32):
+        corpus.load("queue_rs.tss", "qmain", {"n": n}, "rs").run(
+            trace=Trace(_LastLine(), _LastLine()))
+        trace = Trace(_LastLine(), _LastLine())
+        extra.append(_peak(n, trace) - _peak(n, None))
+        steps.append(trace.count)
+    assert steps == [497, 6569]
+    assert extra[1] - extra[0] < 64 * (steps[1] - steps[0]), extra
 
 
 def test_empty_configuration_is_quiescent(six):
@@ -201,14 +254,16 @@ proc c <- empty =
 decl main : . |- (x : ()^4 bits)
 proc x <- main = c <- empty ; c.inc ; c.inc ; c.inc ; c.val ; x <- c
 """, "main")
-    trace = Trace()
-    final, status, chain = prog.run(steps=500, trace=trace, check=True)
+    jsonl = io.StringIO()
+    final, status, chain = prog.run(steps=500, trace=Trace(jsonl=jsonl),
+                                    check=True)
     assert status == "quiescent" and is_poised(final)
     # Value three, read off after the third increment: b1 b1 $.
     assert chain == [
         ("label", "b1", 4), ("label", "b1", 5), ("label", "$", 6),
         ("close", "", 7)]
-    rules = {s.rule for s in trace.steps}
+    rules = {json.loads(line)["rule"]
+             for line in jsonl.getvalue().splitlines()}
     assert {"□S", "□C", "&S", "&C"} <= rules
 
 
@@ -275,9 +330,9 @@ def test_rules_consume_by_polarity_and_fire_as_pinned():
     for spec in corpus.run_specs():
         prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
         for sched, seed in (("rr", 0), ("rand", 1), ("sync", 0)):
-            trace = Trace()
-            prog.run(sched, seed, spec.steps, trace)
-            for line in trace.to_json().splitlines():
+            jsonl = io.StringIO()
+            prog.run(sched, seed, spec.steps, Trace(jsonl=jsonl))
+            for line in jsonl.getvalue().splitlines():
                 step = json.loads(line)
                 kinds = [o.split("(", 1)[0] for o in step["consumed"]]
                 assert kinds == CONSUMED[step["rule"]], (spec, step)
@@ -305,19 +360,20 @@ def _check_index_and_trace(sig, ops, main, steps):
             assert index is eng.enabled(c)
             assert _rule_view(index) == _rule_view(eng.enabled(c.copy()))
 
-        trace = Trace()
+        ran = io.StringIO()
         final, _ = eng.run(start, make_scheduler(sched, seed), steps,
-                           trace=trace, on_step=on_step)
+                           trace=Trace(ran), on_step=on_step)
         assert start == init_config(sig, main)  # the input is not rewritten
 
-        manual = Trace()
+        stepped = io.StringIO()
+        manual = Trace(stepped)
         cfg, scheduler = start, make_scheduler(sched, seed)
         for _ in range(steps):
             nxt = eng.step(cfg, scheduler, manual)
             if nxt is None:
                 break
             cfg = nxt
-        assert trace.to_text() == manual.to_text()
+        assert ran.getvalue() == stepped.getvalue()
         assert final == cfg
 
 
@@ -504,7 +560,7 @@ def _check_warm_against_cold(sig, ops, main, steps):
             fresh: dict = {}
             assert _outcome(ops, c.copy(), declared, fresh) is None
             warm, cold = cache[runtime._Checker], fresh[runtime._Checker]
-            assert warm.client == cold.client and warm.used == cold.used
+            assert warm.client == cold.client
             count[0] += 1
             if count[0] >= 4 and count[0] & (count[0] - 1) == 0:
                 # At steps 4, 8, 16, ...: faults in copies of this
@@ -830,7 +886,7 @@ def _check_closures_against_terms(sig, ops, main, steps):
         eng = Engine(sig, ops)
         cfg = init_config(sig, main)
         declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
-        trace = Trace()
+        last = _LastLine()
         flat = _concrete(cfg)
         before = [flat, runtime._Index(eng, flat).rules]
 
@@ -844,19 +900,19 @@ def _check_closures_against_terms(sig, ops, main, steps):
             assert _outcome(ops, flat, declared) == _outcome(ops, c, declared)
             # The step just taken, fired on the concrete configuration before
             # it, renders the same trace line and gives the same result.
-            step = trace.steps[-1]
-            (proc,) = [o for o in step.consumed if o.kind == "proc"]
-            rule = before[1][proc.chan]
+            (proc,) = [o for o in json.loads(last.line)["consumed"]
+                       if o.startswith("proc(")]
+            rule = before[1][proc[len("proc("):proc.index(",")]]
             after = before[0].copy()
             produced = rule.apply(after)
-            assert runtime.TraceStep(rule.name, tuple(rule.consumed),
-                                     tuple(produced)).as_dict() \
-                == step.as_dict()
+            again = _LastLine()
+            Trace(jsonl=again).add(rule.name, rule.consumed, produced)
+            assert again.line == last.line
             assert after == flat
             before[:] = flat, index.rules
 
-        eng.run(cfg, make_scheduler(sched, seed), steps, trace=trace,
-                on_step=on_step)
+        eng.run(cfg, make_scheduler(sched, seed), steps,
+                trace=Trace(jsonl=last), on_step=on_step)
 
 
 @pytest.mark.parametrize("spec", corpus.run_specs(),
@@ -902,11 +958,15 @@ def test_checker_messages_on_closures_name_run_channels():
     eng.run(init_config(prog.elab, prog.main), make_scheduler("rr"), 60,
             on_step=on_step)
     assert len(seen) > 20
-    named = 0
+    named = positioned = 0
     for config, c, client in seen[::7]:
         o = config.objs[c]
         assert any(o.env.get(x, x) != x for x in free_chans(o.code))
         y = min(o.used)
+        # A fault in an object's typing names the object, after its
+        # position in the source when its code has one.
+        head = runtime._at(o.code.pos, o.text + ": ")
+        positioned += o.code.pos is not None
         messages = []
         for obj in (o, Obj(o.kind, c, o.time, o.body)):
             part, given, out = _with_client(config, c, client, obj)
@@ -919,7 +979,7 @@ def test_checker_messages_on_closures_name_run_channels():
                 if side == "ptypes":
                     broken.ptypes[x] = bad
                 cold = _outcome(ops, broken, out, None, given)
-                assert cold is not None and cold.startswith(o.render() + ": ")
+                assert cold is not None and cold.startswith(head)
                 assert _outcome(ops, broken, out, cache, given) == cold
                 assert _outcome(ops, part, out, cache, given) is None
                 messages.append(cold)
@@ -928,7 +988,8 @@ def test_checker_messages_on_closures_name_run_channels():
         # Where a message names a channel, it names the run's.
         for message in messages[:2]:
             named_chans = re.findall(r"(?:on|channel|argument|source) (\w+)",
-                                     message[len(o.render()):])
+                                     message[len(head):])
             assert set(named_chans) <= o.used | {c}, message
             named += bool(named_chans)
     assert named > 4, named
+    assert positioned > 4, positioned
