@@ -388,12 +388,16 @@ CRITERIA = [
 ]
 
 
+def select(filter_text: str = "") -> list[Criterion]:
+    """The criteria whose number and title contain `filter_text`."""
+    return [c for c in CRITERIA if filter_text in f"{c.number} {c.title}"]
+
+
 def run_all(filter_text: str = "", out=print) -> bool:
     """Run the selected criteria, one line each; False if one fails or an
     expected failure passes."""
     all_ok = True
-    selected = [c for c in CRITERIA
-                if not filter_text or filter_text in f"{c.number} {c.title}"]
+    selected = select(filter_text)
     if any(c.number in (8, 9, 13) for c in selected):
         _Universe.get()  # shared fixture; build outside the timings
     for c in selected:

@@ -362,8 +362,8 @@ ProcExpr = Union[Spawn, TailCall, Cut, Fwd, SendLabel, Case, Close, Wait,
 
 def memo_hash(cls):
     """Compute a frozen dataclass's structural hash once per node and keep
-    it on the node: process nodes and runtime objects are immutable and get
-    hashed again and again as memo keys."""
+    it on the node: process nodes are immutable and get hashed again and
+    again as memo keys."""
     base = cls.__hash__
 
     def __hash__(self):

@@ -155,7 +155,11 @@ def cmd_instantiate(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    return 0 if acceptance.run_all(args.filter or "") else 1
+    if not acceptance.select(args.filter):
+        print(f"error: --filter {args.filter!r} matches no criterion",
+              file=sys.stderr)
+        return 2
+    return 0 if acceptance.run_all(args.filter) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

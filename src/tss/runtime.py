@@ -38,10 +38,12 @@ fires on its own object and at most one adjacent message, and it reads
 other objects only if they are messages.  So a step matches again only the
 objects it produced and the readers of the messages it consumed or
 produced: the procs at the channels such a message uses, and the client of
-its channel.  Its `on_step` callback receives the live copy: it may read it
-but must neither keep nor change it.  `Engine.step` stays functional: it
-leaves its input unchanged and returns the next configuration.  A `Trace`
-writes each step as the run fires it and keeps nothing of it.
+its channel, which the configuration records (session types are linear,
+so a channel has one) for the index and the configuration check alike.
+`run`'s `on_step` callback receives the live copy: it may read it but must
+neither keep nor change it.  `Engine.step` stays functional: it leaves its
+input unchanged and returns the next configuration.  A `Trace` writes each
+step as the run fires it and keeps nothing of it.
 
 `check_configuration` types a configuration against its interface.  Once it
 has accepted a configuration of a run, that configuration logs its writes,
@@ -68,8 +70,8 @@ from typing import IO, Callable, Optional
 from .ast import (Box, Case, Close, Cut, Delay, Diamond, Fwd, Lolli, Now,
                   Plus, ProcExpr, RecvChan, SendChan, SendLabel, SessionType,
                   Signature, Spawn, TailCall, Tensor, Wait, When, With,
-                  branch_get, bound_by, free_chans, memo_hash, next_type,
-                  rename_chans, subprocs)
+                  branch_get, bound_by, free_chans, next_type, rename_chans,
+                  subprocs)
 from .checker import Checker, check_process
 from .errors import ConfigTypeError, RunError, StuckError
 from .printer import fmt_proc, fmt_type
@@ -80,14 +82,13 @@ from .typeops import TypeOps
 _ID: dict[str, str] = {}  # the identity environment; never written to
 
 
-@memo_hash
 @dataclass(frozen=True, init=False, eq=False)
 class Obj:
     """A proc or msg object providing `chan` at `time`: it runs `code` with
     each free channel name `x` of the code standing for the run's channel
     `env.get(x, x)`.  `Obj(kind, chan, time, body)` builds one from a
-    concrete term, with the identity environment.  Equality and hashing are
-    on (kind, chan, time, body), whatever environment builds the body."""
+    concrete term, with the identity environment.  Equality is on (kind,
+    chan, time, body), whatever environment builds the body."""
     kind: str  # "proc" | "msg"
     chan: str
     time: int
@@ -133,9 +134,6 @@ class Obj:
         return (self.kind, self.chan, self.time, self.body) == \
             (other.kind, other.chan, other.time, other.body)
 
-    def __hash__(self) -> int:
-        return hash((self.kind, self.chan, self.time, self.body))
-
 
 class Trace:
     """The rules a run fires, written as it fires them: `add` renders a step
@@ -170,6 +168,11 @@ class Configuration:
     added at the end, a rule replaces the object at a surviving channel in
     place, and a dead channel is deleted.
 
+    `client` maps a channel to the channel of the object that uses it.  It
+    is built from `objs` in order, and a write unlinks the object it
+    replaces or drops before it links the new one, never overwriting: of
+    two objects using one channel, the first linked keeps it.
+
     The maps change only through `put`, `drop`, `set_ptype` and `set_ctype`.
     Once a check with a cache accepts the configuration, `log` holds what
     they wrote since: the object each written channel held before (None if
@@ -179,6 +182,12 @@ class Configuration:
     ptypes: dict[str, SessionType]  # provider-side interface, absolute
     ctypes: dict[str, SessionType]  # consumer-side interface, absolute
     log: tuple | None = field(default=None, compare=False, repr=False)
+    client: dict[str, str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.client = {}
+        for chan, obj in self.objs.items():
+            self._link(chan, obj)
 
     @property
     def order(self) -> list[str]:
@@ -189,22 +198,35 @@ class Configuration:
         return Configuration(dict(self.objs), self.counter, dict(self.ptypes),
                              dict(self.ctypes))
 
+    def _link(self, chan: str, obj: Obj) -> None:
+        for y in obj.used:
+            self.client.setdefault(y, chan)
+
+    def _unlink(self, chan: str) -> None:
+        """Log `chan` as written and unlink the object it holds."""
+        old, log = self.objs.get(chan), self.log
+        if log is not None:
+            log[0].setdefault(chan, old)
+        if old is not None:
+            for y in old.used:
+                if self.client.get(y) == chan:
+                    del self.client[y]
+
     def put(self, obj: Obj, ptype: SessionType | None = None) -> None:
         """Place `obj` at its channel; given `ptype`, both sides of the
         channel's interface are set to it."""
-        chan, log = obj.chan, self.log
-        if log is not None:
-            log[0].setdefault(chan, self.objs.get(chan))
-            if ptype is not None:
-                log[1][chan] = log[2][chan] = None
+        chan = obj.chan
+        self._unlink(chan)
         self.objs[chan] = obj
+        self._link(chan, obj)
         if ptype is not None:
+            if self.log is not None:
+                self.log[1][chan] = self.log[2][chan] = None
             self.ptypes[chan] = self.ctypes[chan] = ptype
 
     def drop(self, chan: str) -> None:
         """Delete a dead channel: its object and its interface."""
-        if self.log is not None:
-            self.log[0].setdefault(chan, self.objs[chan])
+        self._unlink(chan)
         del self.objs[chan]
         self.ptypes.pop(chan, None)
         self.ctypes.pop(chan, None)
@@ -400,54 +422,31 @@ class _Index:
     rewrite it in place.
 
     Each rule is local: a proc fires on its own object and on at most one
-    adjacent message.  `Engine._rule_for` reads, besides the proc itself,
-    - `objs[y]` for a channel `y` the proc uses, only if it is a message:
-      the provider's message a client receives or a forward passes up;
-    - `neg_acting[o.chan]`: the message a client sent to act on the proc;
-    - `mentions[o.chan]`: the message using the channel a forward provides.
-    So a step can enable or disable another proc only through a message it
-    consumed or produced.  After a step, only the objects at the channels
-    it consumed or produced are matched again, and for each message `m` it
-    consumed or produced, the objects at the channels `m` uses (those
-    reading `m` through `neg_acting` or `mentions`) and the client of
-    `m.chan` (the one reading `m` through `objs`).  Each firing updates the
-    match state instead of rebuilding it, and re-matches only the patterns
-    that read what it changed, as in Rete (Forgy 1982)."""
+    adjacent message.  Besides the proc, `Engine._rule_for` reads the
+    object at a channel the proc uses (the provider's message a client
+    receives or a forward passes up) and the object at the proc's client
+    (the message a client sent to act on it, or one a forward passes down),
+    each only if it is a message.  So a step can enable or disable another
+    proc only through a message it consumed or produced.  After a step,
+    only the objects at the channels it consumed or produced are matched
+    again, and for each message `m` it consumed or produced, the objects
+    at the channels `m` uses (those reading `m` as their client) and the
+    client of `m.chan` (the one reading `m` as its provider's).  Each
+    firing updates the match state instead of rebuilding it, and
+    re-matches only the patterns that read what it changed, as in Rete
+    (Forgy 1982)."""
 
     def __init__(self, engine: "Engine", config: Configuration):
         self.engine = engine
         self.config = config
-        self.client: dict[str, str] = {}  # chan -> the object using it
-        self.neg_acting: dict[str, Obj] = {}  # chan -> msg acting on it
-        self.mentions: dict[str, Obj] = {}  # chan -> msg using it
         self.rules: dict[str, _Rule] = {}  # chan -> rule of its proc
-        for o in config.objs.values():
-            self._link(o)
         for c in config.objs:
             self._match(c)
-
-    def _link(self, o: Obj) -> None:
-        for y in o.used:
-            self.client[y] = o.chan
-        if o.kind == "msg":
-            for y in o.used:
-                self.mentions[y] = o
-            if not isinstance(o.body, Close) and o.body.chan != o.chan:
-                self.neg_acting[o.body.chan] = o
-
-    def _unlink(self, o: Obj) -> None:
-        for y in o.used:
-            if self.client.get(y) == o.chan:
-                del self.client[y]
-            if self.mentions.get(y) is o:
-                del self.mentions[y]
-            if self.neg_acting.get(y) is o:
-                del self.neg_acting[y]
 
     def _match(self, chan: str) -> None:
         o = self.config.objs.get(chan)
         rule = None if o is None or o.kind != "proc" else self.engine._rule_for(
-            self.config, o, self.neg_acting, self.mentions)
+            self.config, o)
         if rule is None:
             self.rules.pop(chan, None)
         else:
@@ -456,15 +455,10 @@ class _Index:
     def fire(self, rule: _Rule) -> list[Obj]:
         """Apply `rule` in place and match again the objects that read what
         it wrote; returns the objects it produced."""
-        consumed = rule.consumed
-        for o in consumed:
-            self._unlink(o)
         produced = rule.apply(self.config)
-        for o in produced:
-            self._link(o)
         near: set[str] = set()
-        client = self.client
-        for o in chain(consumed, produced):
+        client = self.config.client
+        for o in chain(rule.consumed, produced):
             near.add(o.chan)
             if o.kind == "msg":
                 near |= o.used
@@ -497,9 +491,7 @@ class Engine:
             return live.rules
         return _Index(self, config).rules
 
-    def _rule_for(self, config: Configuration, o: Obj,
-                  neg_acting: dict[str, Obj],
-                  mentions: dict[str, Obj]) -> Optional[_Rule]:
+    def _rule_for(self, config: Configuration, o: Obj) -> Optional[_Rule]:
         code, env = o.code, o.env
         objs = config.objs
         match code:
@@ -518,7 +510,8 @@ class Engine:
             case Case() | RecvChan() | When() | Wait():
                 sent, pos, neg = _RECEIVES[type(code)]
                 chan = env.get(code.chan, code.chan)
-                m = neg_acting.get(chan) if chan == o.chan else objs.get(chan)
+                m = objs.get(config.client.get(chan) if chan == o.chan
+                             else chan)
                 if m is None or m.kind != "msg" \
                         or not isinstance(m.body, sent) \
                         or m.body.chan != chan or m.time < o.time \
@@ -531,8 +524,8 @@ class Engine:
                 m = objs.get(env.get(src, src))
                 if m is not None and m.kind == "msg" and m.time >= o.time:
                     return _Rule("id⁺C", [m, o], lambda c: self._fwd_up(c, o, m))
-                m2 = mentions.get(o.chan)
-                if m2 is not None and o.time <= m2.time:
+                m2 = objs.get(config.client.get(o.chan))
+                if m2 is not None and m2.kind == "msg" and o.time <= m2.time:
                     return _Rule("id⁻C", [o, m2],
                                  lambda c: self._fwd_down(c, o, m2))
         return None
@@ -784,11 +777,10 @@ class _Sequents(Checker):
 
 class _Checker:
     """What `check_configuration` last accepted for one run: the interface
-    and `TypeOps` it was checked against, the client of each channel, and
-    the log the configuration keeps.  Every key is a channel of that
-    configuration, so the state is as large as the configuration, not as
-    long as the run.  The log's first map holds the object accepted at each
-    channel written since, and so the channels it used.
+    and `TypeOps` it was checked against and the log the configuration
+    keeps.  The log's first map holds the object accepted at each channel
+    written since, and so the channels it used.  Which object uses each
+    channel is the configuration's own record, its `client` map.
 
     It also holds `sequents`, the sequents its checker accepted for code
     typed under the code's own names.  Those name only a definition's own
@@ -804,7 +796,6 @@ class _Checker:
     def __init__(self):
         self.ops: TypeOps | None = None
         self.provides = None  # (provides_in, provides_out), as items
-        self.client: dict[str, str] = {}  # chan -> the object using it
         self.sequents: _Sequents | None = None
         self.log: tuple[dict, dict, dict] | None = None
 
@@ -820,48 +811,43 @@ class _Checker:
         # empty state reports it: the first in configuration order.
         for cold in (self.ops is None, True):
             try:
-                self._update(ops, provides_in, config, provides_out)
+                if not self._update(ops, provides_in, config, provides_out):
+                    self.ops = None  # the next check starts over
                 self.provides = provides
                 if keep:
                     self.log = config.log = ({}, {}, {})
                 return
-            except ConfigTypeError:
+            except BaseException as e:
                 self.__init__()
-                if cold:
+                if cold or not isinstance(e, ConfigTypeError):
                     raise
-            except BaseException:
-                self.__init__()
-                raise
 
     def _update(self, ops: TypeOps, provides_in: dict[str, SessionType],
                 config: Configuration,
-                provides_out: dict[str, SessionType]) -> None:
+                provides_out: dict[str, SessionType]) -> bool:
         """Check what the log names and accept the result; from the empty
-        state every channel counts as written.  Raises ConfigTypeError on a
-        fault, leaving the state half updated."""
+        state every channel counts as written.  Returns whether the
+        configuration's client map can be read from the accepted state.
+        Raises ConfigTypeError on a fault, leaving the state half updated."""
         objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
         fresh = self.ops is None
         if fresh:
             self.ops, self.sequents = ops, _Sequents(ops)
             written, pmoved, cmoved = dict.fromkeys(objs), ptypes, ctypes
+            client: dict[str, str] = {}
         else:
             written, pmoved, cmoved = config.log
-        client = self.client
+            client = config.client
         moved = [c for c, o in written.items() if objs.get(c) is not o]
 
-        # Each channel has one client: unlink the objects that moved (the
-        # log holds the ones accepted, None where a channel is new), then
-        # link the ones now there.  An edge new at its channel may close a
-        # cycle.
-        lost: list[str] = []
-        for c in moved:
-            if written[c] is not None:
-                for y in written[c].used:
-                    del client[y]
-                    lost.append(y)
-        added: list[str] = []
-        linked: list[str] = []
-        sources: list[str] = []
+        # Each channel has one client.  From accepted state the
+        # configuration's map names it, and an object that moved but does
+        # not hold every channel it uses shares one with another object.
+        # From empty state the objects are linked here, in configuration
+        # order.  An edge new at its channel may close a cycle.
+        lost = [y for c in moved if written[c] is not None
+                for y in written[c].used]
+        added, linked, sources = [], [], []
         for c in moved:
             o = objs.get(c)
             if o is None:
@@ -873,10 +859,10 @@ class _Checker:
             if was is None:
                 added.append(c)
             for y in o.used:
-                if y in client:
+                holder = client.setdefault(y, c) if fresh else client.get(y)
+                if holder != c:
                     raise ConfigTypeError(f"channel {y} has two clients "
-                                          f"({client[y]} and {c})")
-                client[y] = c
+                                          f"({holder} and {c})")
                 linked.append(y)
                 if was is None or y not in was.used:
                     sources.append(c)
@@ -937,6 +923,9 @@ class _Checker:
         for c in dict.fromkeys(chain(moved, pmoved, map(client.get, cmoved))):
             if c in objs:
                 self._verdict(ops, provides_in, config, c)
+        # Writes that went through two clients of one channel can leave the
+        # configuration's map without the client that stayed.
+        return not fresh or client == config.client
 
     def _verdict(self, ops: TypeOps, provides_in: dict[str, SessionType],
                  config: Configuration, c: str) -> None:

@@ -20,7 +20,6 @@ from tss.ast import (CHAN_FIELDS, ONE, SUBPROC_FIELDS, Box, Case, Close, Cut,
 from tss.instantiate import instantiate, instantiate_many
 from tss.parser import parse_program, parse_type
 from tss.printer import fmt_type
-from tss.runtime import Obj
 from tss.typeops import TypeOps
 
 LISTS = """
@@ -192,7 +191,6 @@ def test_process_nodes_hash_structurally_without_positions():
     b = SendLabel("c", "l", Close("c"), pos=(2, 5))
     assert a is not b and a == b
     assert hash(a) == hash(a) == hash(b)
-    assert hash(Obj("proc", "c", 3, a)) == hash(Obj("proc", "c", 3, b))
     assert SendLabel("c", "m", Close("c")) != a
 
 

@@ -272,6 +272,13 @@ def test_corpus_filter(capsys):
     assert "six-trace" in out and "fold" not in out
 
 
+def test_corpus_filter_that_matches_nothing_is_a_usage_error(capsys):
+    assert run("corpus", "--filter", "zzz") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --filter 'zzz' matches no criterion\n"
+
+
 def test_corpus_exit_status_treats_criterion_7_as_strict_xfail(capsys,
                                                                monkeypatch):
     from tss import acceptance

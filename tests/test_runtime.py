@@ -293,6 +293,62 @@ def test_config_with_two_clients_rejected(six):
         check_configuration(ops, {}, cfg, {"c2": one, "c3": one})
 
 
+def test_a_channel_with_two_clients_maps_to_the_first(six):
+    # A hand-built configuration is mapped in configuration order, and a
+    # write never overwrites the client a channel has.
+    objs = {"c1": Obj("proc", "c1", 0, Close("c1")),
+            "c3": Obj("proc", "c3", 0, Wait("c1", Close("c3"))),
+            "c2": Obj("proc", "c2", 0, Wait("c1", Close("c2")))}
+    types = dict.fromkeys(objs, ONE)
+    cfg = Configuration(objs, 4, types, dict(types))
+    assert cfg.client == {"c1": "c3"}
+    assert _outcome(six.ops, cfg, {"c2": ONE, "c3": ONE}) == \
+        "channel c1 has two clients (c3 and c2)"
+    cfg.put(Obj("proc", "c4", 0, Wait("c1", Close("c4"))), ONE)
+    cfg.drop("c2")
+    assert cfg.client == {"c1": "c3"}
+
+
+def test_a_cold_check_leaves_the_client_map_as_it_is():
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": 2}, "rs")
+    ops = prog.ops
+    cfg = init_config(prog.elab, prog.main)
+    declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+    live, _ = Engine(prog.elab, ops).run(cfg, make_scheduler("rr"), 40)
+    client = live.client
+    before = dict(client)
+    assert _outcome(ops, live, declared) is None
+    assert _outcome(ops, live, declared, {}) is None
+    # A second client of a channel, found from empty state.
+    y = min(client)
+    live.put(Obj("proc", "z3", 0, Wait(y, Close("z3"))), ONE)
+    assert "two clients" in _outcome(ops, live, declared)
+    assert live.client is client and client == before
+
+
+def test_a_client_map_left_short_is_not_read_from_accepted_state(six):
+    # Writes through two clients of c1 drop the one the map names; the
+    # check that accepts the result cannot trust the map, so a later
+    # second client of c1 is found as a check from empty state finds it.
+    objs = {"c1": Obj("proc", "c1", 0, Close("c1")),
+            "c4": Obj("proc", "c4", 0, Close("c4")),
+            "c2": Obj("proc", "c2", 0, Wait("c1", Close("c2"))),
+            "c3": Obj("proc", "c3", 0, Wait("c4", Close("c3")))}
+    types = dict.fromkeys(objs, ONE)
+    cfg = Configuration(objs, 5, types, dict(types))
+    declared = {"c2": ONE, "c3": ONE}
+    cache: dict = {}
+    assert _outcome(six.ops, cfg, declared, cache) is None
+    cfg.put(Obj("proc", "c3", 0, Wait("c1", Wait("c4", Close("c3")))))
+    cfg.put(Obj("proc", "c2", 0, Close("c2")))
+    assert cfg.client == {"c4": "c3"}
+    assert _outcome(six.ops, cfg, declared, cache) is None
+    cfg.put(Obj("proc", "c2", 0, Wait("c1", Close("c2"))))
+    cold = _outcome(six.ops, cfg, declared)
+    assert cold == "channel c1 has two clients (c2 and c3)"
+    assert _outcome(six.ops, cfg, declared, cache) == cold
+
+
 def test_cyclic_wiring_rejected(six):
     ops = six.ops
     one = parse_program("type t = 1").type_body("t")
@@ -546,6 +602,13 @@ def _faulty_copies(ops, cfg, declared):
     return faults
 
 
+def _check_client_map(config):
+    """The client map the writes kept is the one a rebuild from the objects
+    gives: every rule unlinks a channel's old client before it links a new
+    one."""
+    assert config.client == config.copy().client
+
+
 def _check_warm_against_cold(sig, ops, main, steps):
     for sched, seed in (("rr", 0), ("rand", 3), ("sync", 0)):
         cfg = init_config(sig, main)
@@ -555,12 +618,8 @@ def _check_warm_against_cold(sig, ops, main, steps):
 
         def on_step(c):
             assert _outcome(ops, c, declared, cache) is None
-            # The state the log kept current is the state a check from
-            # empty state builds.
-            fresh: dict = {}
-            assert _outcome(ops, c.copy(), declared, fresh) is None
-            warm, cold = cache[runtime._Checker], fresh[runtime._Checker]
-            assert warm.client == cold.client
+            assert _outcome(ops, c.copy(), declared, {}) is None
+            _check_client_map(c)
             count[0] += 1
             if count[0] >= 4 and count[0] & (count[0] - 1) == 0:
                 # At steps 4, 8, 16, ...: faults in copies of this
@@ -695,7 +754,7 @@ def test_a_fault_written_to_the_accepted_configuration_is_found(write):
 def test_only_the_configuration_writes_its_maps():
     # The check reads a configuration's writes from its log, so a write
     # that bypasses `Configuration`'s methods would go unchecked.
-    maps = {"objs", "ptypes", "ctypes"}
+    maps = {"objs", "ptypes", "ctypes", "client"}
     writes = {"pop", "popitem", "setdefault", "update", "clear"}
 
     def is_map(node):
@@ -896,7 +955,7 @@ def _check_closures_against_terms(sig, ops, main, steps):
             assert _rule_view(index.rules) == _rule_view(live.rules)
             assert {x: o.used for x, o in flat.objs.items()} == \
                 {x: o.used for x, o in c.objs.items()}
-            assert index.client == live.client
+            _check_client_map(c)
             assert _outcome(ops, flat, declared) == _outcome(ops, c, declared)
             # The step just taken, fired on the concrete configuration before
             # it, renders the same trace line and gives the same result.
@@ -953,7 +1012,7 @@ def test_checker_messages_on_closures_name_run_channels():
     def on_step(c):
         for chan, o in c.objs.items():
             if o.kind == "proc" and o.env and o.used:
-                seen.append((c.copy(), chan, eng._live.client.get(chan)))
+                seen.append((c.copy(), chan, c.client.get(chan)))
 
     eng.run(init_config(prog.elab, prog.main), make_scheduler("rr"), 60,
             on_step=on_step)
