@@ -40,6 +40,9 @@ objects it produced and the readers of the messages it consumed or
 produced: the procs at the channels such a message uses, and the client of
 its channel, which the configuration records (session types are linear,
 so a channel has one) for the index and the configuration check alike.
+The index also keeps the enabled channels in sorted lists of their
+creation ranks, the order the schedulers go by, so a pick is a binary
+search or a look-up rather than a scan of the configuration.
 `run`'s `on_step` callback receives the live copy: it may read it but must
 neither keep nor change it.  `Engine.step` stays functional: it leaves its
 input unchanged and returns the next configuration.  A `Trace` writes each
@@ -63,6 +66,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Callable, Optional
@@ -166,7 +170,9 @@ class Configuration:
     """The objects of a run by the channel each provides.  Channel order is
     the key order of `objs`, which is creation order: a fresh channel is
     added at the end, a rule replaces the object at a surviving channel in
-    place, and a dead channel is deleted.
+    place, and a dead channel is deleted.  `rank` holds that order as a
+    number, fixed when a channel is first put: of two live channels, the
+    one created first has the lower rank.
 
     `client` maps a channel to the channel of the object that uses it.  It
     is built from `objs` in order, and a write unlinks the object it
@@ -183,10 +189,14 @@ class Configuration:
     ctypes: dict[str, SessionType]  # consumer-side interface, absolute
     log: tuple | None = field(default=None, compare=False, repr=False)
     client: dict[str, str] = field(init=False, compare=False, repr=False)
+    rank: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.client = {}
+        self.rank = {}
+        self._ranked = 0  # the rank of the next channel put
         for chan, obj in self.objs.items():
+            self._rank(chan)
             self._link(chan, obj)
 
     @property
@@ -198,12 +208,17 @@ class Configuration:
         return Configuration(dict(self.objs), self.counter, dict(self.ptypes),
                              dict(self.ctypes))
 
+    def _rank(self, chan: str) -> None:
+        self.rank[chan] = self._ranked
+        self._ranked += 1
+
     def _link(self, chan: str, obj: Obj) -> None:
         for y in obj.used:
             self.client.setdefault(y, chan)
 
-    def _unlink(self, chan: str) -> None:
-        """Log `chan` as written and unlink the object it holds."""
+    def _unlink(self, chan: str) -> Obj | None:
+        """Log `chan` as written and unlink the object it holds, which is
+        returned."""
         old, log = self.objs.get(chan), self.log
         if log is not None:
             log[0].setdefault(chan, old)
@@ -211,12 +226,14 @@ class Configuration:
             for y in old.used:
                 if self.client.get(y) == chan:
                     del self.client[y]
+        return old
 
     def put(self, obj: Obj, ptype: SessionType | None = None) -> None:
         """Place `obj` at its channel; given `ptype`, both sides of the
         channel's interface are set to it."""
         chan = obj.chan
-        self._unlink(chan)
+        if self._unlink(chan) is None:
+            self._rank(chan)
         self.objs[chan] = obj
         self._link(chan, obj)
         if ptype is not None:
@@ -225,9 +242,9 @@ class Configuration:
             self.ptypes[chan] = self.ctypes[chan] = ptype
 
     def drop(self, chan: str) -> None:
-        """Delete a dead channel: its object and its interface."""
+        """Delete a dead channel: its object, its rank and its interface."""
         self._unlink(chan)
-        del self.objs[chan]
+        del self.objs[chan], self.rank[chan]
         self.ptypes.pop(chan, None)
         self.ctypes.pop(chan, None)
 
@@ -293,48 +310,49 @@ def init_config(sig: Signature, main: str) -> Configuration:
 # Schedulers
 
 class RoundRobin:
-    """Cycles over objects in channel-creation order."""
+    """Cycles over the enabled channels in creation order: it takes the
+    first after the one it fired last, or the first of all when that one is
+    gone."""
 
     def __init__(self):
         self._last: Optional[str] = None
 
-    def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
-        objs = config.objs
-        order = list(objs)
-        enabled = candidates.__contains__
-        start = order.index(self._last) + 1 if self._last in objs else 0
-        choice = next(filter(enabled, order[start:]), None) \
-            or next(filter(enabled, order), None)
-        if choice is None:
+    def pick(self, config: Configuration, candidates: "_Index"):
+        ranks = candidates.ranks
+        if not ranks:
             return None
+        last = config.rank.get(self._last)
+        i = 0 if last is None else bisect_right(ranks, last)
+        choice = candidates.at[ranks[i] if i < len(ranks) else ranks[0]]
         self._last = choice
         return candidates[choice]
 
 
 class SeededRandom:
+    """Draws an enabled channel uniformly, as `random.choice` draws from the
+    list of them in creation order."""
+
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
+    def pick(self, config: Configuration, candidates: "_Index"):
         if not candidates:
             return None
-        order = list(filter(candidates.__contains__, config.objs))
-        return candidates[self._rng.choice(order)]
+        return candidates[candidates.at[self._rng.choice(candidates.ranks)]]
 
 
 class TimeSynchronous:
     """Exhausts communication at the current time front before letting any
-    process advance its clock; delayers at the earliest time go first."""
+    process advance its clock: the earliest created channel whose rule is
+    not a delay goes first, else the delayer at the earliest time, the
+    earliest created of those."""
 
-    def pick(self, config: Configuration, candidates: dict[str, "_Rule"]):
+    def pick(self, config: Configuration, candidates: "_Index"):
         if not candidates:
             return None
-        order = list(filter(candidates.__contains__, config.objs))
-        for c in order:
-            if candidates[c].name != "○C":
-                return candidates[c]
-        # min keeps the first of equal times, i.e. the earliest created.
-        return candidates[min(order, key=lambda c: config.objs[c].time)]
+        now, later = candidates.sync_views()
+        rank = now[0] if now else later[0][1]
+        return candidates[candidates.at[rank]]
 
 
 def make_scheduler(name: str, seed: int = 0):
@@ -417,9 +435,9 @@ _RECEIVES = {Case: (SendLabel, "⊕C", "&C"), RecvChan: (SendChan, "⊗C", "⊸C
              When: (Now, "◇C", "□C"), Wait: (Close, "1C", None)}
 
 
-class _Index:
-    """The enabled rules of one configuration, kept current while rules
-    rewrite it in place.
+class _Index(dict):
+    """The enabled rules of one configuration, by channel, kept current
+    while rules rewrite it in place.
 
     Each rule is local: a proc fires on its own object and on at most one
     adjacent message.  Besides the proc, `Engine._rule_for` reads the
@@ -434,23 +452,82 @@ class _Index:
     client of `m.chan` (the one reading `m` as its provider's).  Each
     firing updates the match state instead of rebuilding it, and
     re-matches only the patterns that read what it changed, as in Rete
-    (Forgy 1982)."""
+    (Forgy 1982).
+
+    The schedulers read the enabled channels in creation order, from
+    sorted lists of their ranks (`Configuration.rank`) that a match keeps
+    as a channel's rule appears, changes or goes.  `ranks` holds them all,
+    `at` maps a rank back to its channel and `ranked` an enabled channel to
+    its rank.  Time-synchronous reads two more, which `sync_views` builds
+    on its first call and matches keep from then on, so runs under the
+    other schedulers do not pay for them: `now`, the ranks of the channels
+    whose rule is not a delay, and `later`, the delayers as (time, rank).
+    `synced` maps each enabled channel to its entry in one of the two.  So
+    a pick is a binary search or a look-up, whatever the size of the
+    configuration."""
 
     def __init__(self, engine: "Engine", config: Configuration):
+        super().__init__()
         self.engine = engine
         self.config = config
-        self.rules: dict[str, _Rule] = {}  # chan -> rule of its proc
+        self.ranks: list[int] = []
+        self.at: dict[int, str] = {}
+        self.ranked: dict[str, int] = {}
+        self.synced: dict[str, int | tuple[int, int]] | None = None
+        self.now: list[int] = []
+        self.later: list[tuple[int, int]] = []
         for c in config.objs:
             self._match(c)
 
     def _match(self, chan: str) -> None:
-        o = self.config.objs.get(chan)
+        config = self.config
+        o = config.objs.get(chan)
         rule = None if o is None or o.kind != "proc" else self.engine._rule_for(
-            self.config, o)
+            config, o)
+        # A channel keeps its rank while it lives, and the step that drops
+        # it matches it again.
+        rank = self.ranked.get(chan)
         if rule is None:
-            self.rules.pop(chan, None)
+            if rank is not None:
+                del self[chan], self.ranked[chan], self.at[rank]
+                del self.ranks[bisect_left(self.ranks, rank)]
+                if self.synced is not None:
+                    self._sync(chan, None)
+            return
+        self[chan] = rule
+        if rank is None:
+            rank = self.ranked[chan] = config.rank[chan]
+            insort(self.ranks, rank)
+            self.at[rank] = chan
+        if self.synced is not None:
+            self._sync(chan, (o.time, rank) if rule.name == "○C" else rank)
+
+    def _sync(self, chan: str, key: int | tuple[int, int] | None) -> None:
+        """File `chan` in time-synchronous's views under `key`: its rank in
+        `now`, or (time, rank) in `later` if it delays, or, for None, in
+        neither."""
+        was = self.synced.get(chan)
+        if key == was:
+            return
+        if was is not None:
+            view = self.later if isinstance(was, tuple) else self.now
+            del view[bisect_left(view, was)]
+        if key is None:
+            del self.synced[chan]
         else:
-            self.rules[chan] = rule
+            self.synced[chan] = key
+            insort(self.later if isinstance(key, tuple) else self.now, key)
+
+    def sync_views(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """`now` and `later`, kept current from the first call on."""
+        if self.synced is None:
+            self.synced = {}
+            objs = self.config.objs
+            for chan, rule in self.items():
+                rank = self.ranked[chan]
+                self._sync(chan, (objs[chan].time, rank) if rule.name == "○C"
+                           else rank)
+        return self.now, self.later
 
     def fire(self, rule: _Rule) -> list[Obj]:
         """Apply `rule` in place and match again the objects that read what
@@ -482,14 +559,14 @@ class Engine:
         return name
 
     # -- enabled-rule discovery ----------------------------------------------
-    def enabled(self, config: Configuration) -> dict[str, _Rule]:
-        """For each proc object that can fire, its unique rule instance: read
-        off the index of the copy a `run` is rewriting, built from scratch
-        for any other configuration."""
+    def enabled(self, config: Configuration) -> _Index:
+        """For each proc object that can fire, its unique rule instance: the
+        index of the copy a `run` is rewriting, built from scratch for any
+        other configuration."""
         live = self._live
         if live is not None and live.config is config:
-            return live.rules
-        return _Index(self, config).rules
+            return live
+        return _Index(self, config)
 
     def _rule_for(self, config: Configuration, o: Obj) -> Optional[_Rule]:
         code, env = o.code, o.env
@@ -844,7 +921,10 @@ class _Checker:
         # configuration's map names it, and an object that moved but does
         # not hold every channel it uses shares one with another object.
         # From empty state the objects are linked here, in configuration
-        # order.  An edge new at its channel may close a cycle.
+        # order.  An edge new at its channel may close a cycle.  An object's
+        # channels are taken in name order, here and in its typing context,
+        # so a fault reads the same in every process, whatever the order a
+        # set of names iterates in.
         lost = [y for c in moved if written[c] is not None
                 for y in written[c].used]
         added, linked, sources = [], [], []
@@ -858,7 +938,7 @@ class _Checker:
             was = written[c]
             if was is None:
                 added.append(c)
-            for y in o.used:
+            for y in sorted(o.used):
                 holder = client.setdefault(y, c) if fresh else client.get(y)
                 if holder != c:
                     raise ConfigTypeError(f"channel {y} has two clients "
@@ -956,7 +1036,7 @@ class _Checker:
         where `p` names the run's channel `y` as `names.get(y, y)`."""
         ctypes = config.ctypes
         srcs = {}
-        for y in o.used:
+        for y in sorted(o.used):
             src = ctypes.get(y, provides_in.get(y))
             if src is None:
                 raise ConfigTypeError(f"no interface for consumed channel {y}")

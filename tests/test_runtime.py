@@ -3,8 +3,12 @@ import dataclasses
 import gc
 import io
 import json
+import os
+import random
 import re
+import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -529,6 +533,145 @@ def test_rematches_per_step_on_a_queue_stay_near_one(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The schedulers against scans of the configuration
+
+class _ScanRoundRobin:
+    """Round robin as a scan of `objs`, which is in creation order."""
+
+    def __init__(self):
+        self.last = None
+
+    def pick(self, config, candidates):
+        objs = config.objs
+        order = list(objs)
+        enabled = candidates.__contains__
+        start = order.index(self.last) + 1 if self.last in objs else 0
+        choice = next(filter(enabled, order[start:]), None) \
+            or next(filter(enabled, order), None)
+        if choice is None:
+            return None
+        self.last = choice
+        return candidates[choice]
+
+
+class _ScanRandom:
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def pick(self, config, candidates):
+        if not candidates:
+            return None
+        order = list(filter(candidates.__contains__, config.objs))
+        return candidates[self._rng.choice(order)]
+
+
+class _ScanSync:
+    def pick(self, config, candidates):
+        if not candidates:
+            return None
+        order = list(filter(candidates.__contains__, config.objs))
+        for c in order:
+            if candidates[c].name != "○C":
+                return candidates[c]
+        return candidates[min(order, key=lambda c: config.objs[c].time)]
+
+
+_SCANS = {"rr": lambda seed: _ScanRoundRobin(), "rand": _ScanRandom,
+          "sync": lambda seed: _ScanSync()}
+
+
+class _Lockstep:
+    """A scheduler and its scan, asked for each step of one run on the same
+    configuration and candidates: they must pick the same rule, so the run
+    fires, and its trace shows, what the scan alone would.  The index's
+    rank views must list the enabled channels in the scan's order.  `gone`
+    counts the picks after round robin's last channel was dropped."""
+
+    def __init__(self, sched, seed):
+        self.fast, self.scan = make_scheduler(sched, seed), _SCANS[sched](seed)
+        self.steps = self.gone = 0
+
+    def pick(self, config, candidates):
+        objs, at = config.objs, candidates.at
+        order = [c for c in objs if c in candidates]
+        delayers = [c for c in order if candidates[c].name == "○C"]
+        now, later = candidates.sync_views()
+        assert [at[r] for r in candidates.ranks] == order
+        assert [at[r] for r in now] == [c for c in order if c not in delayers]
+        assert [(t, at[r]) for t, r in later] == \
+            sorted(((objs[c].time, c) for c in delayers),
+                   key=lambda tc: tc[0])
+        if isinstance(self.scan, _ScanRoundRobin):
+            self.gone += self.scan.last is not None \
+                and self.scan.last not in objs
+        rule = self.fast.pick(config, candidates)
+        assert rule is self.scan.pick(config, candidates), self.steps
+        self.steps += 1
+        return rule
+
+
+def _lockstep(prog, sched, seed, steps):
+    lock = _Lockstep(sched, seed)
+    _, status = Engine(prog.elab, prog.ops).run(
+        init_config(prog.elab, prog.main), lock, steps)
+    return lock, status
+
+
+@pytest.mark.parametrize("spec", corpus.run_specs(),
+                         ids=lambda s: f"{s.file}:{s.main}{s.bind}")
+def test_schedulers_pick_as_scans_on_corpus_runs(spec):
+    prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+    for sched, seed in (("rr", 0), ("rand", 0), ("rand", 1), ("rand", 7),
+                        ("sync", 0)):
+        lock, _ = _lockstep(prog, sched, seed, spec.steps)
+        assert lock.steps > 0
+
+
+def test_schedulers_pick_as_scans_on_a_growing_configuration():
+    # alternate_rs never quiesces: it ends 5,000 steps with about 600
+    # objects.
+    prog = corpus.load("alternate_rs.tss", "altmain", {"k": 1}, "rs")
+    for sched in ("rr", "rand", "sync"):
+        lock, status = _lockstep(prog, sched, 1, 5_000)
+        assert status == "budget" and lock.steps == 5_000
+
+
+def test_round_robin_starts_over_when_its_last_channel_is_gone():
+    # A provider that takes its client's message goes on at the message's
+    # channel and drops its own, as does a forward passing a message down.
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": 2}, "rs")
+    lock, status = _lockstep(prog, "rr", 0, 10_000)
+    assert status == "quiescent"
+    assert lock.gone >= 10, lock.gone  # 11
+
+
+def test_a_step_costs_the_same_on_a_growing_configuration():
+    # µs per step over a 20,000-step alternate_rs run (about 2,500 objects
+    # at the end) against the best of three 2,500-step runs (about 300).
+    # Schedulers that scanned the configuration on every pick read 2.3-3.5x.
+    prog = corpus.load("alternate_rs.tss", "altmain", {"k": 1}, "rs")
+
+    def per_step(sched, steps):
+        cfg = init_config(prog.elab, prog.main)
+        eng, scheduler = Engine(prog.elab, prog.ops), make_scheduler(sched, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            _, status = eng.run(cfg, scheduler, steps)
+            seconds = time.perf_counter() - t0
+        finally:
+            gc.enable()
+        assert status == "budget"
+        return seconds / steps
+
+    for sched in ("rr", "rand", "sync"):
+        short = min(per_step(sched, 2_500) for _ in range(3))
+        long = per_step(sched, 20_000)
+        assert long <= 2 * short, (sched, short * 1e6, long * 1e6)
+
+
+# ---------------------------------------------------------------------------
 # The incremental configuration check against a cold one
 
 ODD = Plus((("zz", ONE),))  # no tracked type is weakly above or below it
@@ -600,6 +743,64 @@ def _faulty_copies(ops, cfg, declared):
         # A missing provider of y.
         copy().drop(y)
     return faults
+
+
+# Runs whose faults, at some step 2^k, have a typing context of two or more
+# channels: (file, main, bind, scheduler, seed, last step).  Built by
+# iterating a set of channel names, such a context read in a different
+# order in processes with different string hashes.
+_CONTEXT_ORDER_RUNS = [
+    ("append_rs.tss", "amain", {"n": 3, "k": 3, "r": 2}, "rand", 3, 64),
+    ("append_rs.tss", "amain", {"n": 2, "k": 1, "r": 1}, "sync", 0, 64),
+    ("append_rs.tss", "amain", {"n": 3, "k": 3, "r": 2}, "sync", 0, 128),
+    ("alternate_rs.tss", "altmain", {"k": 0}, "rr", 0, 256),
+    ("alternate_rs.tss", "altmain", {"k": 0}, "sync", 0, 32),
+    ("alternate_rs.tss", "altmain", {"k": 1}, "rr", 0, 32),
+    ("alternate_rs.tss", "altmain", {"k": 1}, "sync", 0, 32),
+    ("tree_free.tss", "tmain", {"h": 2}, "rr", 0, 64),
+    ("tree_free.tss", "tmain", {"h": 3}, "rr", 0, 128),
+]
+
+
+def _fault_texts():
+    """The cold messages of `_faulty_copies` at steps 4, 8, 16, ... of the
+    runs in `_CONTEXT_ORDER_RUNS`."""
+    costs = {s.file: s.cost for s in corpus.run_specs()}
+    texts = []
+    for file, main, bind, sched, seed, last in _CONTEXT_ORDER_RUNS:
+        prog = corpus.load(file, main, bind, costs[file])
+        cfg = init_config(prog.elab, prog.main)
+        declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
+        count = [0]
+
+        def on_step(c):
+            count[0] += 1
+            if count[0] >= 4 and count[0] & (count[0] - 1) == 0:
+                for broken, _ in _faulty_copies(prog.ops, c, declared):
+                    texts.append(_outcome(prog.ops, broken, declared))
+
+        Engine(prog.elab, prog.ops).run(cfg, make_scheduler(sched, seed),
+                                        last, on_step=on_step)
+    return texts
+
+
+def test_fault_texts_do_not_depend_on_string_hashing():
+    tests = Path(__file__).parent
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import test_runtime; print(json.dumps(test_runtime._fault_texts()))")
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(runtime.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code, str(tests)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    contexts = [t.rsplit(" in context ", 1)[1] for t in runs[0]
+                if t is not None and " in context " in t]
+    assert sum(", " in c for c in contexts) >= 10, contexts
 
 
 def _check_client_map(config):
@@ -754,7 +955,7 @@ def test_a_fault_written_to_the_accepted_configuration_is_found(write):
 def test_only_the_configuration_writes_its_maps():
     # The check reads a configuration's writes from its log, so a write
     # that bypasses `Configuration`'s methods would go unchecked.
-    maps = {"objs", "ptypes", "ctypes", "client"}
+    maps = {"objs", "ptypes", "ctypes", "client", "rank"}
     writes = {"pop", "popitem", "setdefault", "update", "clear"}
 
     def is_map(node):
@@ -947,12 +1148,12 @@ def _check_closures_against_terms(sig, ops, main, steps):
         declared = {cfg.order[0]: cfg.ptypes[cfg.order[0]]}
         last = _LastLine()
         flat = _concrete(cfg)
-        before = [flat, runtime._Index(eng, flat).rules]
+        before = [flat, runtime._Index(eng, flat)]
 
         def on_step(c):
             live, flat = eng._live, _concrete(c)
             index = runtime._Index(eng, flat)
-            assert _rule_view(index.rules) == _rule_view(live.rules)
+            assert _rule_view(index) == _rule_view(live)
             assert {x: o.used for x, o in flat.objs.items()} == \
                 {x: o.used for x, o in c.objs.items()}
             _check_client_map(c)
@@ -968,7 +1169,7 @@ def _check_closures_against_terms(sig, ops, main, steps):
             Trace(jsonl=again).add(rule.name, rule.consumed, produced)
             assert again.line == last.line
             assert after == flat
-            before[:] = flat, index.rules
+            before[:] = flat, index
 
         eng.run(cfg, make_scheduler(sched, seed), steps,
                 trace=Trace(jsonl=last), on_step=on_step)
