@@ -11,20 +11,23 @@ index expression built.
 
 Process nodes are frozen dataclasses that carry source positions excluded
 from equality, so they are not interned; each computes its structural hash
-once.  `SUBPROC_FIELDS`, `BINDER_FIELDS` and `CHAN_FIELDS` state once which
-fields of a process form hold its sub-processes, which channel it binds over
-them, and which name the channels it uses itself; walks reach every form
-they do not treat specially through `subprocs`, `bound_by`, `own_chans` and
-`map_subprocs`, and `free_chans` and `rename_chans` are read off the three
-tables.  A new form takes an entry in each table, its typing rule in
-`checker.rule` (which the explicit checker and the reconstruction both
-read), and its own rules in the interpreter, the printer and the parser.
+once (`memo_hash`).  The free-channel set `free_chans` keeps on a node is
+interned, so nodes with equal sets share one object.  `SUBPROC_FIELDS`,
+`BINDER_FIELDS` and `CHAN_FIELDS` state once which fields of a process form
+hold its sub-processes, which channel it binds over them, and which name
+the channels it uses itself; walks reach every form they do not treat
+specially through `subprocs`, `bound_by`, `own_chans` and `map_subprocs`,
+and `free_chans` and `rename_chans` are read off the three tables.  A new
+form takes an entry in each table, its typing rule in `checker.rule` (which
+the explicit checker and the reconstruction both read), and its own rules
+in the interpreter, the printer and the parser.
 """
 
 from __future__ import annotations
 
 import enum
 import inspect
+import weakref
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, is_
 from typing import Callable, Iterator, Optional, Union, get_args
@@ -98,6 +101,8 @@ IndexExpr = Union[int, IVar, IAdd, IMul]
 
 
 def eval_index(e: IndexExpr, binding: dict[str, int]) -> int:
+    if type(e) is int:  # most counts and indices are literals
+        return e
     match e:
         case int(n):
             return n
@@ -363,17 +368,36 @@ ProcExpr = Union[Spawn, TailCall, Cut, Fwd, SendLabel, Case, Close, Wait,
 def memo_hash(cls):
     """Compute a frozen dataclass's structural hash once per node and keep
     it on the node: process nodes are immutable and get hashed again and
-    again as memo keys."""
+    again as memo keys.  A copy or a pickle of a node leaves out what the
+    node keeps for itself (its hash and its free channels), which the copy
+    computes again.
+
+    The node keeps these as attributes and nothing reads its `__dict__`:
+    on CPython 3.11 reading it gives the node a dict object of its own, 64
+    bytes more, on which attribute reads are no longer specialized (25 ns
+    against 7 ns per read in a micro-benchmark on 3.11.7).  For the same
+    reason the forms keep the dataclass's constructor: one that writes the
+    fields into `__dict__` builds a node in well under half the time, but
+    the interpreter's checked runs, which read every node many times, lost
+    about a tenth of their speed to it."""
     base = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = base(self)
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in names}
+
+    # Until a node keeps its own, it reads these from the class, so a
+    # first read raises no AttributeError.
+    cls._hash = cls._free = None
     cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
     return cls
 
 
@@ -474,14 +498,13 @@ def with_subprocs(p: ProcExpr, new) -> ProcExpr:
 def free_chans(p: ProcExpr) -> frozenset[str]:
     """Channels a process uses or offers, with binders removed.  The set is
     computed once per node and kept on it, as `memo_hash` keeps hashes, so
-    it is a frozenset that callers share.  A node whose set equals one of
-    its sub-processes' keeps that very set."""
-    try:
-        return p._free
-    except AttributeError:
+    it is a frozenset that callers share.  Equal sets are one object
+    (`_interned`), whichever nodes keep them."""
+    out = p._free
+    if out is None:
         out = _free_chans(p)
         object.__setattr__(p, "_free", out)
-        return out
+    return out
 
 
 def _free_chans(p: ProcExpr) -> frozenset[str]:
@@ -490,7 +513,7 @@ def _free_chans(p: ProcExpr) -> frozenset[str]:
     own = own_chans(p)
     subs = subprocs(p)
     if not subs:
-        return frozenset(own)
+        return _interned(frozenset(own))
     sets = list(map(free_chans, subs))
     out = sets[0].union(*sets[1:]) if len(sets) > 1 else sets[0]
     for name in bound_by(p):
@@ -498,8 +521,37 @@ def _free_chans(p: ProcExpr) -> frozenset[str]:
             out = out - {name}
     if not out.issuperset(own):
         out = out.union(own)
-    if len(sets) > 1:
-        out = next((s for s in sets if s == out), out)
+    return out if type(out) is _Chans else _interned(out)
+
+
+class _Chans(frozenset):
+    """A free-channel set as nodes keep it: a frozenset that the intern
+    table can refer to weakly."""
+
+
+# Each free-channel set some node keeps, by value, held weakly: the sets of
+# definition bodies recur across ground instances and live as long as the
+# program, while those of the messages a run builds name its fresh channels
+# and go with them.  Entries whose set has gone are dropped once the table
+# has doubled since the last sweep.
+_FREE_SETS: dict[frozenset[str], weakref.ref] = {}
+_free_sets_sweep_at = 256
+
+
+def _interned(s: frozenset[str]) -> _Chans:
+    """The one kept set equal to `s`."""
+    global _free_sets_sweep_at
+    ref = _FREE_SETS.get(s)
+    if ref is not None:
+        out = ref()
+        if out is not None:
+            return out
+    out = _Chans(s)
+    _FREE_SETS[s] = weakref.ref(out)
+    if len(_FREE_SETS) >= _free_sets_sweep_at:
+        for key in [k for k, r in _FREE_SETS.items() if r() is None]:
+            del _FREE_SETS[key]
+        _free_sets_sweep_at = max(256, 2 * len(_FREE_SETS))
     return out
 
 

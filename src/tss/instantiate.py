@@ -9,10 +9,17 @@ value is an error, as is a bound name that is neither a root's parameter
 nor free in some clause.  Index expressions have only literals, `+` and `*`, and a
 pattern `n+k` binds `n` only to a value of at least 0, so no index or delay
 count grounds below zero.
+
+Grounding is a work queue: a reference asks for its mangled name
+(`_Grounder.request`, once per kind, name and indices), which queues the
+definition the first time, and `drain` grounds queued definitions in the
+order they were first asked for, so the output lists them in that order.
+The walks over types and bodies dispatch on the class of the node.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Iterator
 
 from .ast import (Box, Cut, DeclClause, DefClause, Delay, Diamond, IndexExpr,
@@ -69,41 +76,51 @@ class _Grounder:
         self.sig = sig
         self.ambient = ambient
         self.out = Signature()
+        # The mangled name of each (kind, name, values) requested so far.
+        self.names: dict[tuple[str, str, tuple[int, ...]], str] = {}
         self.done: set[tuple[str, str]] = set()
-        self.queue: list[tuple[str, str, tuple[int, ...]]] = []
+        self.queue: deque[tuple[str, str, tuple[int, ...]]] = deque()
+        # Types that ground to themselves, having no index to evaluate and
+        # only names without indices, which are requested already.  Types
+        # are hash-consed, so a type grounds to itself only if it is one.
+        self.closed: set[SessionType] = set()
 
     def request(self, kind: str, name: str, values: tuple[int, ...]) -> str:
-        mangled = _mangle(name, values)
-        if (kind, mangled) not in self.done:
-            if len(self.done) >= self.MAX_DEFS:
-                raise EvalError(
-                    f"instantiation produced more than {self.MAX_DEFS} "
-                    f"definitions (divergent index family?)")
-            self.done.add((kind, mangled))
-            self.queue.append((kind, name, values))
+        key = (kind, name, values)
+        mangled = self.names.get(key)
+        if mangled is None:
+            mangled = self.names[key] = _mangle(name, values)
+            if (kind, mangled) not in self.done:
+                if len(self.done) >= self.MAX_DEFS:
+                    raise EvalError(
+                        f"instantiation produced more than {self.MAX_DEFS} "
+                        f"definitions (divergent index family?)")
+                self.done.add((kind, mangled))
+                self.queue.append(key)
         return mangled
 
     def drain(self) -> Signature:
         while self.queue:
-            kind, name, values = self.queue.pop(0)
+            key = self.queue.popleft()
+            kind, name, values = key
             if kind == "type":
-                self._ground_type_def(name, values)
+                self._ground_type_def(name, values, self.names[key])
             else:
-                self._ground_proc(name, values)
+                self._ground_proc(name, values, self.names[key])
         return self.out
 
     # ------------------------------------------------------------------
-    def _ground_type_def(self, name: str, values: tuple[int, ...]) -> None:
+    def _ground_type_def(self, name: str, values: tuple[int, ...],
+                         mangled: str) -> None:
         td = self.sig.typedefs[name]
         cl, binding = _select_clause(td.clauses, values, f"type '{name}'")
         local = dict(self.ambient)
         local.update(binding)
         body = self.type_(cl.body, local)
-        mangled = _mangle(name, values)
         self.out.typedefs[mangled] = TypeDef(mangled, [TypeClause((), body)])
 
-    def _ground_proc(self, name: str, values: tuple[int, ...]) -> None:
-        mangled = _mangle(name, values)
+    def _ground_proc(self, name: str, values: tuple[int, ...],
+                     mangled: str) -> None:
         decl = self.sig.procdecls[name]
         cl, binding = _select_clause(decl.clauses, values, f"decl '{name}'")
         local = dict(self.ambient)
@@ -123,47 +140,69 @@ class _Grounder:
             mangled, [DefClause((), dcl.dest, dcl.chans, body)])
 
     # ------------------------------------------------------------------
+    # Each walk dispatches on the class of the node: one method per form
+    # that holds an index or a name to ground, and for the other process
+    # forms the generic rebuild of their sub-processes.
     def type_(self, t: SessionType, env: dict[str, int]) -> SessionType:
-        match t:
-            case Plus(bs):
-                return Plus(tuple((lab, self.type_(u, env)) for lab, u in bs))
-            case With(bs):
-                return With(tuple((lab, self.type_(u, env)) for lab, u in bs))
-            case Tensor(a, b):
-                return Tensor(self.type_(a, env), self.type_(b, env))
-            case Lolli(a, b):
-                return Lolli(self.type_(a, env), self.type_(b, env))
-            case Next(count, inner):
-                return next_type(eval_index(count, env),
-                                 self.type_(inner, env))
-            case Box(inner):
-                return Box(self.type_(inner, env))
-            case Diamond(inner):
-                return Diamond(self.type_(inner, env))
-            case TypeName(name, args):
-                values = tuple(eval_index(a, env) for a in args)
-                return TypeName(self.request("type", name, values))
-            case _:
-                return t
+        if t in self.closed:
+            return t
+        ground = self._TYPE.get(type(t))
+        if ground is None:
+            return t
+        out = ground(self, t, env)
+        if out is t:
+            self.closed.add(t)
+        return out
+
+    def _branches(self, t, env):
+        return type(t)(tuple([(lab, self.type_(u, env))
+                              for lab, u in t.branches]))
+
+    def _tensor(self, t, env):
+        return Tensor(self.type_(t.left, env), self.type_(t.right, env))
+
+    def _lolli(self, t, env):
+        return Lolli(self.type_(t.arg, env), self.type_(t.cont, env))
+
+    def _next(self, t, env):
+        return next_type(eval_index(t.count, env), self.type_(t.inner, env))
+
+    def _modal(self, t, env):
+        return type(t)(self.type_(t.inner, env))
+
+    def _name(self, t, env):
+        values = tuple([eval_index(a, env) for a in t.args])
+        return TypeName(self.request("type", t.name, values))
+
+    _TYPE = {Plus: _branches, With: _branches, Tensor: _tensor, Lolli: _lolli,
+             Next: _next, Box: _modal, Diamond: _modal, TypeName: _name}
 
     def proc(self, p: ProcExpr, env: dict[str, int]) -> ProcExpr:
-        match p:
-            case Spawn(dest, proc, args, chans, cont, via):
-                values = tuple(eval_index(a, env) for a in args)
-                return Spawn(dest, self.request("proc", proc, values), (),
-                             chans, self.proc(cont, env), via, p.pos)
-            case TailCall(dest, proc, args, chans):
-                values = tuple(eval_index(a, env) for a in args)
-                return TailCall(dest, self.request("proc", proc, values), (),
-                                chans, p.pos)
-            case Cut(dest, annot, body, cont):
-                return Cut(dest, self.type_(annot, env), self.proc(body, env),
-                           self.proc(cont, env), p.pos)
-            case Delay(count, origin, cont):
-                n = eval_index(count, env)
-                rest = self.proc(cont, env)
-                return rest if n == 0 else Delay(n, origin, rest, p.pos)
+        ground = self._PROC.get(type(p))
+        if ground is not None:
+            return ground(self, p, env)
         return map_subprocs(p, lambda q: self.proc(q, env))
+
+    def _spawn(self, p, env):
+        values = tuple([eval_index(a, env) for a in p.args])
+        return Spawn(p.dest, self.request("proc", p.proc, values), (),
+                     p.chans, self.proc(p.cont, env), p.via_tailcall, p.pos)
+
+    def _tail_call(self, p, env):
+        values = tuple([eval_index(a, env) for a in p.args])
+        return TailCall(p.dest, self.request("proc", p.proc, values), (),
+                        p.chans, p.pos)
+
+    def _cut(self, p, env):
+        return Cut(p.dest, self.type_(p.annot, env), self.proc(p.body, env),
+                   self.proc(p.cont, env), p.pos)
+
+    def _delay(self, p, env):
+        n = eval_index(p.count, env)
+        rest = self.proc(p.cont, env)
+        return rest if n == 0 else Delay(n, p.origin, rest, p.pos)
+
+    _PROC = {Spawn: _spawn, TailCall: _tail_call, Cut: _cut, Delay: _delay}
 
 
 def _root(sig: Signature, name: str) -> tuple[str, list]:

@@ -29,29 +29,32 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.tok = self.toks[0]  # the current token, `toks[i]`
         self.depth = 0  # nesting level of the sub-term being parsed
 
     # Token plumbing --------------------------------------------------------
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
-
     def next(self) -> Token:
-        t = self.toks[self.i]
+        """The current token; the parser moves past it unless it is EOF."""
+        t = self.tok
         if t.kind != "EOF":
             self.i += 1
+            self.tok = self.toks[self.i]
         return t
 
-    def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+    def at(self, kind: str) -> bool:
+        return self.tok.kind == kind
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.kind != kind:
             raise ParseError(f"unexpected {t.value!r}", t.line, t.col, (kind,))
-        return self.next()
+        if kind != "EOF":
+            self.i += 1
+            self.tok = self.toks[self.i]
+        return t
 
     def fail(self, msg: str, *expected: str):
-        t = self.peek()
+        t = self.tok
         raise ParseError(msg, t.line, t.col, expected)
 
     def nat(self) -> int:
@@ -158,7 +161,7 @@ class _Parser:
         return t
 
     def type_atom(self) -> SessionType:
-        t = self.peek()
+        t = self.tok
         if t.kind == "+":
             self.next()
             return Plus(self.nested(self.branches))
@@ -171,7 +174,7 @@ class _Parser:
             self.next()
             return ONE
         if t.kind == "(":
-            if self.peek(1).kind == ")":
+            if self.toks[self.i + 1].kind == ")":
                 self.next()
                 self.next()
                 count: IndexExpr = 1
@@ -228,7 +231,7 @@ class _Parser:
 
     # Processes -----------------------------------------------------------------
     def proc(self) -> ProcExpr:
-        t = self.peek()
+        t = self.tok
         pos = (t.line, t.col)
         if t.kind == "case":
             self.next()
@@ -333,7 +336,7 @@ class _Parser:
             p = self.proc()
             self.expect(")")
             return p
-        t = self.peek()
+        t = self.tok
         if t.kind == "close":
             self.next()
             return Close(self.expect("IDENT").value, pos=(t.line, t.col))
@@ -362,7 +365,7 @@ class _Parser:
     def program(self) -> Signature:
         sig = Signature()
         while not self.at("EOF"):
-            t = self.peek()
+            t = self.tok
             if t.kind == "type":
                 self.next()
                 name = self.expect("IDENT").value

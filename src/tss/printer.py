@@ -1,4 +1,10 @@
-"""Pretty-printer.  Output re-parses to a structurally equal Signature."""
+"""Pretty-printer.  Output re-parses to a structurally equal Signature.
+
+Types print through a table from the class of the node to its printer.  A
+body prints as a loop down its chain of continuations: each form that goes
+on with `cont` prints one line from `_PREFIX`, a cut prints its body inline
+when that is one line from `_LAST` and in parentheses otherwise, and a
+close, forward, tail call or case ends the chain."""
 
 from __future__ import annotations
 
@@ -18,107 +24,118 @@ def fmt_count(c: IndexExpr) -> str:
 
 
 def fmt_type(t: SessionType, prec: int = _LOLLI) -> str:
-    match t:
-        case Plus(bs):
-            inner = ", ".join(f"{lab} : {fmt_type(ty)}" for lab, ty in bs)
-            return "+{" + inner + "}"
-        case With(bs):
-            inner = ", ".join(f"{lab} : {fmt_type(ty)}" for lab, ty in bs)
-            return "&{" + inner + "}"
-        case One():
-            return "1"
-        case Tensor(a, b):
-            s = f"{fmt_type(a, _ATOM)} * {fmt_type(b, _TENSOR)}"
-            return f"({s})" if prec > _TENSOR else s
-        case Lolli(a, b):
-            s = f"{fmt_type(a, _TENSOR)} -o {fmt_type(b, _LOLLI)}"
-            return f"({s})" if prec > _LOLLI else s
-        case Next(1, inner):
-            return f"(){fmt_type(inner, _ATOM)}"
-        case Next(count, inner):
-            return f"(){fmt_count(count)} {fmt_type(inner, _ATOM)}"
-        case Box(inner):
-            return f"[]{fmt_type(inner, _ATOM)}"
-        case Diamond(inner):
-            return f"<>{fmt_type(inner, _ATOM)}"
-        case TypeName(name, args):
-            if args:
-                return f"{name}[{', '.join(fmt_index(a) for a in args)}]"
-            return name
-    raise AssertionError(f"unknown type node {t!r}")
+    fmt = _TYPE.get(type(t))
+    if fmt is None:
+        raise AssertionError(f"unknown type node {t!r}")
+    return fmt(t, prec)
+
+
+def _choice(t: Plus | With, prec: int) -> str:
+    inner = ", ".join([f"{lab} : {fmt_type(ty)}" for lab, ty in t.branches])
+    return ("+{" if type(t) is Plus else "&{") + inner + "}"
+
+
+def _tensor(t: Tensor, prec: int) -> str:
+    s = f"{fmt_type(t.left, _ATOM)} * {fmt_type(t.right, _TENSOR)}"
+    return f"({s})" if prec > _TENSOR else s
+
+
+def _lolli(t: Lolli, prec: int) -> str:
+    s = f"{fmt_type(t.arg, _TENSOR)} -o {fmt_type(t.cont, _LOLLI)}"
+    return f"({s})" if prec > _LOLLI else s
+
+
+def _next(t: Next, prec: int) -> str:
+    if t.count == 1:
+        return f"(){fmt_type(t.inner, _ATOM)}"
+    return f"(){fmt_count(t.count)} {fmt_type(t.inner, _ATOM)}"
+
+
+def _name(t: TypeName, prec: int) -> str:
+    if t.args:
+        return f"{t.name}[{', '.join([fmt_index(a) for a in t.args])}]"
+    return t.name
+
+
+_TYPE = {Plus: _choice, With: _choice, One: lambda t, prec: "1",
+         Tensor: _tensor, Lolli: _lolli, Next: _next,
+         Box: lambda t, prec: f"[]{fmt_type(t.inner, _ATOM)}",
+         Diamond: lambda t, prec: f"<>{fmt_type(t.inner, _ATOM)}",
+         TypeName: _name}
 
 
 def _call_suffix(proc: str, args, chans) -> str:
     s = proc
     if args:
-        s += f"[{', '.join(fmt_index(a) for a in args)}]"
+        s += f"[{', '.join([fmt_index(a) for a in args])}]"
     if chans:
         s += " <- " + " ".join(chans)
     return s
+
+
+def _delay(p: Delay) -> str:
+    if p.origin is Origin.TICK:
+        return "tick ;"
+    count = p.count
+    tok = "delay" if count == 1 else f"delay{{{fmt_index(count)}}}"
+    marker = "  % reconstructed" if p.origin is Origin.RECON else ""
+    return f"{tok} ;{marker}"
+
+
+# The one line of each form that prints as a line and goes on with `cont`.
+_PREFIX = {
+    SendLabel: lambda p: f"{p.chan}.{p.label} ;",
+    Wait: lambda p: f"wait {p.chan} ;",
+    SendChan: lambda p: f"send {p.chan} {p.payload} ;",
+    RecvChan: lambda p: f"{p.bind} <- recv {p.chan} ;",
+    Delay: _delay,
+    When: lambda p: f"when? {p.chan} ;",
+    Now: lambda p: f"now! {p.chan} ;",
+    Spawn: lambda p: f"{p.dest} <- {_call_suffix(p.proc, p.args, p.chans)} ;",
+}
+
+# The line of each form that ends a body on one line.
+_LAST = {
+    Close: lambda p: f"close {p.chan}",
+    Fwd: lambda p: f"{p.dest} <- {p.src}",
+    TailCall: lambda p: f"{p.dest} <- {_call_suffix(p.proc, p.args, p.chans)}",
+}
 
 
 def fmt_proc(p: ProcExpr, indent: int = 0) -> str:
     pad = " " * indent
     lines: list[str] = []
     while True:
-        match p:
-            case SendLabel(chan, label, cont):
-                lines.append(f"{pad}{chan}.{label} ;")
-                p = cont
-            case Wait(chan, cont):
-                lines.append(f"{pad}wait {chan} ;")
-                p = cont
-            case SendChan(chan, payload, cont):
-                lines.append(f"{pad}send {chan} {payload} ;")
-                p = cont
-            case RecvChan(bind, chan, cont):
-                lines.append(f"{pad}{bind} <- recv {chan} ;")
-                p = cont
-            case Delay(count, origin, cont):
-                if origin is Origin.TICK:
-                    lines.append(f"{pad}tick ;")
-                else:
-                    tok = "delay" if count == 1 else f"delay{{{fmt_index(count)}}}"
-                    marker = "  % reconstructed" if origin is Origin.RECON else ""
-                    lines.append(f"{pad}{tok} ;{marker}")
-                p = cont
-            case When(chan, cont):
-                lines.append(f"{pad}when? {chan} ;")
-                p = cont
-            case Now(chan, cont):
-                lines.append(f"{pad}now! {chan} ;")
-                p = cont
-            case Spawn(dest, proc, args, chans, cont):
-                lines.append(f"{pad}{dest} <- {_call_suffix(proc, args, chans)} ;")
-                p = cont
-            case Cut(dest, annot, body, cont):
-                if isinstance(body, (Close, Fwd, TailCall)):
-                    inner = fmt_proc(body, 0)
-                    lines.append(f"{pad}{dest} : {fmt_type(annot)} <- {inner} ;")
-                else:
-                    lines.append(f"{pad}{dest} : {fmt_type(annot)} <- (")
-                    lines.append(fmt_proc(body, indent + 2))
-                    lines.append(f"{pad}) ;")
-                p = cont
-            case Close(chan):
-                lines.append(f"{pad}close {chan}")
-                return "\n".join(lines)
-            case Fwd(dest, src):
-                lines.append(f"{pad}{dest} <- {src}")
-                return "\n".join(lines)
-            case TailCall(dest, proc, args, chans):
-                lines.append(f"{pad}{dest} <- {_call_suffix(proc, args, chans)}")
-                return "\n".join(lines)
-            case Case(chan, branches):
-                lines.append(f"{pad}case {chan}")
-                for i, (lab, body) in enumerate(branches):
-                    opener = "(" if i == 0 else "|"
-                    lines.append(f"{pad}  {opener} {lab} =>")
-                    lines.append(fmt_proc(body, indent + 6))
-                lines.append(f"{pad}  )")
-                return "\n".join(lines)
-            case _:
-                raise AssertionError(f"unknown process node {p!r}")
+        cls = type(p)
+        line = _PREFIX.get(cls)
+        if line is not None:
+            lines.append(pad + line(p))
+            p = p.cont
+        elif cls is Cut:
+            head = f"{pad}{p.dest} : {fmt_type(p.annot)} <- "
+            body = p.body
+            last = _LAST.get(type(body))
+            if last is not None:
+                lines.append(f"{head}{last(body)} ;")
+            else:
+                lines.append(head + "(")
+                lines.append(fmt_proc(body, indent + 2))
+                lines.append(f"{pad}) ;")
+            p = p.cont
+        elif cls in _LAST:
+            lines.append(pad + _LAST[cls](p))
+            return "\n".join(lines)
+        elif cls is Case:
+            lines.append(f"{pad}case {p.chan}")
+            opener = "("
+            for lab, body in p.branches:
+                lines.append(f"{pad}  {opener} {lab} =>")
+                lines.append(fmt_proc(body, indent + 6))
+                opener = "|"
+            lines.append(f"{pad}  )")
+            return "\n".join(lines)
+        else:
+            raise AssertionError(f"unknown process node {p!r}")
 
 
 def _fmt_pats(pats) -> str:

@@ -294,3 +294,113 @@ def test_channels_of_each_process_form(p, own, free, renamed):
     if isinstance(p, Spawn):
         assert out.via_tailcall is p.via_tailcall is True
     assert rename_chans(p, {}) is p
+
+
+# The contract of the process nodes' constructor: each form is still a
+# frozen dataclass in everything but how it writes its fields.
+REPRS = [
+    "Spawn(dest='y', proc='p', args=(), chans=('z',), cont=Wait(chan='y', "
+    "cont=Close(chan='x')))",
+    "TailCall(dest='x', proc='p', args=(), chans=('z',))",
+    "Cut(dest='y', annot=One(), body=Close(chan='y'), cont=Wait(chan='y', "
+    "cont=Close(chan='x')))",
+    "Fwd(dest='x', src='y')",
+    "SendLabel(chan='x', label='a', cont=Close(chan='x'))",
+    "Case(chan='y', branches=(('a', Close(chan='x')), ('b', Wait(chan='y', "
+    "cont=Close(chan='x')))))",
+    "Close(chan='x')",
+    "Wait(chan='y', cont=Close(chan='x'))",
+    "SendChan(chan='x', payload='z', cont=Close(chan='x'))",
+    "RecvChan(bind='w', chan='y', cont=Fwd(dest='x', src='w'))",
+    "Delay(count=2, origin=<Origin.SOURCE: 'source'>, cont=Close(chan='x'))",
+    "When(chan='y', cont=Close(chan='x'))",
+    "Now(chan='x', cont=Close(chan='x'))",
+]
+OUTSIDE_EQUALITY = {"pos", "via_tailcall"}
+
+
+def _values(p):
+    return {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+
+
+@pytest.mark.parametrize("p", FORMS, ids=lambda p: type(p).__name__)
+def test_assigning_a_field_of_a_process_node_raises(p):
+    hash(p), free_chans(p)  # the node keeps both for itself
+    for name in [*_values(p), "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, name)
+
+
+@pytest.mark.parametrize("p", FORMS, ids=lambda p: type(p).__name__)
+def test_position_and_tail_call_mark_stay_out_of_equality(p):
+    outside = OUTSIDE_EQUALITY & set(_values(p))
+    assert outside == ({"pos", "via_tailcall"} if isinstance(p, Spawn)
+                       else {"pos"})
+    for name in outside:
+        other = dataclasses.replace(p, **{name: not getattr(p, name)})
+        assert other == p and hash(other) == hash(p)
+        assert getattr(other, name) != getattr(p, name)
+    compared = [f.name for f in dataclasses.fields(p) if f.compare]
+    assert set(compared) == set(_values(p)) - outside
+
+
+@pytest.mark.parametrize("p", FORMS, ids=lambda p: type(p).__name__)
+def test_keyword_and_defaulted_construction_equal_positional(p):
+    cls, values = type(p), _values(p)
+    positional = cls(*values.values())
+    assert _values(positional) == values
+    assert _values(cls(**values)) == values
+    required = [v for f, v in zip(dataclasses.fields(p), values.values())
+                if f.default is dataclasses.MISSING]
+    bare = cls(*required)
+    assert bare == positional and bare.pos is None
+    if isinstance(p, Spawn):
+        assert bare.via_tailcall is False
+    with pytest.raises(TypeError):
+        cls(*required[:-1])
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    with pytest.raises(TypeError):
+        cls(*required, colour=1)
+    assert cls.__match_args__ == tuple(values)
+
+
+@pytest.mark.parametrize("p", FORMS, ids=lambda p: type(p).__name__)
+def test_copies_and_pickles_of_a_process_node_are_equal(p):
+    h = hash(p)
+    free_chans(p)
+    for copied in (dataclasses.replace(p), copy.copy(p), copy.deepcopy(p),
+                   pickle.loads(pickle.dumps(p))):
+        assert copied is not p
+        assert copied == p and hash(copied) == h
+        assert _values(copied) == _values(p)
+        assert free_chans(copied) is free_chans(p)
+
+
+@pytest.mark.parametrize("p, text", list(zip(FORMS, REPRS)),
+                         ids=[type(p).__name__ for p in FORMS])
+def test_repr_of_a_process_node_is_unchanged(p, text):
+    assert repr(p) == text
+
+
+def test_equal_free_channel_sets_are_one_object():
+    """After elaborating and running a program, the nodes that keep a
+    free-channel set keep one object per distinct set."""
+    prog = corpus.load("queue_rs.tss", "qmain", {"n": 4}, "rs")
+    final, _, _ = prog.run()
+    roots = [cl.body for sig in (prog.ticked, prog.elab)
+             for pd in sig.procdefs.values() for cl in pd.clauses]
+    roots += [o.code for o in final.objs.values()]
+    kept, todo, seen = [], list(roots), set()
+    while todo:
+        q = todo.pop()
+        if id(q) in seen:
+            continue
+        seen.add(id(q))
+        if "_free" in q.__dict__:
+            kept.append(q.__dict__["_free"])
+        todo.extend(subprocs(q))
+    assert len(kept) > 50
+    assert len({id(s) for s in kept}) == len(set(kept))
