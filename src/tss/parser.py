@@ -1,9 +1,16 @@
 """Recursive-descent parser producing a Signature, plus the name-resolution
-pass that fixes up bare tail calls and checks definition arities."""
+pass that fixes up bare tail calls and checks definition arities.
+
+Each production is read in one place: `bracketed` reads `[item, ...]`,
+`labelled` type branches and case branches, `chans` the channels after a
+`<-`, `call` what follows `x <-`, `chain` a `+` or `*` chain, `parens` a
+parenthesized term, `then` the `; P` after an action and `_PREFIXES` the
+one-channel prefixes; `_file` files a definition clause."""
 
 from __future__ import annotations
 
-from . import ast
+import operator
+
 from .ast import (Box, Case, Close, Cut, DeclClause, DefClause, Delay, Diamond,
                   Fwd, IAdd, IMul, IVar, IndexExpr, IndexPat, Lolli, Now, ONE,
                   Origin, PatConst, PatSucc, PatVar, Plus, ProcDecl, ProcDef,
@@ -14,15 +21,18 @@ from .ast import (Box, Case, Close, Cut, DeclClause, DefClause, Delay, Diamond,
 from .errors import ParseError, ScopeError
 from .lexer import Token, tokenize
 
-# How deeply types, process bodies and index expressions may nest.  Every later pass walks the
-# syntax tree recursively, so a deeper term would end in a RecursionError
-# instead of an error naming this bound.
+# How deeply types, process bodies and index expressions may nest.  Every
+# later pass walks the syntax tree recursively, so a deeper term would end in
+# a RecursionError instead of an error naming this bound.
 MAX_NESTING = 100
 
 # How many digits a natural literal may have.  Python's `int` refuses a
 # decimal string beyond 4,300 digits; no count or index needs a tenth of
 # that.
 MAX_NAT_DIGITS = 1000
+
+# The prefixes `c ; P` that name one channel.
+_PREFIXES = {"wait": Wait, "WHEN": When, "NOW": Now}
 
 
 class _Parser:
@@ -65,37 +75,76 @@ class _Parser:
                              f"digits", t.line, t.col)
         return int(t.value)
 
-    def nested(self, parse):
+    def nested(self, parse, *args):
         """Parse a sub-term one nesting level down."""
         if self.depth >= MAX_NESTING:
             self.fail(f"terms may nest at most {MAX_NESTING} levels deep")
         self.depth += 1
-        out = parse()
+        out = parse(*args)
         self.depth -= 1
         return out
 
-    # Index expressions ------------------------------------------------------
-    # `a + b + c` nests to the left, so each operator of a chain counts as
-    # one more level.
-    def index_expr(self) -> IndexExpr:
-        outer = self.depth
-        e = self.index_term()
-        while self.at("+"):
+    def parens(self, parse):
+        """`(...)` around an index expression, a type or a process."""
+        self.next()
+        inside = self.nested(parse)
+        self.expect(")")
+        return inside
+
+    def bracketed(self, item) -> tuple:
+        """An optional `[item, ...]` of index arguments or index patterns."""
+        if not self.at("["):
+            return ()
+        items = []
+        while not items or self.at(","):
+            self.next()  # the `[` or a `,`
+            items.append(item())
+        self.expect("]")
+        return tuple(items)
+
+    def labelled(self, sep: str, close: str, arrow: str, body, what: str):
+        """A labelled list after its opening bracket, `l : T, ...}` or
+        `l => P | ...)`, whose labels differ."""
+        items = {}
+        while True:
+            lab = self.expect("IDENT").value
+            self.expect(arrow)
+            item = body()
+            if lab in items:
+                self.fail(f"duplicate {what} label {lab!r}")
+            items[lab] = item
+            if not self.at(sep):
+                self.expect(close)
+                return tuple(items.items())
             self.next()
-            r = self.nested(self.index_term)
-            self.depth += 1
-            e = r + e if isinstance(e, int) and isinstance(r, int) else IAdd(e, r)
-        self.depth = outer
-        return e
+
+    def chans(self) -> tuple[str, ...] | None:
+        """`<- ys` after a callee or a `proc` head; None without the `<-`."""
+        if not self.at("<-"):
+            return None
+        self.next()
+        chans = []
+        while self.at("IDENT"):
+            chans.append(self.next().value)
+        return tuple(chans)
+
+    # Index expressions ------------------------------------------------------
+    def index_expr(self) -> IndexExpr:
+        return self.chain("+", self.index_term, operator.add, IAdd)
 
     def index_term(self) -> IndexExpr:
+        return self.chain("*", self.index_factor, operator.mul, IMul)
+
+    def chain(self, op: str, operand, fold, node) -> IndexExpr:
+        """`a op b op c`, nested to the left, so each operator of the chain
+        counts as one more level.  Literal operands fold."""
         outer = self.depth
-        e = self.index_factor()
-        while self.at("*"):
+        e = operand()
+        while self.at(op):
             self.next()
-            r = self.nested(self.index_factor)
+            r = self.nested(operand)
             self.depth += 1
-            e = e * r if isinstance(e, int) and isinstance(r, int) else IMul(e, r)
+            e = fold(e, r) if isinstance(e, int) and isinstance(r, int) else node(e, r)
         self.depth = outer
         return e
 
@@ -105,35 +154,8 @@ class _Parser:
         if self.at("IDENT"):
             return IVar(self.next().value)
         if self.at("("):
-            self.next()
-            e = self.nested(self.index_expr)
-            self.expect(")")
-            return e
+            return self.parens(self.index_expr)
         self.fail("expected index expression", "NAT", "IDENT", "(")
-
-    def index_args(self) -> tuple[IndexExpr, ...]:
-        """Optional `[e, ...]` argument list after a name."""
-        if not self.at("["):
-            return ()
-        self.next()
-        args = [self.index_expr()]
-        while self.at(","):
-            self.next()
-            args.append(self.index_expr())
-        self.expect("]")
-        return tuple(args)
-
-    def index_patterns(self) -> tuple[IndexPat, ...]:
-        """Optional `[p, ...]` pattern list on a definition head."""
-        if not self.at("["):
-            return ()
-        self.next()
-        pats = [self.index_pattern()]
-        while self.at(","):
-            self.next()
-            pats.append(self.index_pattern())
-        self.expect("]")
-        return tuple(pats)
 
     def index_pattern(self) -> IndexPat:
         if self.at("NAT"):
@@ -141,8 +163,7 @@ class _Parser:
         name = self.expect("IDENT").value
         if self.at("+"):
             self.next()
-            off = self.nat()
-            return PatSucc(name, off)
+            return PatSucc(name, self.nat())
         return PatVar(name)
 
     # Types -------------------------------------------------------------------
@@ -162,12 +183,9 @@ class _Parser:
 
     def type_atom(self) -> SessionType:
         t = self.tok
-        if t.kind == "+":
+        if t.kind == "+" or t.kind == "&":
             self.next()
-            return Plus(self.nested(self.branches))
-        if t.kind == "&":
-            self.next()
-            return With(self.nested(self.branches))
+            return (Plus if t.kind == "+" else With)(self.nested(self.branches))
         if t.kind == "NAT":
             if t.value != "1":
                 self.fail("only the type 1 is a numeric type")
@@ -177,15 +195,9 @@ class _Parser:
             if self.toks[self.i + 1].kind == ")":
                 self.next()
                 self.next()
-                count: IndexExpr = 1
-                if self.at("^"):
-                    self.next()
-                    count = self.next_count()
+                count = self.next_count() if self.at("^") else 1
                 return next_type(count, self.nested(self.type_atom))
-            self.next()
-            inner = self.nested(self.type_)
-            self.expect(")")
-            return inner
+            return self.parens(self.type_)
         if t.kind == "[":
             self.next()
             self.expect("]")
@@ -195,248 +207,178 @@ class _Parser:
             return Diamond(self.nested(self.type_atom))
         if t.kind == "IDENT":
             self.next()
-            return TypeName(t.value, self.index_args())
+            return TypeName(t.value, self.bracketed(self.index_expr))
         self.fail("expected a type", "+", "&", "1", "()", "[]", "<>", "IDENT")
 
     def next_count(self) -> IndexExpr:
+        """`^n`, `^x` or `^{e}` after a `()`."""
+        self.next()
         if self.at("NAT"):
             return self.nat()
         if self.at("IDENT"):
             return IVar(self.next().value)
         if self.at("{"):
-            self.next()
-            e = self.index_expr()
-            self.expect("}")
-            return e
+            return self.braced()
         self.fail("expected a delay count", "NAT", "IDENT", "{")
+
+    def braced(self) -> IndexExpr:
+        """`{e}`, a delay count."""
+        self.expect("{")
+        e = self.index_expr()
+        self.expect("}")
+        return e
 
     def branches(self) -> tuple[tuple[str, SessionType], ...]:
         self.expect("{")
-        out = [self.branch()]
-        seen = {out[0][0]}
-        while self.at(","):
-            self.next()
-            lab, ty = self.branch()
-            if lab in seen:
-                self.fail(f"duplicate branch label {lab!r}")
-            seen.add(lab)
-            out.append((lab, ty))
-        self.expect("}")
-        return tuple(out)
+        return self.labelled(",", "}", ":", self.type_, "branch")
 
-    def branch(self) -> tuple[str, SessionType]:
-        lab = self.expect("IDENT").value
+    def typed_chan(self) -> tuple[str, SessionType]:
+        """`(x : T)` in a decl."""
+        self.expect("(")
+        chan = self.expect("IDENT").value
         self.expect(":")
-        return lab, self.type_()
+        t = self.type_()
+        self.expect(")")
+        return chan, t
 
     # Processes -----------------------------------------------------------------
     def proc(self) -> ProcExpr:
         t = self.tok
         pos = (t.line, t.col)
+        prefix = _PREFIXES.get(t.kind)
+        if prefix is not None:
+            self.next()
+            return prefix(self.expect("IDENT").value, self.then(), pos=pos)
         if t.kind == "case":
             self.next()
             chan = self.expect("IDENT").value
             self.expect("(")
-            branches = [self.nested(self.case_branch)]
-            seen = {branches[0][0]}
-            while self.at("|"):
-                self.next()
-                lab, body = self.nested(self.case_branch)
-                if lab in seen:
-                    self.fail(f"duplicate case label {lab!r}")
-                seen.add(lab)
-                branches.append((lab, body))
-            self.expect(")")
-            return Case(chan, tuple(branches), pos=pos)
+            return Case(chan, self.nested(self.labelled, "|", ")", "=>",
+                                          self.proc, "case"), pos=pos)
         if t.kind == "close":
             self.next()
             return Close(self.expect("IDENT").value, pos=pos)
-        if t.kind == "wait":
-            self.next()
-            chan = self.expect("IDENT").value
-            self.expect(";")
-            return Wait(chan, self.nested(self.proc), pos=pos)
         if t.kind == "send":
-            self.next()
-            chan = self.expect("IDENT").value
-            payload = self.expect("IDENT").value
-            self.expect(";")
-            return SendChan(chan, payload, self.nested(self.proc), pos=pos)
+            self.next()  # then the channel and the payload
+            return SendChan(self.expect("IDENT").value,
+                            self.expect("IDENT").value, self.then(), pos=pos)
         if t.kind == "delay":
             self.next()
-            count: ast.IndexExpr = 1
-            if self.at("{"):
-                self.next()
-                count = self.index_expr()
-                self.expect("}")
-            self.expect(";")
-            return Delay(count, Origin.SOURCE, self.nested(self.proc), pos=pos)
+            count = self.braced() if self.at("{") else 1
+            return Delay(count, Origin.SOURCE, self.then(), pos=pos)
         if t.kind == "tick":
             self.next()
-            self.expect(";")
-            return Delay(1, Origin.TICK, self.nested(self.proc), pos=pos)
-        if t.kind == "WHEN":
-            self.next()
-            chan = self.expect("IDENT").value
-            self.expect(";")
-            return When(chan, self.nested(self.proc), pos=pos)
-        if t.kind == "NOW":
-            self.next()
-            chan = self.expect("IDENT").value
-            self.expect(";")
-            return Now(chan, self.nested(self.proc), pos=pos)
+            return Delay(1, Origin.TICK, self.then(), pos=pos)
         if t.kind == "(":
-            self.next()
-            p = self.nested(self.proc)
-            self.expect(")")
-            return p
+            return self.parens(self.proc)
         if t.kind == "IDENT":
             name = self.next().value
             if self.at("."):
                 self.next()
-                label = self.expect("IDENT").value
-                self.expect(";")
-                return SendLabel(name, label, self.nested(self.proc), pos=pos)
+                return SendLabel(name, self.expect("IDENT").value, self.then(),
+                                 pos=pos)
             if self.at(":"):
                 self.next()
-                annot = self.nested(self.type_)
-                self.expect("<-")
-                body = self.nested(self.cut_body)
-                self.expect(";")
-                return Cut(name, annot, body, self.nested(self.proc), pos=pos)
+                return Cut(name, self.nested(self.type_), self.cut_body(),
+                           self.then(), pos=pos)
             if self.at("<-"):
                 self.next()
                 if self.at("recv"):
                     self.next()
-                    chan = self.expect("IDENT").value
-                    self.expect(";")
-                    return RecvChan(name, chan, self.nested(self.proc), pos=pos)
-                callee = self.expect("IDENT").value
-                args = self.index_args()
-                chans: list[str] = []
-                has_chan_arrow = False
-                if self.at("<-"):
-                    has_chan_arrow = True
-                    self.next()
-                    while self.at("IDENT"):
-                        chans.append(self.next().value)
-                if self.at(";"):
-                    self.next()
-                    return Spawn(name, callee, args, tuple(chans), self.nested(self.proc), pos=pos)
-                if has_chan_arrow or args:
-                    return TailCall(name, callee, args, tuple(chans), pos=pos)
-                # Bare `x <- y`: forward, unless y resolves to a process name.
-                return Fwd(name, callee, pos=pos)
+                    return RecvChan(name, self.expect("IDENT").value,
+                                    self.then(), pos=pos)
+                return self.call(name, pos, True)
         self.fail("expected a process expression")
 
+    def then(self) -> ProcExpr:
+        """`; P`, the rest of a body after an action, one level down."""
+        self.expect(";")
+        return self.nested(self.proc)
+
     def cut_body(self) -> ProcExpr:
-        # Compound bodies must be parenthesized so `;` binds unambiguously.
-        if self.at("("):
-            self.next()
-            p = self.proc()
-            self.expect(")")
-            return p
+        """`<- Q`, a cut's body, one level down.  A compound body must be
+        parenthesized so `;` binds unambiguously."""
+        self.expect("<-")
         t = self.tok
-        if t.kind == "close":
-            self.next()
-            return Close(self.expect("IDENT").value, pos=(t.line, t.col))
+        if t.kind == "(" or t.kind == "close":
+            return self.proc()
         if t.kind == "IDENT":
-            name = self.next().value
+            self.next()
             self.expect("<-")
-            callee = self.expect("IDENT").value
-            args = self.index_args()
-            chans: list[str] = []
-            if self.at("<-"):
-                self.next()
-                while self.at("IDENT"):
-                    chans.append(self.next().value)
-                return TailCall(name, callee, args, tuple(chans), pos=(t.line, t.col))
-            if args:
-                return TailCall(name, callee, args, (), pos=(t.line, t.col))
-            return Fwd(name, callee, pos=(t.line, t.col))
+            return self.nested(self.call, t.value, (t.line, t.col), False)
         self.fail("expected a cut body (parenthesize compound processes)")
 
-    def case_branch(self) -> tuple[str, ProcExpr]:
-        lab = self.expect("IDENT").value
-        self.expect("=>")
-        return lab, self.proc()
+    def call(self, name: str, pos, spawn: bool) -> ProcExpr:
+        """What follows `x <-`: a spawn `f[e] <- ys ; P` (in a body, not a
+        cut body), a tail call `f[e] <- ys` or a forward `y`."""
+        callee = self.expect("IDENT").value
+        args = self.bracketed(self.index_expr)
+        chans = self.chans()
+        if spawn and self.at(";"):
+            return Spawn(name, callee, args, chans or (), self.then(), pos=pos)
+        if chans is not None or args:
+            return TailCall(name, callee, args, chans or (), pos=pos)
+        # Bare `x <- y`: forward, unless y resolves to a process name.
+        return Fwd(name, callee, pos=pos)
 
     # Top level ---------------------------------------------------------------
     def program(self) -> Signature:
         sig = Signature()
         while not self.at("EOF"):
             t = self.tok
+            if t.kind not in ("type", "decl", "proc"):
+                self.fail("expected a definition", "type", "decl", "proc")
+            self.next()
+            pos = (t.line, t.col)
+            if t.kind == "proc":
+                dest = self.expect("IDENT").value
+                self.expect("<-")
+            name = self.expect("IDENT").value
+            pats = self.bracketed(self.index_pattern)
             if t.kind == "type":
-                self.next()
-                name = self.expect("IDENT").value
-                pats = self.index_patterns()
                 self.expect("=")
-                body = self.type_()
-                clause = TypeClause(pats, body, pos=(t.line, t.col))
-                td = sig.typedefs.setdefault(name, TypeDef(name, []))
-                if td.clauses and len(td.clauses[0].patterns) != len(pats):
-                    raise ParseError(f"clauses of '{name}' disagree on arity",
-                                     t.line, t.col)
-                _add_clause(td, clause, "type definition")
+                _file(sig.typedefs, TypeDef, name,
+                      TypeClause(pats, self.type_(), pos=pos),
+                      "type definition", "clauses")
             elif t.kind == "decl":
-                self.next()
-                name = self.expect("IDENT").value
-                pats = self.index_patterns()
                 self.expect(":")
                 ctx: list[tuple[str, SessionType]] = []
                 if self.at("."):
                     self.next()
                 else:
                     while self.at("("):
-                        self.next()
-                        chan = self.expect("IDENT").value
-                        self.expect(":")
-                        ctx.append((chan, self.type_()))
-                        self.expect(")")
+                        ctx.append(self.typed_chan())
                 self.expect("|-")
-                self.expect("(")
-                offer_chan = self.expect("IDENT").value
-                self.expect(":")
-                offer_type = self.type_()
-                self.expect(")")
+                offer_chan, offer_type = self.typed_chan()
                 if len({c for c, _ in ctx} | {offer_chan}) != len(ctx) + 1:
                     raise ParseError(f"duplicate channel name in decl '{name}'",
-                                     t.line, t.col)
-                clause = DeclClause(pats, tuple(ctx), offer_chan, offer_type,
-                                    pos=(t.line, t.col))
-                pd = sig.procdecls.setdefault(name, ProcDecl(name, []))
-                if pd.clauses and len(pd.clauses[0].patterns) != len(pats):
-                    raise ParseError(f"decl clauses of '{name}' disagree on arity",
-                                     t.line, t.col)
-                _add_clause(pd, clause, "declaration")
-            elif t.kind == "proc":
-                self.next()
-                dest = self.expect("IDENT").value
-                self.expect("<-")
-                name = self.expect("IDENT").value
-                pats = self.index_patterns()
-                chans: list[str] = []
-                if self.at("<-"):
-                    self.next()
-                    while self.at("IDENT"):
-                        chans.append(self.next().value)
-                self.expect("=")
-                body = self.proc()
-                clause = DefClause(pats, dest, tuple(chans), body, pos=(t.line, t.col))
-                pdef = sig.procdefs.setdefault(name, ProcDef(name, []))
-                _add_clause(pdef, clause, "process definition")
+                                     *pos)
+                _file(sig.procdecls, ProcDecl, name,
+                      DeclClause(pats, tuple(ctx), offer_chan, offer_type,
+                                 pos=pos), "declaration", "decl clauses")
             else:
-                self.fail("expected a definition", "type", "decl", "proc")
+                chans = self.chans() or ()
+                self.expect("=")
+                _file(sig.procdefs, ProcDef, name,
+                      DefClause(pats, dest, chans, self.proc(), pos=pos),
+                      "process definition", None)
         return sig
 
 
-def _add_clause(defn, clause, what: str) -> None:
-    """Append `clause` to `defn`.  Clauses select by index, so a name
-    without indices has one."""
-    if defn.clauses and not clause.patterns:
+
+def _file(table: dict, kind, name: str, clause, what: str,
+          arity: str | None) -> None:
+    """File `clause`, a `what`, under `name`.  The clauses of a type or a
+    decl share their `arity`; an index-free name has one clause."""
+    defn = table.setdefault(name, kind(name, []))
+    if defn.clauses:
         line, col = defn.clauses[0].pos
-        raise ScopeError(f"second {what} of '{defn.name}' (the first is at "
-                         f"{line}:{col})", clause.pos)
+        if arity and len(defn.clauses[0].patterns) != len(clause.patterns):
+            raise ParseError(f"{arity} of '{name}' disagree on arity",
+                             *clause.pos)
+        if not clause.patterns:
+            raise ScopeError(f"second {what} of '{name}' (the first is at "
+                             f"{line}:{col})", clause.pos)
     defn.clauses.append(clause)
 
 
@@ -450,7 +392,8 @@ def _resolve_proc(p: ProcExpr, bound: frozenset[str], sig: Signature) -> ProcExp
                 return TailCall(dest, src, (), (), pos=p.pos)
             return p
         case Spawn(_, proc, args) | TailCall(_, proc, args):
-            _check_call(proc, args, sig, p)
+            _check_ref(sig.procdecls, proc, args, p.pos, "process",
+                       "call to undeclared process")
         case Cut(_, annot):
             _check_type(annot, sig, p.pos)
     binder = bound_by(p)
@@ -458,25 +401,23 @@ def _resolve_proc(p: ProcExpr, bound: frozenset[str], sig: Signature) -> ProcExp
     return map_subprocs(p, lambda q: _resolve_proc(q, inner, sig))
 
 
-def _check_call(name: str, args, sig: Signature, node) -> None:
-    if name not in sig.procdecls:
-        raise ScopeError(f"call to undeclared process '{name}'", node.pos)
-    arity = sig.procdecls[name].arity
-    if len(args) != arity:
-        raise ScopeError(f"process '{name}' takes {arity} index argument(s), "
-                         f"got {len(args)}", node.pos)
-
-
 def _check_type(t: SessionType, sig: Signature, pos) -> None:
     for ref in type_refs(t):
-        if not isinstance(ref, TypeName):
-            continue
-        if ref.name not in sig.typedefs:
-            raise ScopeError(f"reference to undefined type '{ref.name}'", pos)
-        arity = sig.typedefs[ref.name].arity
-        if len(ref.args) != arity:
-            raise ScopeError(f"type '{ref.name}' takes {arity} index "
-                             f"argument(s), got {len(ref.args)}", pos)
+        if isinstance(ref, TypeName):
+            _check_ref(sig.typedefs, ref.name, ref.args, pos, "type",
+                       "reference to undefined type")
+
+
+def _check_ref(table: dict, name: str, args, pos, what: str,
+               missing: str) -> None:
+    """`name[args]` names a definition in `table` and gives it as many
+    indices as it takes."""
+    if name not in table:
+        raise ScopeError(f"{missing} '{name}'", pos)
+    arity = table[name].arity
+    if len(args) != arity:
+        raise ScopeError(f"{what} '{name}' takes {arity} index argument(s), "
+                         f"got {len(args)}", pos)
 
 
 def resolve(sig: Signature) -> Signature:
@@ -485,9 +426,8 @@ def resolve(sig: Signature) -> Signature:
             _check_type(cl.body, sig, cl.pos)
     for pd in sig.procdecls.values():
         for cl in pd.clauses:
-            for _, t in cl.ctx:
+            for _, t in (*cl.ctx, (cl.offer_chan, cl.offer_type)):
                 _check_type(t, sig, cl.pos)
-            _check_type(cl.offer_type, sig, cl.pos)
     for pdef in sig.procdefs.values():
         if pdef.name not in sig.procdecls:
             raise ScopeError(f"process '{pdef.name}' has a definition but "
@@ -497,15 +437,12 @@ def resolve(sig: Signature) -> Signature:
             if len(cl.patterns) != decl.arity:
                 raise ScopeError(f"def clause of '{pdef.name}' disagrees with its "
                                  f"decl on index arity", cl.pos)
-            if any(len(cl.chans) != len(d.ctx) for d in decl.clauses):
-                # All decl clauses of a name share the context length.
-                lens = {len(d.ctx) for d in decl.clauses}
-                if len(cl.chans) not in lens:
-                    raise ScopeError(f"def of '{pdef.name}' binds {len(cl.chans)} "
-                                     f"channels but the decl lists {sorted(lens)}",
-                                     cl.pos)
-            bound = frozenset(cl.chans) | {cl.dest}
-            cl.body = _resolve_proc(cl.body, bound, sig)
+            lens = {len(d.ctx) for d in decl.clauses}
+            if len(cl.chans) not in lens:
+                raise ScopeError(f"def of '{pdef.name}' binds {len(cl.chans)} "
+                                 f"channels but the decl lists {sorted(lens)}",
+                                 cl.pos)
+            cl.body = _resolve_proc(cl.body, frozenset(cl.chans) | {cl.dest}, sig)
     return sig
 
 

@@ -86,50 +86,50 @@ from .typeops import TypeOps
 _ID: dict[str, str] = {}  # the identity environment; never written to
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(init=False, eq=False, slots=True)
 class Obj:
     """A proc or msg object providing `chan` at `time`: it runs `code` with
     each free channel name `x` of the code standing for the run's channel
     `env.get(x, x)`.  `Obj(kind, chan, time, body)` builds one from a
-    concrete term, with the identity environment.  Equality is on (kind,
-    chan, time, body), whatever environment builds the body."""
+    concrete term, with the identity environment, so a message's body is
+    its code.  Equality is on (kind, chan, time, body), whatever environment
+    builds the body."""
     kind: str  # "proc" | "msg"
     chan: str
     time: int
     code: ProcExpr
     env: dict[str, str]  # never written to once the object is built
+    # The run's channels the object uses (its code's free channels through
+    # the environment, less its own), which a caller may pass in; then the
+    # concrete term and the object's text, each made on its first read.
+    used: frozenset[str] = field(init=False, repr=False)
+    body: ProcExpr = field(init=False, repr=False)
+    text: str = field(init=False, repr=False)
 
     def __init__(self, kind: str, chan: str, time: int, code: ProcExpr,
-                 env: dict[str, str] = _ID):
-        d = self.__dict__
-        d["kind"], d["chan"], d["time"], d["code"], d["env"] = \
+                 env: dict[str, str] = _ID, used: frozenset[str] | None = None):
+        self.kind, self.chan, self.time, self.code, self.env = \
             kind, chan, time, code, env
         if not env:  # a concrete term is its own body
-            d["body"] = code
+            self.body = code
+        if used is None:
+            used = free_chans(code)
+            if env:
+                used = frozenset([env.get(x, x) for x in used])
+            used = used - {chan}
+        self.used = used
 
     def __getattr__(self, name: str):
-        """Three attributes are computed on first read and then kept in the
-        instance dict, where later reads find them without a call: `body`,
-        the concrete term (the code with the environment substituted),
-        `used`, the run's channels the object uses (its code's free channels
-        mapped through the environment, less its own channel), and `text`,
-        the object as a trace and an error message show it."""
+        """Compute `body` or `text` on its first read, and keep it."""
         if name == "body":
-            value = rename_chans(self.code, self.env)
-        elif name == "used":
-            value = free_chans(self.code)
-            env = self.env
-            if env:
-                value = frozenset([env.get(x, x) for x in value])
-            value = value - {self.chan}
+            value = self.body = rename_chans(self.code, self.env)
         elif name == "text":
             body = fmt_proc(self.body).replace("\n", " ")
             body = body.replace("% reconstructed", "")
             body = re.sub(r"\s+", " ", body).strip()
-            value = f"{self.kind}({self.chan}, {self.time}, {body})"
+            value = self.text = f"{self.kind}({self.chan}, {self.time}, {body})"
         else:
             raise AttributeError(name)
-        self.__dict__[name] = value
         return value
 
     def __eq__(self, other) -> bool:
@@ -590,8 +590,8 @@ class Engine:
                 m = objs.get(config.client.get(chan) if chan == o.chan
                              else chan)
                 if m is None or m.kind != "msg" \
-                        or not isinstance(m.body, sent) \
-                        or m.body.chan != chan or m.time < o.time \
+                        or not isinstance(m.code, sent) \
+                        or m.code.chan != chan or m.time < o.time \
                         or m.time > o.time and not isinstance(code, When):
                     return None
                 if chan == o.chan:
@@ -693,9 +693,8 @@ class Engine:
             raise RunError(_at(code.pos, "delay with a non-ground count"))
         cont = code.cont if code.count == 1 else \
             Delay(code.count - 1, code.origin, code.cont)
-        later = Obj(o.kind, o.chan, o.time + 1, cont, o.env)
         # Same environment, and a delay's free channels are its cont's.
-        object.__setattr__(later, "used", o.used)
+        later = Obj(o.kind, o.chan, o.time + 1, cont, o.env, o.used)
         config.put(later)
         return [later]
 
@@ -704,7 +703,7 @@ class Engine:
         # message's next channel; a provider takes its client's message
         # (negative) and goes on providing the message's channel.  Either
         # jumps to the message's time, later than its own only for when?.
-        mb, code, env = m.body, o.code, o.env
+        mb, code, env = m.code, o.code, o.env
         if env.get(code.chan, code.chan) == o.chan:
             at = nxt = m.chan
             config.drop(o.chan)
@@ -717,7 +716,7 @@ class Engine:
         if isinstance(code, RecvChan):
             sub[code.bind] = mb.payload
         proc = Obj("proc", at, m.time, cont, {**env, **sub} if sub else env)
-        self._reanchor(config, proc, o.time, m.time, skip=nxt)
+        self._reanchor(config, proc, o.time, m.time, nxt, code.pos)
         config.put(proc)
         return [proc]
 
@@ -743,21 +742,22 @@ class Engine:
         return [config.objs[m.chan]]
 
     def _reanchor(self, config: Configuration, proc: Obj, old_time: int,
-                  new_time: int, skip: str | None) -> None:
-        """A process jumped from old_time to new_time: re-anchor its channels
-        but `skip` so their local views are preserved (this is where the
-        weak-subtyping slack of the configuration typing comes from)."""
+                  new_time: int, skip: str | None, pos) -> None:
+        """A process jumped from old_time to new_time by the receive at
+        `pos`: re-anchor its channels but `skip` so their local views are
+        preserved (this is where the weak-subtyping slack of the
+        configuration typing comes from)."""
         if new_time == old_time:
             return
         for y in proc.used - {skip}:
             local = self.ops.shift_left_n(config.ctypes[y], old_time)
             if local is None:
-                raise RunError(f"cannot re-anchor {y}")
+                raise RunError(_at(pos, f"cannot re-anchor {y}"))
             config.set_ctype(y, next_type(new_time, local))
         if proc.chan != skip and proc.chan in config.ptypes:
             local = self.ops.shift_right_n(config.ptypes[proc.chan], old_time)
             if local is None:
-                raise RunError(f"cannot re-anchor {proc.chan}")
+                raise RunError(_at(pos, f"cannot re-anchor {proc.chan}"))
             config.set_ptype(proc.chan, next_type(new_time, local))
 
     # -- stepping -------------------------------------------------------------

@@ -116,18 +116,79 @@ class _Search:
                     return False
         if na:  # left has leading delays, right does not
             if isinstance(tb, Diamond):
-                return rule("()<>", next_type(na - 1, ta), tb) or \
-                    rule("<>R", next_type(na, ta), tb.inner)
+                return self.delay_run("()<>", tb, ta, na)
             if isinstance(tb, Box) and isinstance(ta, Box):
                 return rule("[]R", next_type(na, ta), tb.inner)
             return False
         # right has leading delays, left does not
         if isinstance(ta, Box):
-            return rule("[]()", ta, next_type(nb - 1, tb)) or \
-                rule("[]L", ta.inner, next_type(nb, tb))
+            return self.delay_run("[]()", ta, tb, nb)
         if isinstance(ta, Diamond) and isinstance(tb, Diamond):
             return rule("<>L", ta.inner, next_type(nb, tb))
         return False
+
+    def delay_run(self, unit: str, modal: SessionType, base: SessionType,
+                  n: int) -> bool:
+        """`modal <: ()^n base` for a box (`unit` is `[]()`) or `()^n base <:
+        modal` for a diamond (`()<>`), n >= 1: the unit rule, which leaves a
+        goal of the same shape with one delay fewer, or else `[]L` or `<>R`.
+        The run of units is a loop, not a recursion, so no run is too long
+        for Python's stack.  Each goal on it with a delay left is looked up,
+        kept and traced as `sub` does it (repeated here, so that `sub` pays
+        no extra call), and its dispatch would take the unit rule again."""
+        trace, memo, path = self.trace, self.memo, self.path
+        box = unit == "[]()"
+        opened = []  # key, cycle count and trace mark of each goal opened
+        while True:
+            n -= 1
+            a, b = (modal, next_type(n, base)) if box else \
+                (next_type(n, base), modal)
+            if not n:  # the run's last goal, searched as any other
+                ok = self.rule(unit, a, b)
+                break
+            mark = 0 if trace is None else len(trace)
+            if trace is not None:
+                trace.append(unit)
+            self.steps += 1
+            if self.steps > self.budget:
+                raise BudgetExceededError("subtyping budget exceeded")
+            key = (a, b)
+            if key in memo:
+                ok = memo[key]
+            elif key in self.yes:
+                ok = True
+            elif key in path:
+                self.cycles += 1
+                ok = False
+            elif self.ops.type_equal(a, b):
+                if trace is not None:
+                    trace.append("refl")
+                memo[key] = ok = True
+            else:
+                path.add(key)
+                opened.append((key, self.cycles, mark))
+                continue
+            if not ok and trace is not None:
+                del trace[mark:]
+            break
+        # `ok` is now the verdict on the unit rule that left goal n + 1.
+        while True:
+            n += 1
+            if not ok:
+                ok = self.rule("[]L", modal.inner, next_type(n, base)) if box \
+                    else self.rule("<>R", next_type(n, base), modal.inner)
+            if not opened:  # goal n is the caller's
+                return ok
+            key, seen_cycles, mark = opened.pop()
+            path.discard(key)
+            if ok:
+                self.yes.add(key)
+                memo[key] = True
+            else:
+                if self.cycles == seen_cycles:
+                    memo[key] = False
+                if trace is not None:
+                    del trace[mark:]
 
     def rule(self, name: str, a: SessionType, b: SessionType) -> bool:
         trace = self.trace

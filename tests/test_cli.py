@@ -376,6 +376,22 @@ def test_huge_delays_check_without_a_traceback(tmp_path, capsys):
     assert err == ""
 
 
+def test_long_modal_delay_runs_check_without_a_traceback(tmp_path, capsys):
+    # The forward from `[]1` to `()^{400} []1` needs a `[]()` run of 400.
+    prog = tmp_path / "run.tss"
+    prog.write_text("decl g : (y : ()^{400} []1) |- (x : ()^{400} 1)\n"
+                    "proc x <- g <- y = wait y ; close x\n"
+                    "decl f : (y : []1) |- (x : ()^{400} 1)\n"
+                    "proc x <- f <- y = x <- g <- y\n")
+    assert run("check", str(prog)) == 0
+    assert run("subtype", "[]1", "()^{400} []1") == 0
+    assert run("subtype", "()^{400} <>1", "<>1") == 0
+    assert run("subtype", "[]1", "()^{200000} []1") == 1
+    out, err = capsys.readouterr()
+    assert out == "ok: 2 definition(s) check\ntrue\ntrue\n"
+    assert err == "error: subtyping budget exceeded\n"
+
+
 # ---------------------------------------------------------------------------
 # `tss run` ends in an exit status, never a traceback
 

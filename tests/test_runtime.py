@@ -81,7 +81,11 @@ ILL_TYPED_RUNS = [
      "proc y <- g = case y ( a => close y )\ndecl f : . |- (x : 1)\n"
      "proc x <- f = y <- g ; wait y ; close x\n", "f",
      StuckError, "5:24: configuration is stuck and not poised: "
-     "proc(c1, 0, wait c2 ; close c1)")]
+     "proc(c1, 0, wait c2 ; close c1)"),
+    ("decl p : . |- (y : <>1)\nproc y <- p = delay ; now! y ; close y\n"
+     "decl q : . |- (z : 1)\nproc z <- q = close z\ndecl main : . |- (x : 1)\n"
+     "proc x <- main = z <- q ; delay ; y <- p ; when? y ; wait y ; wait z ; "
+     "close x\n", "main", RunError, "6:44: cannot re-anchor c2")]
 
 
 @pytest.mark.parametrize("src, main, error, msg", ILL_TYPED_RUNS)

@@ -5,7 +5,9 @@ import pytest
 
 from tss.acceptance import modal_universe
 from tss.ast import ONE, Box, Diamond, Next, Signature, TypeName, next_type
-from tss.parser import parse_program
+from tss.errors import BudgetExceededError
+from tss.parser import parse_program, parse_type
+from tss.reconstruct import FwdElaborator
 from tss.subtyping import is_subtype, is_weak_subtype, subtype_oracle
 from tss.typeops import TypeOps
 
@@ -174,3 +176,91 @@ def test_deciding_pairs_leaves_no_reference_cycles(ops):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Delay runs: `[]A <: ()^n B` by `[]()` and `()^n A <: <>B` by `()<>` take
+# one unit per goal, so their length is bounded by the budget, not by
+# Python's stack.
+
+RUN_SIG = parse_program("type t = +{ a : ()t, b : 1 }")
+
+
+def delay_runs(n):
+    """Goals whose search takes a delay run of length n, with a plain, a
+    named and a modal type inside, and one whose run fails at its end."""
+    for inner in ("1", "t", "<>1"):
+        yield f"[]{inner}", f"()^{{{n}}} []{inner}"
+    for inner in ("1", "t", "[]1"):
+        yield f"()^{{{n}}} <>{inner}", f"<>{inner}"
+    yield "[]<>1", f"()^{{{n}}} 1"
+
+
+@pytest.fixture(scope="module")
+def run_ops():
+    return TypeOps(RUN_SIG)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300, 400, 5000])
+def test_delay_runs_agree_with_forwarding(run_ops, n):
+    fe = FwdElaborator(run_ops)
+    for a, b in delay_runs(n):
+        a, b = parse_type(a), parse_type(b)
+        assert is_subtype(run_ops, a, b) == fe.check(a, b), (a, b)
+        assert is_subtype(run_ops, b, a) == fe.check(b, a), (b, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_delay_runs_agree_with_the_oracle(run_ops, n):
+    for a, b in delay_runs(n):
+        a, b = parse_type(a), parse_type(b)
+        assert is_subtype(run_ops, a, b) == subtype_oracle(run_ops, a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 300])
+def test_delay_runs_keep_their_rule_lists(ops, n):
+    def rules(a, b):
+        trace: list = []
+        assert is_subtype(ops, parse_type(a), parse_type(b), trace=trace)
+        return trace
+    assert rules("[]1", f"()^{{{n}}} []1") == ["[]()"] * n + ["refl"]
+    assert rules(f"()^{{{n}}} <>1", "<>1") == ["()<>"] * n + ["refl"]
+    # The run fails at its end, and the unit two above it closes by `[]L`.
+    assert rules("[]()^2 1", f"()^{{{n}}} 1") == ["[]()"] * (n - 2) + \
+        ["[]L", "refl"]
+    # Every unit fails, and the first closes by `<>R`; with a memo that
+    # holds the second goal's failure, the run ends there.
+    assert rules(f"()^{{{n}}} 1", f"<>()^{{{n}}} 1") == ["<>R", "refl"]
+    memo: dict = {}
+    assert not is_subtype(ops, parse_type(f"()^{{{n - 1}}} 1"),
+                          parse_type(f"<>()^{{{n}}} 1"), memo=memo)
+    trace: list = []
+    assert is_subtype(ops, parse_type(f"()^{{{n}}} 1"),
+                      parse_type(f"<>()^{{{n}}} 1"), trace=trace, memo=memo)
+    assert trace == ["<>R", "refl"]
+
+
+@pytest.mark.parametrize("a, b, goals", [("bt", "loop", 79), ("bt", "dl", 107),
+                                         ("bt", "()^5 <>1", 224),
+                                         ("bt", "[]()^4 <>1", 113)])
+def test_cyclic_delay_runs_search_the_same_goals(a, b, goals):
+    # Goals met again on the search path fail, and a failure below such a
+    # cycle is not kept, unit by unit; the goal count is the parent's.
+    sig = parse_program("type bt = [](()bt)\ntype loop = ()^3 []loop\n"
+                        "type dl = ()^2 <>dl\n")
+    ops = TypeOps(sig)
+    a, b = parse_type(a), parse_type(b)
+    assert not is_subtype(ops, a, b, budget=goals)
+    with pytest.raises(BudgetExceededError):
+        is_subtype(ops, a, b, budget=goals - 1)
+
+
+def test_long_delay_runs_end_in_a_verdict_or_the_budget(ops):
+    for a, b in (("[]1", "()^{50000} []1"), ("()^{50000} <>1", "<>1")):
+        assert is_subtype(ops, parse_type(a), parse_type(b))
+    # A run of n units takes n + 1 goals of the budget.
+    for a, b in (("[]1", "()^{1000} []1"), ("()^{1000} <>1", "<>1")):
+        a, b = parse_type(a), parse_type(b)
+        assert is_subtype(ops, a, b, budget=1001)
+        with pytest.raises(BudgetExceededError):
+            is_subtype(ops, a, b, budget=1000)
