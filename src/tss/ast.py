@@ -7,7 +7,8 @@ nodes through one table keyed by their fields, so two structurally equal
 types are the same object.  Their `==` and `hash` are the identity-based
 `object` defaults, and any type is a cheap memo key.  The tables are
 process-global and never shrink: they hold one node per distinct type or
-index expression built.
+index expression built, including the canonical variants that
+`typeops.TypeOps.canonical` builds to compare name-free types.
 
 Process nodes are frozen dataclasses that carry source positions excluded
 from equality, so they are not interned; each computes its structural hash

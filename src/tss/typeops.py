@@ -1,9 +1,15 @@
 """Semantic operations on ground session types: contractiveness,
 equirecursive unfolding and equality, one-step time shifts, patience.
 
-Equality is coinductive: a bisimulation over head-normalized states
-(leading-delay count, base type), memoizing visited state pairs.  Revisiting
-a pair means the infinite unfoldings agree, so it counts as success.
+Equality takes one of two exact procedures.  A type with no type name and
+only literal delay counts has a canonical form, its delay runs merged and
+its `+{}`/`&{}` branches sorted by label; two such types are equal iff
+their canonical forms are the same interned node, so no search is needed.
+Any other pair is decided coinductively: a bisimulation over
+head-normalized states (leading-delay count, base type), memoizing visited
+state pairs.  Revisiting a pair means the infinite unfoldings agree, so it
+counts as success.  Both walk an explicit stack, never one Python frame
+per level of a type.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ def check_contractive(sig: Signature):
 class TypeOps:
     """Type-level judgments over one ground signature.
 
-    A `budget` bounds the number of equality goals examined per query;
-    exceeding it signals pathological input, not inequality.
+    A `budget` bounds the number of equality goals searched per query;
+    exceeding it signals pathological input, not inequality.  Name-free
+    pairs are compared by canonical form and search no goal.
     """
 
     def __init__(self, sig: Signature, budget: int = 10_000):
@@ -36,6 +43,7 @@ class TypeOps:
         self._eq_true: set = set()
         self._eq_false: set = set()
         self._strip: dict = {}
+        self._canon: dict = {}
 
     # -- unfolding ----------------------------------------------------------
 
@@ -81,24 +89,120 @@ class TypeOps:
     # -- equality -----------------------------------------------------------
 
     def type_equal(self, a: SessionType, b: SessionType) -> bool:
-        """Coinductive equirecursive equality.
-
-        Goals failing on this run are cached for good (assumptions can only
-        add equalities, so a failure is unconditional).  Goals visited by a
-        successful run form a bisimulation and are all cached as equal when
-        the top-level query succeeds."""
+        """Equirecursive equality: by canonical form when neither side has
+        a type name, otherwise by `_bisimilar`."""
         if a is b:
             return True
+        canon = self._canon
+        ca = canon.get(a)
+        if ca is None:
+            ca = self.canonical(a)
+        if ca:
+            cb = canon.get(b)
+            if cb is None:
+                cb = self.canonical(b)
+            if cb:
+                return ca is cb
         key = self._eq_key(a, b)
         if key in self._eq_true:
             return True
         if key in self._eq_false:
             return False
-        search = _Bisimulation(self)
-        result = search.settle(key)
-        if result:
-            self._eq_true |= search.candidates
-        return result
+        return self._bisimilar(key)
+
+    def canonical(self, t: SessionType):
+        """The canonical form of a type with no type name and only literal
+        delay counts: delay runs merged and `+{}`/`&{}` branches sorted by
+        label.  Two such types are equal iff their canonical forms are the
+        same node.  False for any other type.  Walked with an explicit
+        stack and cached per node on this instance."""
+        canon = self._canon
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in canon:
+                stack.pop()
+                continue
+            cls = type(u)
+            if cls is Plus or cls is With:
+                parts = [v for _, v in u.branches]
+            elif cls is Tensor:
+                parts = (u.left, u.right)
+            elif cls is Lolli:
+                parts = (u.arg, u.cont)
+            elif cls is Box or cls is Diamond or (
+                    cls is Next and type(u.count) is int):
+                parts = (u.inner,)
+            elif cls is One:
+                parts = ()
+            else:
+                # A type name, or a delay count that is not a literal.
+                canon[stack.pop()] = False
+                continue
+            kids = list(map(canon.get, parts))
+            if None in kids:
+                stack += parts
+                continue
+            stack.pop()
+            if not all(kids):
+                canon[u] = False
+            elif cls is Next:
+                canon[u] = next_type(u.count, kids[0])
+            elif cls is Plus or cls is With:
+                labels = [lab for lab, _ in u.branches]
+                canon[u] = cls(tuple(sorted(dict(zip(labels, kids)).items())))
+            else:
+                canon[u] = cls(*kids)
+        return canon[t]
+
+    def _bisimilar(self, key: tuple) -> bool:
+        """Decide an equality goal found in neither memo, coinductively:
+        a search depth first on an explicit stack of (goal, its remaining
+        subgoals).
+
+        Goals failing on this run are cached for good (assumptions can only
+        add equalities, so a failure is unconditional).  Goals visited by a
+        successful run form a bisimulation and are all cached as equal when
+        the top-level query succeeds."""
+        eq_true, eq_false, eq_key = self._eq_true, self._eq_false, self._eq_key
+        budget, steps = self.budget, 0
+        assumed: set = set()  # the goals on the current path
+        visited: set = set()  # the goals that held under those assumptions
+        stack: list = []
+        while True:
+            steps += 1
+            if steps > budget:
+                raise BudgetExceededError("type equality budget exceeded")
+            assumed.add(key)
+            subgoals = _subgoals(*key)
+            if subgoals is None:
+                break
+            stack.append((key, iter(subgoals)))
+            # Close the goals whose subgoals all hold, up to one that still
+            # has a subgoal to open.
+            while stack:
+                for a, b in stack[-1][1]:
+                    if a is b:
+                        continue
+                    key = eq_key(a, b)
+                    if key not in eq_true and key not in assumed:
+                        break
+                else:
+                    done = stack.pop()[0]
+                    assumed.discard(done)
+                    visited.add(done)
+                    continue
+                break
+            else:
+                eq_true |= visited
+                return True
+            if key in eq_false:
+                break
+        # A goal failed, and with it every goal on the path to it.
+        eq_false.add(key)
+        for done, _ in stack:
+            eq_false.add(done)
+        return False
 
     def _eq_key(self, a: SessionType, b: SessionType) -> tuple:
         """The memo key of an equality goal: both sides stripped, with their
@@ -189,69 +293,28 @@ class TypeOps:
         return isinstance(base, Diamond)
 
 
-class _Bisimulation:
-    """The state of one `TypeOps.type_equal` query: the goals assumed on
-    the current path and those visited by it.  (An object rather than
-    nested closures: closures that call each other form a reference cycle,
-    which only the cycle collector frees.)"""
-
-    __slots__ = ("ops", "steps", "assumed", "candidates")
-
-    def __init__(self, ops: TypeOps):
-        self.ops = ops
-        self.steps = 0
-        self.assumed: set = set()
-        self.candidates: set = set()
-
-    def states_eq(self, na: int, ta: SessionType, nb: int,
-                  tb: SessionType) -> bool:
-        self.steps += 1
-        if self.steps > self.ops.budget:
-            raise BudgetExceededError("type equality budget exceeded")
-        la, lb = isinstance(ta, TypeName), isinstance(tb, TypeName)
-        if la and lb:
-            # Two infinite delay towers never communicate: equal.
-            return True
-        if la or lb:
-            # One side loops on delays, the other reaches an action.
-            return False
-        if na != nb:
-            return False
-        if type(ta) is not type(tb):
-            return False
-        eq = self.eq
-        match ta, tb:
-            case One(), One():
-                return True
-            case (Plus(bs1), Plus(bs2)) | (With(bs1), With(bs2)):
-                d1, d2 = dict(bs1), dict(bs2)
-                if set(d1) != set(d2):
-                    return False
-                return all(eq(d1[lab], d2[lab]) for lab in d1)
-            case (Tensor(a1, b1), Tensor(a2, b2)) | (Lolli(a1, b1), Lolli(a2, b2)):
-                return eq(a1, a2) and eq(b1, b2)
-            case (Box(i1), Box(i2)) | (Diamond(i1), Diamond(i2)):
-                return eq(i1, i2)
-        return False
-
-    def eq(self, a: SessionType, b: SessionType) -> bool:
-        if a is b:
-            return True
-        ops = self.ops
-        key = ops._eq_key(a, b)
-        if key in ops._eq_true or key in self.assumed:
-            return True
-        if key in ops._eq_false:
-            return False
-        return self.settle(key)
-
-    def settle(self, key: tuple) -> bool:
-        """Decide a goal found in neither memo nor the assumptions."""
-        self.assumed.add(key)
-        ok = self.states_eq(*key)
-        self.assumed.discard(key)
-        if ok:
-            self.candidates.add(key)
-        else:
-            self.ops._eq_false.add(key)
-        return ok
+def _subgoals(na: int, ta: SessionType, nb: int, tb: SessionType):
+    """The goals on which the equality of two stripped states rests, in
+    the order they are taken; None when the states differ at the head."""
+    la, lb = isinstance(ta, TypeName), isinstance(tb, TypeName)
+    if la or lb:
+        # Two infinite delay towers never communicate: equal.  One alone
+        # loops on delays while the other reaches an action.
+        return () if la and lb else None
+    if na != nb or type(ta) is not type(tb):
+        return None
+    match ta:
+        case One():
+            return ()
+        case Plus(bs) | With(bs):
+            d1, d2 = dict(bs), dict(tb.branches)
+            if d1.keys() != d2.keys():
+                return None
+            return [(u, d2[lab]) for lab, u in d1.items()]
+        case Tensor(a1, b1):
+            return (a1, tb.left), (b1, tb.right)
+        case Lolli(a1, b1):
+            return (a1, tb.arg), (b1, tb.cont)
+        case Box(i1) | Diamond(i1):
+            return ((i1, tb.inner),)
+    return None

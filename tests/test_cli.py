@@ -392,6 +392,29 @@ def test_long_modal_delay_runs_check_without_a_traceback(tmp_path, capsys):
     assert err == "error: subtyping budget exceeded\n"
 
 
+DEEP_EQUAL = """
+type t[n+1] = +{ a : t[n] }
+type t[0] = 1
+type u[n+1] = +{ a : u[n] }
+type u[0] = 1
+decl f[n] : (y : t[n]) |- (x : u[n])
+proc x <- f[n] <- y = x <- y
+"""
+
+
+@pytest.mark.parametrize("n", [200, 2000, 4000])
+@pytest.mark.parametrize("mode", [[], ["--explicit"]],
+                         ids=["reconstructed", "explicit"])
+def test_deep_equal_families_check_without_a_traceback(tmp_path, capsys, n,
+                                                       mode):
+    # The forward needs t[n] = u[n], a bisimulation n goals deep.
+    prog = tmp_path / "deep.tss"
+    prog.write_text(DEEP_EQUAL)
+    assert run("check", str(prog), "--def", "f", "--bind", f"n={n}",
+               *mode) == 0
+    assert capsys.readouterr() == ("ok: 1 definition(s) check\n", "")
+
+
 # ---------------------------------------------------------------------------
 # `tss run` ends in an exit status, never a traceback
 

@@ -1,9 +1,15 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
-from tss.ast import ONE, Box, Diamond, Next, Plus, TypeName, next_type
-from tss.errors import ContractivenessError
+from tss import corpus
+from tss.ast import (ONE, Box, Diamond, IVar, Lolli, Next, Plus, Signature,
+                     Tensor, TypeClause, TypeDef, TypeName, With, next_type,
+                     type_refs)
+from tss.errors import BudgetExceededError, ContractivenessError
+from tss.instantiate import instantiate
 from tss.parser import parse_program
 from tss.typeops import TypeOps, check_contractive
 
@@ -209,10 +215,172 @@ def test_patient_implies_shift_defined(ops):
 
 
 def test_equality_budget_guard():
-    from tss.errors import BudgetExceededError
     sig = parse_program(
         "type a = +{ l : ()a }\n"
         "type b = +{ l : ()b }\n")
     tiny = TypeOps(sig, budget=0)
     with pytest.raises(BudgetExceededError):
         tiny.type_equal(TypeName("a"), TypeName("b"))
+
+
+# ---------------------------------------------------------------------------
+# Name-free types by canonical form, the rest by search
+
+def _name_free_cases():
+    """`_enumerate(3)`, branches in both orders, pairs, and raw `Next`
+    chains that the search strips but the smart constructor never builds."""
+    d1, b1 = next_type(1, ONE), Box(next_type(1, ONE))
+    branches = [(("a", ONE), ("b", d1)), (("b", d1), ("a", ONE)),
+                (("a", ONE), ("b", b1)), (("b", b1), ("a", ONE)),
+                (("a", ONE),), (("a", d1), ("c", ONE))]
+    choices = [cls(bs) for cls in (Plus, With) for bs in branches]
+    choices += [Plus((("x", choices[0]), ("y", ONE))),
+                Plus((("y", ONE), ("x", choices[1])))]
+    pairs = [cls(a, b) for cls in (Tensor, Lolli)
+             for a in (ONE, d1, choices[0]) for b in (Box(ONE), choices[1])]
+    raw = [Next(1, Next(2, ONE)), Next(2, Next(1, ONE)), next_type(3, ONE),
+           Next(1, Next(1, Box(ONE))), Next(0, ONE),
+           Diamond(Next(1, Next(1, ONE)))]
+    return _enumerate(3) + choices + pairs + raw
+
+
+def _searched(ops, a, b):
+    """The verdict of the bisimulation search alone."""
+    return ops._bisimilar(ops._eq_key(a, b))
+
+
+def test_canonical_form_agrees_with_the_search():
+    sig = parse_program("")
+    fast, search, tiny = TypeOps(sig), TypeOps(sig), TypeOps(sig, budget=0)
+    cases = _name_free_cases()
+    for a, b in itertools.product(cases, repeat=2):
+        want = _searched(search, a, b)
+        assert fast.type_equal(a, b) == want, (a, b)
+        # No goal is searched, so even a budget of 0 decides the pair.
+        assert tiny.type_equal(a, b) == want, (a, b)
+    assert not fast._eq_true and not fast._eq_false
+    assert fast.type_equal(Plus((("a", ONE), ("b", Next(1, ONE)))),
+                           Plus((("b", Next(1, ONE)), ("a", ONE))))
+    assert fast.canonical(Next(1, Next(2, ONE))) is Next(3, ONE)
+
+
+def test_named_types_have_no_canonical_form(ops):
+    for t in (TypeName("bits"), Next(1, TypeName("bits")),
+              Box(Plus((("a", ONE), ("b", TypeName("ctr"))))),
+              Next(IVar("n"), ONE)):
+        assert ops.canonical(t) is False
+
+
+def _deep(n, wrap, leaf=ONE):
+    t = leaf
+    for _ in range(n):
+        t = wrap(t)
+    return t
+
+
+def test_equality_takes_no_python_frame_per_level():
+    # 5,000 levels exceed Python's default recursion limit several times.
+    sig = parse_program("")
+    left = _deep(5000, lambda t: Plus((("a", t), ("b", Box(ONE)))))
+    right = _deep(5000, lambda t: Plus((("b", Box(ONE)), ("a", t))))
+    off = _deep(5000, lambda t: Plus((("b", Box(ONE)), ("a", t))),
+                leaf=Box(ONE))
+    ops = TypeOps(sig, budget=0)
+    assert ops.type_equal(left, right)
+    assert not ops.type_equal(left, off)
+    assert _searched(TypeOps(sig), left, right)
+    assert not _searched(TypeOps(sig), left, off)
+
+
+DEEP_EQUAL = """
+type t[n+1] = +{ a : t[n] }
+type t[0] = 1
+type u[n+1] = +{ a : u[n] }
+type u[0] = 1
+decl f[n] : (y : t[n]) |- (x : u[n])
+proc x <- f[n] <- y = x <- y
+"""
+
+
+def test_equality_budget_counts_one_goal_per_level():
+    g = instantiate(parse_program(DEEP_EQUAL), "f", {"n": 100})
+    t, u = TypeName("t$100"), TypeName("u$100")
+    with pytest.raises(BudgetExceededError):
+        TypeOps(g, budget=100).type_equal(t, u)
+    assert TypeOps(g, budget=101).type_equal(t, u)
+
+
+def _copy_type(t, suffix, one):
+    """`t` with each type name X read as X+suffix and each 1 as `one`."""
+    match t:
+        case Plus(bs) | With(bs):
+            return type(t)(tuple((lab, _copy_type(u, suffix, one))
+                                 for lab, u in bs))
+        case Tensor(a, b) | Lolli(a, b):
+            return type(t)(_copy_type(a, suffix, one),
+                           _copy_type(b, suffix, one))
+        case Next(c, u):
+            return Next(c, _copy_type(u, suffix, one))
+        case Box(u) | Diamond(u):
+            return type(t)(_copy_type(u, suffix, one))
+        case TypeName(name):
+            return TypeName(name + suffix)
+    return one
+
+
+def _search_queries():
+    """Per corpus file, its first instance's signature with two renamed
+    copies of every type definition (one with each 1 delayed a unit), and
+    100 seeded ordered pairs over those names, their bodies, their one-unit
+    delays and the declared types, each pair with a type name on a side."""
+    done = set()
+    for spec in corpus.check_specs():
+        if spec.file in done:
+            continue
+        done.add(spec.file)
+        sig = corpus.load(spec.file, spec.root, spec.bind, spec.cost).elab
+        typedefs = dict(sig.typedefs)
+        for suffix, one in (("'", ONE), ("''", Next(1, ONE))):
+            for n in sig.typedefs:
+                body = _copy_type(sig.type_body(n), suffix, one)
+                typedefs[n + suffix] = TypeDef(n + suffix,
+                                               [TypeClause((), body)])
+        sig = Signature(typedefs, sig.procdecls, sig.procdefs)
+        pool = []
+        for n in sorted(typedefs):
+            pool += [TypeName(n), sig.type_body(n), Next(1, TypeName(n))]
+        for n in sorted(sig.procdecls):
+            decl = sig.decl(n)
+            pool += [t for _, t in decl.ctx] + [decl.offer_type]
+        pool = list(dict.fromkeys(pool))
+        named = [any(isinstance(r, TypeName) for r in type_refs(t))
+                 for t in pool]
+        pairs = [(a, b) for (a, na), (b, nb)
+                 in itertools.product(zip(pool, named), repeat=2) if na or nb]
+        yield sig, random.Random(spec.file).sample(pairs, min(100, len(pairs)))
+
+
+def _verdict(ops, a, b):
+    try:
+        return ops.type_equal(a, b)
+    except BudgetExceededError:
+        return "budget"
+
+
+def test_search_visits_the_goals_of_the_recursive_search():
+    # Digest of the verdicts and of both memos after 1,405 queries at each
+    # of four budgets, as the recursive search gave them.  The small
+    # budgets pin how many goals each query searches.
+    digest = hashlib.sha256()
+    count = 0
+    for sig, queries in _search_queries():
+        for budget in (10_000, 2, 3, 5):
+            ops = TypeOps(sig, budget=budget)
+            verdicts = [_verdict(ops, a, b) for a, b in queries]
+            count += len(verdicts)
+            for part in (verdicts, sorted(map(repr, ops._eq_true)),
+                         sorted(map(repr, ops._eq_false))):
+                digest.update(repr(part).encode())
+    assert count == 4 * 1405
+    assert digest.hexdigest() == (
+        "be9a4e6218c99b9c7f1cb3d1445310261058a6d31eb9801b58821841c35fc10c")
