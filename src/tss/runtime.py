@@ -854,8 +854,9 @@ class _Sequents(Checker):
 
 class _Checker:
     """What `check_configuration` last accepted for one run: the interface
-    and `TypeOps` it was checked against and the log the configuration
-    keeps.  The log's first map holds the object accepted at each channel
+    and `TypeOps` it was checked against, the log the configuration keeps,
+    and an order of its channels that puts every provider before its
+    client.  The log's first map holds the object accepted at each channel
     written since, and so the channels it used.  Which object uses each
     channel is the configuration's own record, its `client` map.
 
@@ -864,112 +865,199 @@ class _Checker:
     channels, so they are bounded by the program's ground definitions and
     the types their channels take, not by the length of the run.
 
-    A call on the configuration carrying this log checks again only the
-    channels the log names, a bounded number per rewriting step, and starts
-    a new log.  Any other configuration (a copy), a change of `ops` or of
-    either interface, and any fault start over from empty state, where
-    every channel counts as written and no sequent is known."""
+    A call on the configuration carrying this log decides from the log
+    alone, a bounded number of channels per rewriting step, and starts a
+    new log.  That pass only decides: it words no fault.  Any other
+    configuration (a copy), a change of `ops` or of either interface, and
+    any fault or doubt go to the check from empty state, where every
+    channel counts as written and no sequent is known, and which words the
+    first fault in configuration order.
+
+    The order is kept as integer labels, `label[y] < label[client[y]]`,
+    on a list of the channels linked through `prev` and `next`.  Labelled
+    from empty state in a depth-first order of the client forest, it takes
+    each new channel immediately before its client.  Every rule of
+    `Engine` keeps it so: a channel a step links to an object was linked
+    before to that object or to one after it, or is the step's new channel,
+    placed just before.  So a new edge closes no cycle when its provider's
+    label is the lower, one comparison, and only a failed comparison
+    labels the configuration afresh, which finds any cycle.  Labels are
+    spread out where a channel must go between two adjacent ones, over the
+    smallest aligned range of labels that is sparse enough, as in Bender
+    et al., "Two simplified algorithms for maintaining order in a list"
+    (ESA 2002): a dynamic topological order (Pearce and Kelly 2006) kept
+    by insertion alone."""
 
     def __init__(self):
         self.ops: TypeOps | None = None
-        self.provides = None  # (provides_in, provides_out), as items
+        self.provides = None  # (provides_in, provides_out), as copies
         self.sequents: _Sequents | None = None
+        self.plain: Checker | None = None  # for code that names run channels
         self.log: tuple[dict, dict, dict] | None = None
+        self.label: dict[str, int] = {}
+        self.prev: dict[str, str | None] = {}
+        self.next: dict[str, str | None] = {}
 
     def check(self, ops: TypeOps, provides_in: dict[str, SessionType],
               config: Configuration, provides_out: dict[str, SessionType],
               keep: bool) -> None:
         """Check `config`; with `keep`, it logs its writes from here on."""
-        provides = (tuple(provides_in.items()), tuple(provides_out.items()))
-        if ops is not self.ops or provides != self.provides \
-                or config.log is not self.log:
-            self.__init__()
-        # A fault found from accepted state is reported as a check from
-        # empty state reports it: the first in configuration order.
-        for cold in (self.ops is None, True):
-            try:
-                if not self._update(ops, provides_in, config, provides_out):
-                    self.ops = None  # the next check starts over
-                self.provides = provides
-                if keep:
-                    self.log = config.log = ({}, {}, {})
-                return
-            except BaseException as e:
+        try:
+            if ops is not self.ops or config.log is not self.log \
+                    or self.provides != (provides_in, provides_out) \
+                    or not self._decide(ops, provides_in, config,
+                                        provides_out):
                 self.__init__()
-                if cold or not isinstance(e, ConfigTypeError):
-                    raise
+                self.ops, self.sequents = ops, _Sequents(ops)
+                self.plain = Checker(ops, call_subtyping=True)
+                self.provides = (dict(provides_in), dict(provides_out))
+                if not self._cold(ops, provides_in, config, provides_out):
+                    self.ops = None  # the next check starts over
+                elif keep:
+                    self._label_all(config)
+        except BaseException:
+            self.__init__()
+            raise
+        if keep:
+            self.log = config.log = ({}, {}, {})
 
-    def _update(self, ops: TypeOps, provides_in: dict[str, SessionType],
+    def _decide(self, ops: TypeOps, provides_in: dict[str, SessionType],
                 config: Configuration,
                 provides_out: dict[str, SessionType]) -> bool:
-        """Check what the log names and accept the result; from the empty
-        state every channel counts as written.  Returns whether the
-        configuration's client map can be read from the accepted state.
-        Raises ConfigTypeError on a fault, leaving the state half updated."""
-        objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
-        fresh = self.ops is None
-        if fresh:
-            self.ops, self.sequents = ops, _Sequents(ops)
-            written, pmoved, cmoved = dict.fromkeys(objs), ptypes, ctypes
-            client: dict[str, str] = {}
-        else:
-            written, pmoved, cmoved = config.log
-            client = config.client
-        moved = [c for c, o in written.items() if objs.get(c) is not o]
-
-        # Each channel has one client.  From accepted state the
-        # configuration's map names it, and an object that moved but does
-        # not hold every channel it uses shares one with another object.
-        # From empty state the objects are linked here, in configuration
-        # order.  An edge new at its channel may close a cycle.  An object's
-        # channels are taken in name order, here and in its typing context,
-        # so a fault reads the same in every process, whatever the order a
-        # set of names iterates in.
-        lost = [y for c in moved if written[c] is not None
-                for y in written[c].used]
-        added, linked, sources = [], [], []
-        for c in moved:
+        """Whether the configuration is well typed, decided from accepted
+        state and what the log names; False on a fault or a doubt, leaving
+        the state half updated."""
+        objs, client, label = config.objs, config.client, self.label
+        written, pmoved, cmoved = config.log
+        # Order the new channels and unorder the dead ones first.
+        moved, added = [], []
+        for c, was in written.items():
             o = objs.get(c)
-            if o is None:
+            if o is was:
                 continue
+            moved.append((c, o, was))
+            if o is None:
+                if was is not None:
+                    self._unlink(c)
+            elif was is None:
+                if client.get(c) not in label:
+                    return False
+                self._insert(c, client[c])
+                added.append(c)
+
+        # Each channel has one client, which the configuration's map names,
+        # and an object that moved but does not hold every channel it uses
+        # shares one with another object.  A step that wrote one channel and
+        # kept its object's channels (a delay) linked nothing.
+        kept = len(written) == 1
+        relabelled = False
+        typed = set()
+        for c, o, was in moved:
+            if o is None:
+                if c in client and c not in provides_in \
+                        or c in provides_out and not self._passes(
+                            ops, provides_in, c, provides_out[c]):
+                    return False
+            else:
+                typed.add(c)
+                if o.chan != c or (c in client) == (c in provides_out):
+                    return False
+                if kept and was is not None and o.used is was.used:
+                    continue
+                for y in o.used:
+                    if client.get(y) != c:
+                        return False
+                    if y not in objs:
+                        if y not in provides_in or y in provides_out and \
+                                not self._passes(ops, provides_in, y,
+                                                 provides_out[y]):
+                            return False
+                    elif y in provides_out:
+                        return False
+                    elif not relabelled and label[y] > label[c]:
+                        # Not in order: a cycle, or an order to build anew.
+                        if not self._label_all(config):
+                            return False
+                        relabelled = True
+            if was is not None:
+                for y in was.used:
+                    if y in objs and y not in client and y not in provides_out:
+                        return False
+
+        # Interface gaps stay within weak subtyping, and every object types
+        # at its own time shift of the interface: the objects that moved,
+        # those whose offer moved and the clients of the channels whose
+        # consumer side moved.
+        if pmoved or cmoved or added:
+            ptypes, ctypes = config.ptypes, config.ctypes
+            for c in pmoved.keys() | cmoved.keys() | set(added):
+                if c in objs:
+                    prov, cons = ptypes.get(c), ctypes.get(c)
+                    if prov is None or cons is None \
+                            or not is_weak_subtype(ops, prov, cons):
+                        return False
+            for c, want in provides_out.items():
+                if c in objs and (c in pmoved or c in added) \
+                        and not is_weak_subtype(ops, ptypes[c], want):
+                    return False
+            typed.update(pmoved)
+            typed.update(map(client.get, cmoved))
+        for c in typed:
+            if c in objs:
+                try:
+                    self._verdict(ops, provides_in, config, c)
+                except ConfigTypeError:
+                    return False
+        return True
+
+    def _cold(self, ops: TypeOps, provides_in: dict[str, SessionType],
+              config: Configuration,
+              provides_out: dict[str, SessionType]) -> bool:
+        """Check every channel from empty state, raising ConfigTypeError on
+        the first fault in configuration order.  Returns whether the
+        configuration's client map is the one its objects give, which a
+        later check may then read."""
+        objs, ptypes, ctypes = config.objs, config.ptypes, config.ctypes
+
+        # Each channel has one client: the objects are linked here, in
+        # configuration order.  An object's channels are taken in name
+        # order, here and in its typing context, so a fault reads the same
+        # in every process, whatever the order a set of names iterates in.
+        client: dict[str, str] = {}
+        linked = []
+        for c, o in objs.items():
             if o.chan != c:
                 raise ConfigTypeError(f"channel {c} holds an object providing "
                                       f"{o.chan}")
-            was = written[c]
-            if was is None:
-                added.append(c)
             for y in sorted(o.used):
-                holder = client.setdefault(y, c) if fresh else client.get(y)
+                holder = client.setdefault(y, c)
                 if holder != c:
                     raise ConfigTypeError(f"channel {y} has two clients "
                                           f"({holder} and {c})")
                 linked.append(y)
-                if was is None or y not in was.used:
-                    sources.append(c)
-        for y in chain(linked, moved):
-            if y in client and y not in objs and y not in provides_in:
+        for y in linked:
+            if y not in objs and y not in provides_in:
                 raise ConfigTypeError(f"channel {y} is consumed but not provided")
         for c, want in provides_out.items():
-            if not (fresh or c in moved or c in linked):
-                continue
             if c not in objs:
                 # Passed straight through from the input interface.
                 if c not in provides_in:
                     raise ConfigTypeError(f"offered channel {c} is not provided")
-                if not is_weak_subtype(ops, provides_in[c], want):
+                if not self._passes(ops, provides_in, c, want):
                     raise ConfigTypeError(f"pass-through channel {c} weakens "
                                           f"beyond weak subtyping")
             elif c in client:
                 raise ConfigTypeError(f"offered channel {c} has an internal client")
-        for c in chain(moved, lost):
-            if c in objs and c not in client and c not in provides_out:
+        for c in objs:
+            if c not in client and c not in provides_out:
                 raise ConfigTypeError(f"channel {c} is provided but never used")
 
-        # Provider-before-client order must be acyclic.  The accepted state
-        # was, so a cycle runs through a new edge c -> y: y is on the chain
-        # of clients above c, which then never ends at a channel without one.
+        # Provider-before-client order must be acyclic: the chain of clients
+        # above every channel ends at a channel without one.
         rooted: set[str] = set()
-        for u in sources:
+        for u in objs:
+            if not objs[u].used:
+                continue
             path: set[str] = set()
             while u is not None and u not in rooted:
                 if u in path:
@@ -979,9 +1067,7 @@ class _Checker:
             rooted |= path
 
         # Interface gaps must stay within weak subtyping.
-        for c in dict.fromkeys(chain(added, pmoved, cmoved)):
-            if c not in objs:
-                continue
+        for c in objs:
             prov = ptypes.get(c)
             cons = ctypes.get(c)
             if prov is None or cons is None:
@@ -991,22 +1077,91 @@ class _Checker:
                     f"interface gap on {c} exceeds weak subtyping: "
                     f"{fmt_type(prov)} against {fmt_type(cons)}")
         for c, want in provides_out.items():
-            if c in objs and (fresh or c in added or c in pmoved) \
-                    and not is_weak_subtype(ops, ptypes[c], want):
+            if c in objs and not is_weak_subtype(ops, ptypes[c], want):
                 raise ConfigTypeError(
                     f"offered channel {c} provides {fmt_type(ptypes[c])}, "
                     f"interface demands {fmt_type(want)}")
 
-        # Every object typechecks at its own time shift of the interface: the
-        # objects that moved, those whose offer moved and the clients of the
-        # channels whose consumer side moved.
-        for c in dict.fromkeys(chain(moved, pmoved, map(client.get, cmoved))):
-            if c in objs:
-                self._verdict(ops, provides_in, config, c)
+        # Every object typechecks at its own time shift of the interface.
+        for c in objs:
+            self._verdict(ops, provides_in, config, c)
         # Writes that went through two clients of one channel can leave the
         # configuration's map without the client that stayed.
-        return not fresh or client == config.client
+        return client == config.client
 
+    @staticmethod
+    def _passes(ops: TypeOps, provides_in: dict[str, SessionType], c: str,
+                want: SessionType) -> bool:
+        """Whether the channel `c`, passed straight through, keeps within
+        weak subtyping of what the input interface gives."""
+        return c in provides_in and is_weak_subtype(ops, provides_in[c], want)
+
+    # -- the order of channels ----------------------------------------------
+    def _label_all(self, config: Configuration) -> bool:
+        """Label the channels from empty state, every provider before its
+        client: the reverse of a depth-first walk down the client forest
+        from the channels without a client.  False if the walk misses a
+        channel, whose chain of clients then never ends."""
+        objs, client = config.objs, config.client
+        below: dict[str, list[str]] = {}
+        for y, c in client.items():
+            if y in objs:
+                below.setdefault(c, []).append(y)
+        order, todo = [], [c for c in objs if c not in client]
+        while todo:
+            c = todo.pop()
+            order.append(c)
+            todo.extend(below.get(c, ()))
+        if len(order) != len(objs):
+            return False
+        order.reverse()
+        self.label = {c: i << 32 for i, c in enumerate(order, 1)}
+        self.prev = dict(zip(order, [None, *order]))
+        self.next = dict(zip(order, [*order[1:], None]))
+        return True
+
+    def _insert(self, x: str, c: str) -> None:
+        """Put the channel `x` immediately before `c`."""
+        label, prev = self.label, self.prev
+        p = prev[c]
+        if label[c] - (0 if p is None else label[p]) < 2:
+            self._spread(c)
+        label[x] = ((0 if p is None else label[p]) + label[c]) // 2
+        prev[x], self.next[x], prev[c] = p, c, x
+        if p is not None:
+            self.next[p] = x
+
+    def _spread(self, c: str) -> None:
+        """Make room before `c`: label evenly the channels of the smallest
+        range of 2^i labels around `c`'s that holds at most (4/3)^i - 1 of
+        them, which leaves them at least two labels apart."""
+        label, prev, after = self.label, self.prev, self.next
+        first = last = c
+        n, i = 1, 0
+        while True:
+            i += 1
+            base = label[c] >> i << i
+            end = base + (1 << i)
+            while (q := prev[first]) is not None and label[q] >= base:
+                first, n = q, n + 1
+            while (q := after[last]) is not None and label[q] < end:
+                last, n = q, n + 1
+            if (n + 1) * 3 ** i <= 4 ** i:
+                break
+        gap = (1 << i) // (n + 1)
+        for k in range(1, n + 1):
+            label[first] = base + k * gap
+            first = after[first]
+
+    def _unlink(self, c: str) -> None:
+        p, n = self.prev.pop(c), self.next.pop(c)
+        del self.label[c]
+        if p is not None:
+            self.next[p] = n
+        if n is not None:
+            self.prev[n] = p
+
+    # -- typing one object --------------------------------------------------
     def _verdict(self, ops: TypeOps, provides_in: dict[str, SessionType],
                  config: Configuration, c: str) -> None:
         """Type the object at `c` at its own time shift of the interface.
@@ -1015,25 +1170,54 @@ class _Checker:
         from step to step: those go through `sequents`.  Where the
         environment maps two of those names to one channel the code cannot
         be typed so, and a failing verdict must name the run's channels:
-        both are decided on the substituted body.  That body, a message and
-        the forward a tail call leaves name run channels, which never recur,
-        so they are checked without the memo, which stays as large as the
-        program rather than the run."""
+        both are decided on the substituted body, which raises the fault.
+        That body, a message and the forward a tail call leaves name run
+        channels, which never recur, so they are checked without the memo,
+        which stays as large as the program rather than the run."""
         o = config.objs[c]
-        names = free_chans(o.code)
-        inv = {o.env.get(x, x): x for x in names}
-        if len(inv) == len(names) and (c in inv or c not in names):
-            try:
-                return self._type(ops, provides_in, config, o, o.code, inv)
-            except ConfigTypeError:
-                pass
-        self._type(ops, provides_in, config, o, o.body, _ID)
+        if not self._types_as_code(ops, provides_in, config, o):
+            self._type_body(ops, provides_in, config, o)
 
-    def _type(self, ops: TypeOps, provides_in: dict[str, SessionType],
-              config: Configuration, o: Obj, p: ProcExpr,
-              names: dict[str, str]) -> None:
-        """Raise ConfigTypeError unless `p` types as object `o` at its time,
-        where `p` names the run's channel `y` as `names.get(y, y)`."""
+    def _types_as_code(self, ops: TypeOps,
+                       provides_in: dict[str, SessionType],
+                       config: Configuration, o: Obj) -> bool:
+        """Whether the code of `o` types at its time under the code's own
+        channel names; False also where the environment maps two names to
+        one channel."""
+        code, env, time, c = o.code, o.env, o.time, o.chan
+        names = free_chans(code)
+        ctypes, ctx, chan = config.ctypes, {}, None
+        for x in names:
+            y = env.get(x, x)
+            if y == c:
+                chan = x
+                continue
+            src = ctypes.get(y)
+            if src is None:
+                src = provides_in.get(y)
+            local = None if src is None else ops.shift_left_n(src, time)
+            if local is None:
+                return False
+            ctx[x] = local
+        if len(o.used) + (chan is not None) != len(names) \
+                or chan is None and c in names:
+            return False
+        offer = ops.shift_right_n(config.ptypes[c], time)
+        if offer is None:
+            return False
+        try:
+            if env:
+                self.sequents.check(ctx, code, chan or c, offer)
+            else:
+                self.plain.check(ctx, code, c, offer)
+        except Exception:
+            return False
+        return True
+
+    def _type_body(self, ops: TypeOps, provides_in: dict[str, SessionType],
+                   config: Configuration, o: Obj) -> None:
+        """Raise ConfigTypeError unless the substituted body of `o` types at
+        its time."""
         ctypes = config.ctypes
         srcs = {}
         for y in sorted(o.used):
@@ -1048,18 +1232,14 @@ class _Checker:
                 raise ConfigTypeError(_at(
                     o.code.pos, f"{o.text}: used channel {y} has no defined "
                     f"view at time {o.time}"))
-            ctx[names.get(y, y)] = local
+            ctx[y] = local
         offer = ops.shift_right_n(config.ptypes[o.chan], o.time)
         if offer is None:
             raise ConfigTypeError(_at(
                 o.code.pos, f"{o.text}: offered type undefined at time "
                 f"{o.time}"))
-        chan = names.get(o.chan, o.chan)
         try:
-            if o.env and p is o.code:
-                self.sequents.check(ctx, p, chan, offer)
-            else:
-                check_process(ops, ctx, p, chan, offer, call_subtyping=True)
+            check_process(ops, ctx, o.body, o.chan, offer, call_subtyping=True)
         except Exception as e:
             raise ConfigTypeError(_at(o.code.pos, f"{o.text}: {e}")) from e
 
@@ -1074,16 +1254,17 @@ def check_configuration(ops: TypeOps, provides_in: dict[str, SessionType],
     A caller re-checking the successive configurations of one run passes
     one dict as `cache` for the whole run.  Its one entry is a `_Checker`
     holding what it last accepted; the configuration it accepted then logs
-    its writes, and a call on it checks again only what the log names.
-    Without a cache, or on another configuration, the same code runs from
-    empty state.  A fault found from accepted state drops the state and is
-    reported by a check from empty state, so the message never depends on
-    the cache."""
+    its writes, and a call on it decides from what the log names alone.
+    Without a cache, or on another configuration, the check runs from empty
+    state.  A fault or doubt met from accepted state drops the state and
+    goes to a check from empty state, which words it, so the message never
+    depends on the cache."""
     if cache is None:
         return _Checker().check(ops, provides_in, config, provides_out, False)
-    if _Checker not in cache:
-        cache[_Checker] = _Checker()
-    cache[_Checker].check(ops, provides_in, config, provides_out, True)
+    checker = cache.get(_Checker)
+    if checker is None:
+        checker = cache[_Checker] = _Checker()
+    checker.check(ops, provides_in, config, provides_out, True)
 
 
 def check_each_step(ops: TypeOps, config: Configuration

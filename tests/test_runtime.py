@@ -746,6 +746,25 @@ def _faulty_copies(ops, cfg, declared):
             copy(Obj(p.kind, c, p.time, Wait(other, p.body)))
         # A missing provider of y.
         copy().drop(y)
+    # A cycle through three existing channels: the object at y takes the
+    # channel two above it on its client chain from that channel's client,
+    # which keeps the rest of what it uses.
+    up = next(([y, client[y], client[client[y]]] for y in sorted(client)
+                  if client.get(client[y]) in client), None)
+    if up is not None:
+        y, top = up[0], up[2]
+        p, q = cfg.objs[y], cfg.objs[client[top]]
+        rest = Close(q.chan)
+        for u in sorted(q.used - {top}):
+            rest = Wait(u, rest)
+        copy(Obj(p.kind, y, p.time, Wait(top, p.body)),
+             Obj(q.kind, q.chan, q.time, rest))
+    # A new provider that nothing uses.
+    copy(Obj("proc", "z5", 0, Close("z5")))
+    # An offered channel given an internal client.
+    root = next(iter(declared))
+    if victim != root:
+        copy(Obj(o.kind, victim, o.time, Wait(root, o.body)))
     return faults
 
 
@@ -852,6 +871,108 @@ def test_warm_configuration_check_agrees_with_cold_on_corpus_runs(spec):
 def test_warm_configuration_check_agrees_with_cold_on_generated_programs(seed):
     sig = gen_program(seed)
     _check_warm_against_cold(sig, TypeOps(sig), "main", 3000)
+
+
+@pytest.mark.parametrize("spec", corpus.run_specs(),
+                         ids=lambda s: f"{s.file}:{s.main}{s.bind}")
+def test_order_labels_decide_every_edge_of_a_checked_run(spec, monkeypatch):
+    # Each new channel goes just before its client, and every rule keeps
+    # that order.  A run's initial configuration and the copy the run
+    # rewrites are each checked, and so labelled, from empty state once;
+    # after that no step labels the copy afresh, and none goes to the check
+    # from empty state, which would.
+    labelled = []
+    real = runtime._Checker._label_all
+
+    def once(checker, config):
+        assert all(c is not config for c in labelled), "labelled afresh"
+        labelled.append(config)
+        return real(checker, config)
+
+    monkeypatch.setattr(runtime._Checker, "_label_all", once)
+    prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+    for sched, seed in (("rr", 0), ("rand", 1), ("rand", 7), ("sync", 0)):
+        cfg = init_config(prog.elab, prog.main)
+        Engine(prog.elab, prog.ops).run(
+            cfg, make_scheduler(sched, seed), spec.steps,
+            on_step=runtime.check_each_step(prog.ops, cfg))
+        assert len(labelled) == 2
+        del labelled[:]
+
+
+def test_edges_against_the_labels_get_the_cold_verdict(six, monkeypatch):
+    # Two client chains, c1 -> c2 and c3 -> c4, labelled one after the
+    # other.  Moving the bottom of either chain to the top of the other
+    # makes an edge against the labels in one of the two cases, which
+    # labels the configuration afresh; with a fault written too, the
+    # message is the cold one.
+    relabelled = []
+    real = runtime._Checker._label_all
+
+    def spying(checker, config):
+        relabelled.append(config)
+        return real(checker, config)
+
+    monkeypatch.setattr(runtime._Checker, "_label_all", spying)
+    againsts = 0
+    for lower, upper, other in (("c1", "c4", "c2"), ("c3", "c2", "c4")):
+        for fault in (False, True):
+            objs = {"c1": Obj("proc", "c1", 0, Close("c1")),
+                    "c2": Obj("proc", "c2", 0, Wait("c1", Close("c2"))),
+                    "c3": Obj("proc", "c3", 0, Close("c3")),
+                    "c4": Obj("proc", "c4", 0, Wait("c3", Close("c4")))}
+            types = dict.fromkeys(objs, ONE)
+            cfg = Configuration(objs, 5, types, dict(types))
+            declared = {"c2": ONE, "c4": ONE}
+            cache: dict = {}
+            assert _outcome(six.ops, cfg, declared, cache) is None
+            checker = cache[runtime._Checker]
+            assert checker.label["c1"] < checker.label["c2"]
+            assert checker.label["c3"] < checker.label["c4"]
+            del relabelled[:]
+            cfg.put(Obj("proc", other, 0, Close(other)))
+            cfg.put(Obj("proc", upper, 0, Wait(lower, objs[upper].code)))
+            if fault:
+                cfg.set_ptype(upper, ODD)
+            cold = _outcome(six.ops, cfg.copy(), declared)
+            assert (cold is not None) == fault
+            against = checker.label[lower] > checker.label[upper]
+            againsts += against
+            assert _outcome(six.ops, cfg, declared, cache) == cold
+            if against and not fault:
+                assert relabelled == [cfg]
+                assert cache[runtime._Checker] is checker
+                assert checker.label[lower] < checker.label[upper]
+    assert againsts == 2
+
+
+@pytest.mark.parametrize("pattern", ["same", "chain", "random"])
+def test_order_labels_keep_list_order_as_channels_come_and_go(pattern):
+    # Channels put just before one client again and again, before the one
+    # put last, or anywhere, with random ones taken out: the labels along
+    # the list always rise, so ranges are spread where they run out.
+    objs = {"c1": Obj("proc", "c1", 0, Close("c1")),
+            "c2": Obj("proc", "c2", 0, Wait("c1", Close("c2")))}
+    checker = runtime._Checker()
+    assert checker._label_all(Configuration(objs, 3, {}, {}))
+    order, rng, last = ["c1", "c2"], random.Random(5), "c2"
+    for i in range(2000):
+        c = {"same": "c2", "chain": last, "random": rng.choice(order)}[pattern]
+        last = f"z{i}"
+        checker._insert(last, c)
+        order.insert(order.index(c), last)
+        if pattern == "random" and rng.random() < 0.3:
+            gone = rng.choice(order)
+            checker._unlink(gone)
+            order.remove(gone)
+    walk, x = [], order[0]
+    assert checker.prev[x] is None
+    while x is not None:
+        walk.append(x)
+        x = checker.next[x]
+    assert walk == order and checker.label.keys() == set(order)
+    labels = [checker.label[x] for x in walk]
+    assert labels == sorted(set(labels)) and labels[0] > 0
 
 
 def test_check_rejects_an_object_filed_under_another_channel(six):
