@@ -24,7 +24,7 @@ from .typeops import TypeOps, check_contractive
 class Program:
     ticked: Signature  # ground, with the cost model's ticks
     elab: Signature  # the explicit program (`ticked` itself if explicit)
-    ops: TypeOps  # over `elab`, shared by the check and the runs
+    ops: TypeOps  # one per load: elaboration, the check and the runs
     main: str | None  # the ground name of the requested root
     verdict: str  # "ok" | "recon_error" | "type_error"
     errors: list[Exception]
@@ -58,8 +58,11 @@ def load(text: str, roots: list[str], bind: dict[str, int], cost: str,
                            "with --bind to pick an instance")
     ground = instantiate_many(src, roots, bind) if roots or bind else src
     ticked = instrument(ground, cost)
-    elab, errors = (ticked, []) if explicit else elaborate_signature(ticked)
-    ops = TypeOps(elab)
+    # Elaboration rewrites only bodies, and `TypeOps` reads only type
+    # definitions and declarations: one instance serves every stage.
+    ops = TypeOps(ticked)
+    elab, errors = (ticked, []) if explicit else \
+        elaborate_signature(ticked, ops=ops)
     if errors:
         return Program(ticked, elab, ops, main, "recon_error", errors)
     errors = check_signature(elab, call_subtyping=not explicit, ops=ops)
