@@ -50,15 +50,21 @@ step as the run fires it and keeps nothing of it.
 
 `check_configuration` types a configuration against its interface.  Once it
 has accepted a configuration of a run, that configuration logs its writes,
-and the next check reads the log and checks again only the channels a step
-wrote, as preservation is proved one rule at a time.  It types an object's code
-under the code's own channel names, so a checked step substitutes nothing,
-and it keeps the sequents it accepted for such code at every level of
-their derivations: after a step the continuation's typing is a
-sub-derivation of the one before, so it is mostly not derived again.
-Sequents naming run channels (a message, a tail call's forward, a
-substituted body) are checked afresh and not kept, as they never recur, so
-what is kept grows with the program, not with the run.
+and the next check reads the log and decides from the channels a step
+wrote alone, as preservation is proved one rule at a time.  That pass only
+decides; a fault, or a doubt, goes to a check from empty state, which
+words the first fault in configuration order, so a message never depends
+on what was accepted before.  Cycles among the channels are ruled out by
+order labels, a provider's below its client's, which every rule keeps when
+its new channel goes just before its client: a new edge is one comparison.
+The check types an object's code under the code's own channel names, so a
+checked step substitutes nothing, and it keeps the sequents it accepted
+for such code at every level of their derivations: after a step the
+continuation's typing is a sub-derivation of the one before, so it is
+mostly not derived again.  Sequents naming run channels (a message, a tail
+call's forward, a substituted body) are checked afresh and not kept, as
+they never recur, so what is kept grows with the program, not with the
+run.
 """
 
 from __future__ import annotations
@@ -877,11 +883,13 @@ class _Checker:
     on a list of the channels linked through `prev` and `next`.  Labelled
     from empty state in a depth-first order of the client forest, it takes
     each new channel immediately before its client.  Every rule of
-    `Engine` keeps it so: a channel a step links to an object was linked
-    before to that object or to one after it, or is the step's new channel,
-    placed just before.  So a new edge closes no cycle when its provider's
-    label is the lower, one comparison, and only a failed comparison
-    labels the configuration afresh, which finds any cycle.  Labels are
+    `Engine` keeps it so: a step links a channel to an object only if the
+    channel was linked before to that object or to one ordered before it,
+    or if the object is the step's new channel and the channel was linked
+    to the one that channel is placed just before.  So a new edge closes no
+    cycle when its provider's label is the lower, one comparison, and only
+    a failed comparison labels the configuration afresh, which finds any
+    cycle.  Labels are
     spread out where a channel must go between two adjacent ones, over the
     smallest aligned range of labels that is sparse enough, as in Bender
     et al., "Two simplified algorithms for maintaining order in a list"
