@@ -937,8 +937,10 @@ class _Checker:
         the state half updated."""
         objs, client, label = config.objs, config.client, self.label
         written, pmoved, cmoved = config.log
-        # Order the new channels and unorder the dead ones first.
-        moved, added = [], []
+        # Order the new channels and unorder the dead ones first.  Every
+        # rule gives a new channel its interface and a client that is not
+        # new.
+        moved = []
         for c, was in written.items():
             o = objs.get(c)
             if o is was:
@@ -948,10 +950,9 @@ class _Checker:
                 if was is not None:
                     self._unlink(c)
             elif was is None:
-                if client.get(c) not in label:
+                if c not in pmoved or client.get(c) not in label:
                     return False
                 self._insert(c, client[c])
-                added.append(c)
 
         # Each channel has one client, which the configuration's map names,
         # and an object that moved but does not hold every channel it uses
@@ -996,16 +997,16 @@ class _Checker:
         # at its own time shift of the interface: the objects that moved,
         # those whose offer moved and the clients of the channels whose
         # consumer side moved.
-        if pmoved or cmoved or added:
+        if pmoved or cmoved:
             ptypes, ctypes = config.ptypes, config.ctypes
-            for c in pmoved.keys() | cmoved.keys() | set(added):
+            for c in pmoved.keys() | cmoved.keys():
                 if c in objs:
                     prov, cons = ptypes.get(c), ctypes.get(c)
                     if prov is None or cons is None \
                             or not is_weak_subtype(ops, prov, cons):
                         return False
             for c, want in provides_out.items():
-                if c in objs and (c in pmoved or c in added) \
+                if c in objs and c in pmoved \
                         and not is_weak_subtype(ops, ptypes[c], want):
                     return False
             typed.update(pmoved)
@@ -1162,6 +1163,7 @@ class _Checker:
             first = after[first]
 
     def _unlink(self, c: str) -> None:
+        """Take the dead channel `c` out of the order."""
         p, n = self.prev.pop(c), self.next.pop(c)
         del self.label[c]
         if p is not None:
