@@ -30,7 +30,10 @@ after a cut); here a step extends the environment instead, so its cost
 does not depend on the size of the continuation.  `Obj.body` substitutes
 the environment into the code when it is read, for traces, error
 messages and equality.  Messages are built as concrete terms of two
-nodes.
+nodes.  Each rule hands every object it builds the channels that object
+uses, so no term a step builds is walked for them: a message's and a
+forward's are read off the rule's own channels, and a continuation's off
+the set its code keeps, through the environment.
 
 `Engine.run` copies its input once and rewrites that private copy in
 place, keeping the enabled rules in an index.  Each rule is local: a proc
@@ -40,6 +43,10 @@ objects it produced and the readers of the messages it consumed or
 produced: the procs at the channels such a message uses, and the client of
 its channel, which the configuration records (session types are linear,
 so a channel has one) for the index and the configuration check alike.
+A delay, half the steps of a run under the rs cost model, rewrites its own
+object alone and keeps its channels: it is matched again alone, and the
+configuration links nothing for it.  An enabled rule is a record of its
+body and the arguments the body fires with, so a match builds no closure.
 The index also keeps the enabled channels in sorted lists of their
 creation ranks, the order the schedulers go by, so a pick is a binary
 search or a look-up rather than a scan of the configuration.
@@ -54,7 +61,9 @@ and the next check reads the log and decides from the channels a step
 wrote alone, as preservation is proved one rule at a time.  That pass only
 decides; a fault, or a doubt, goes to a check from empty state, which
 words the first fault in configuration order, so a message never depends
-on what was accepted before.  Cycles among the channels are ruled out by
+on what was accepted before.  `Engine.run` hands the log of an input so
+accepted to the copy it rewrites, so a run checked from its initial
+configuration on is checked from empty state once.  Cycles among the channels are ruled out by
 order labels, a provider's below its client's, which every rule keeps when
 its new channel goes just before its client: a new edge is one comparison.
 The check types an object's code under the code's own channel names, so a
@@ -90,6 +99,7 @@ from .typeops import TypeOps
 
 
 _ID: dict[str, str] = {}  # the identity environment; never written to
+_NOTHING: frozenset[str] = frozenset()
 
 
 @dataclass(init=False, eq=False, slots=True)
@@ -183,7 +193,9 @@ class Configuration:
     `client` maps a channel to the channel of the object that uses it.  It
     is built from `objs` in order, and a write unlinks the object it
     replaces or drops before it links the new one, never overwriting: of
-    two objects using one channel, the first linked keeps it.
+    two objects using one channel, the first linked keeps it.  An object
+    that replaces one using the same channels (a delay's) is not linked
+    again.
 
     The maps change only through `put`, `drop`, `set_ptype` and `set_ctype`.
     Once a check with a cache accepts the configuration, `log` holds what
@@ -222,26 +234,30 @@ class Configuration:
         for y in obj.used:
             self.client.setdefault(y, chan)
 
-    def _unlink(self, chan: str) -> Obj | None:
-        """Log `chan` as written and unlink the object it holds, which is
-        returned."""
-        old, log = self.objs.get(chan), self.log
-        if log is not None:
-            log[0].setdefault(chan, old)
-        if old is not None:
-            for y in old.used:
-                if self.client.get(y) == chan:
-                    del self.client[y]
+    def _unlink(self, chan: str, old: Obj) -> None:
+        for y in old.used:
+            if self.client.get(y) == chan:
+                del self.client[y]
+
+    def _written(self, chan: str) -> Obj | None:
+        """Log `chan` as written; returns the object it holds."""
+        old = self.objs.get(chan)
+        if self.log is not None:
+            self.log[0].setdefault(chan, old)
         return old
 
     def put(self, obj: Obj, ptype: SessionType | None = None) -> None:
         """Place `obj` at its channel; given `ptype`, both sides of the
         channel's interface are set to it."""
         chan = obj.chan
-        if self._unlink(chan) is None:
+        old = self._written(chan)
+        if old is None:
             self._rank(chan)
+            self._link(chan, obj)
+        elif old.used != obj.used:
+            self._unlink(chan, old)
+            self._link(chan, obj)
         self.objs[chan] = obj
-        self._link(chan, obj)
         if ptype is not None:
             if self.log is not None:
                 self.log[1][chan] = self.log[2][chan] = None
@@ -249,7 +265,7 @@ class Configuration:
 
     def drop(self, chan: str) -> None:
         """Delete a dead channel: its object, its rank and its interface."""
-        self._unlink(chan)
+        self._unlink(chan, self._written(chan))
         del self.objs[chan], self.rank[chan]
         self.ptypes.pop(chan, None)
         self.ctypes.pop(chan, None)
@@ -307,7 +323,7 @@ def init_config(sig: Signature, main: str) -> Configuration:
                        f"only context-free processes can be run")
     counter = _fresh_floor(sig)
     root = f"c{counter}"
-    obj = Obj("proc", root, 0, TailCall(root, main, (), ()))
+    obj = Obj("proc", root, 0, TailCall(root, main, (), ()), _ID, _NOTHING)
     return Configuration({root: obj}, counter + 1,
                          {root: decl.offer_type}, {root: decl.offer_type})
 
@@ -374,13 +390,20 @@ def make_scheduler(name: str, seed: int = 0):
 # ---------------------------------------------------------------------------
 # One rewriting step
 
-@dataclass
+@dataclass(slots=True)
 class _Rule:
+    """An enabled rule: its name, the objects it consumes as a trace shows
+    them, and its body with the arguments the body takes after the
+    configuration."""
     name: str
     consumed: list[Obj]
-    # Rewrites the configuration in place and returns the objects it wrote,
-    # in the configuration's order.
-    apply: Callable[[Configuration], list[Obj]]
+    body: Callable[..., list[Obj]]
+    args: tuple
+
+    def apply(self, config: Configuration) -> list[Obj]:
+        """Rewrite `config` in place; returns the objects written, in the
+        configuration's order."""
+        return self.body(config, *self.args)
 
 
 @dataclass(frozen=True)
@@ -419,18 +442,35 @@ def _at(pos: tuple[int, int] | None, msg: str) -> str:
     return msg if pos is None else f"{pos[0]}:{pos[1]}: {msg}"
 
 
-def _message(act: ProcExpr, env: dict[str, str], cont: Fwd) -> ProcExpr:
-    """The message a send leaves: the action `act` with its channels mapped
-    through `env`, continued by `cont`."""
+def _message(act: ProcExpr, env: dict[str, str], time: int,
+             cont: Fwd) -> Obj:
+    """The message a send leaves at `cont.dest`: the action `act` with its
+    channels mapped through `env`, continued by `cont`.  The action's
+    channel is the message's own or `cont.src`, so the message uses
+    `cont.src` and the channel it sends, if any."""
+    at, used = cont.dest, (cont.src,)
     match act:
         case SendLabel(chan, label, _):
-            return SendLabel(env.get(chan, chan), label, cont)
+            body = SendLabel(env.get(chan, chan), label, cont)
         case SendChan(chan, payload, _):
-            return SendChan(env.get(chan, chan), env.get(payload, payload),
-                            cont)
+            payload = env.get(payload, payload)
+            body = SendChan(env.get(chan, chan), payload, cont)
+            if payload != at:
+                used = (cont.src, payload)
         case Now(chan, _):
-            return Now(env.get(chan, chan), cont)
-    raise AssertionError(f"not a send action: {act!r}")
+            body = Now(env.get(chan, chan), cont)
+        case _:
+            raise AssertionError(f"not a send action: {act!r}")
+    return Obj("msg", at, time, body, _ID, frozenset(used))
+
+
+def _renamed(used: frozenset[str], old: str, new: str,
+             own: str) -> frozenset[str]:
+    """The channels a message at `own` uses, given `used`, those it used
+    before its channel `old` was renamed `new`."""
+    if old in used:
+        used = used - {old} | {new}
+    return used - {own} if own in used else used
 
 
 # The receive rules by the action's class: the class of the message it
@@ -539,6 +579,9 @@ class _Index(dict):
         """Apply `rule` in place and match again the objects that read what
         it wrote; returns the objects it produced."""
         produced = rule.apply(self.config)
+        if rule.name == "○C":  # a delay writes one proc at its own channel
+            self._match(produced[0].chan)
+            return produced
         near: set[str] = set()
         client = self.config.client
         for o in chain(rule.consumed, produced):
@@ -576,46 +619,47 @@ class Engine:
 
     def _rule_for(self, config: Configuration, o: Obj) -> Optional[_Rule]:
         code, env = o.code, o.env
-        objs = config.objs
         match code:
+            case Delay():  # half the steps of a run under rs
+                return _Rule("○C", [o], self._delay, (o,))
             case SendLabel() | SendChan() | Now():
                 side = _SENDS[type(code)][env.get(code.chan, code.chan)
                                           != o.chan]
-                return _Rule(side.name, [o], lambda c: self._send(c, o, side))
+                return _Rule(side.name, [o], self._send, (o, side))
             case Close(_):
-                return _Rule("1S", [o], lambda c: self._close(c, o))
+                return _Rule("1S", [o], self._close, (o,))
             case Cut():
-                return _Rule("cutC", [o], lambda c: self._cut(c, o))
+                return _Rule("cutC", [o], self._cut, (o,))
             case Spawn() | TailCall():
-                return _Rule("defC", [o], lambda c: self._def(c, o))
-            case Delay():
-                return _Rule("○C", [o], lambda c: self._delay(c, o))
+                return _Rule("defC", [o], self._def, (o,))
             case Case() | RecvChan() | When() | Wait():
                 sent, pos, neg = _RECEIVES[type(code)]
                 chan = env.get(code.chan, code.chan)
-                m = objs.get(config.client.get(chan) if chan == o.chan
-                             else chan)
+                m = config.objs.get(config.client.get(chan) if chan == o.chan
+                                    else chan)
                 if m is None or m.kind != "msg" \
                         or not isinstance(m.code, sent) \
                         or m.code.chan != chan or m.time < o.time \
                         or m.time > o.time and not isinstance(code, When):
                     return None
                 if chan == o.chan:
-                    return _Rule(neg, [o, m], lambda c: self._receive(c, o, m))
-                return _Rule(pos, [m, o], lambda c: self._receive(c, o, m))
+                    return _Rule(neg, [o, m], self._receive, (o, m))
+                return _Rule(pos, [m, o], self._receive, (o, m))
             case Fwd(_, src):
-                m = objs.get(env.get(src, src))
+                m = config.objs.get(env.get(src, src))
                 if m is not None and m.kind == "msg" and m.time >= o.time:
-                    return _Rule("id⁺C", [m, o], lambda c: self._fwd_up(c, o, m))
-                m2 = objs.get(config.client.get(o.chan))
-                if m2 is not None and m2.kind == "msg" and o.time <= m2.time:
-                    return _Rule("id⁻C", [o, m2],
-                                 lambda c: self._fwd_down(c, o, m2))
+                    return _Rule("id⁺C", [m, o], self._fwd_up, (o, m))
+                m = config.objs.get(config.client.get(o.chan))
+                if m is not None and m.kind == "msg" and o.time <= m.time:
+                    return _Rule("id⁻C", [o, m], self._fwd_down, (o, m))
         return None
 
     # -- rule bodies ----------------------------------------------------------
     # Each rewrites the configuration in place and returns the objects it
-    # wrote, in the configuration's order.
+    # wrote, in the configuration's order.  Each hands every object it builds
+    # the channels that object uses, where it knows them without a walk of
+    # the object's term: a message's and a forward's, and a delay's, which
+    # are those of the object delayed.
     # Channels keep their tracked interfaces for as long as they live, so a
     # rule replaces the object at a surviving channel in place and only
     # drops channels that die.
@@ -642,20 +686,20 @@ class Engine:
         nxt = next_type(o.time, side.after(base, code))
         cont = {**env, code.chan: fresh}
         if chan == o.chan:
-            config.put(Obj("msg", chan, o.time,
-                           _message(code, env, Fwd(chan, fresh))))
+            config.put(_message(code, env, o.time, Fwd(chan, fresh)))
             config.put(Obj("proc", fresh, o.time, code.cont, cont), nxt)
         else:
             config.put(Obj("proc", o.chan, o.time, code.cont, cont))
-            config.put(Obj("msg", fresh, o.time,
-                           _message(code, env, Fwd(fresh, chan))), nxt)
+            config.put(_message(code, env, o.time, Fwd(fresh, chan)), nxt)
         return [config.objs[o.chan], config.objs[fresh]]
 
     def _close(self, config: Configuration, o: Obj) -> list[Obj]:
         code = o.code
-        config.put(Obj("msg", o.chan, o.time,
-                       Close(o.env.get(code.chan, code.chan), code.pos)))
-        return [config.objs[o.chan]]
+        chan = o.env.get(code.chan, code.chan)
+        msg = Obj("msg", o.chan, o.time, Close(chan, code.pos), _ID,
+                  _NOTHING if chan == o.chan else frozenset((chan,)))
+        config.put(msg)
+        return [msg]
 
     def _cut(self, config: Configuration, o: Obj) -> list[Obj]:
         code = o.code
@@ -686,7 +730,8 @@ class Engine:
             cont = Obj("proc", o.chan, o.time, code.cont,
                        {**env, code.dest: fresh})
         else:
-            cont = Obj("proc", o.chan, o.time, Fwd(o.chan, fresh))
+            cont = Obj("proc", o.chan, o.time, Fwd(o.chan, fresh), _ID,
+                       frozenset((fresh,)))
         config.put(cont)
         config.put(Obj("proc", fresh, o.time, dcl.body, spawned),
                    next_type(o.time, decl.offer_type))
@@ -730,10 +775,11 @@ class Engine:
         # id+C: message travels up through the forward: msg(d), fwd c<-d.
         ptype = config.ptypes[m.chan]
         config.drop(m.chan)
-        config.put(Obj("msg", o.chan, m.time,
-                       rename_chans(m.body, {m.chan: o.chan})))
+        msg = Obj("msg", o.chan, m.time, rename_chans(m.body, {m.chan: o.chan}),
+                  _ID, _renamed(m.used, m.chan, o.chan, o.chan))
+        config.put(msg)
         config.set_ptype(o.chan, ptype)
-        return [config.objs[o.chan]]
+        return [msg]
 
     def _fwd_down(self, config: Configuration, o: Obj, m: Obj) -> list[Obj]:
         # id-C: the sole client of c is a message; redirect it to d.
@@ -742,10 +788,11 @@ class Engine:
         src = o.env.get(code.src, code.src)
         ctype = config.ctypes[o.chan]
         config.drop(o.chan)
-        config.put(Obj("msg", m.chan, m.time,
-                       rename_chans(m.body, {o.chan: src})))
+        msg = Obj("msg", m.chan, m.time, rename_chans(m.body, {o.chan: src}),
+                  _ID, _renamed(m.used, o.chan, src, m.chan))
+        config.put(msg)
         config.set_ctype(src, ctype)
-        return [config.objs[m.chan]]
+        return [msg]
 
     def _reanchor(self, config: Configuration, proc: Obj, old_time: int,
                   new_time: int, skip: str | None, pos) -> None:
@@ -804,8 +851,13 @@ class Engine:
         The input is copied once and the copy rewritten in place, with its
         enabled rules in an index that each step updates for the objects
         that read what it wrote.  `on_step` gets that live copy after every
-        step: it may read it, but must neither keep nor change it."""
+        step: it may read it, but must neither keep nor change it.  An input
+        that a check with a cache accepted and that is unwritten since hands
+        its log to the copy, so the check of the first step goes on from
+        what it accepted, and a later check of the input starts afresh."""
         work = config.copy()
+        if config.log is not None and not any(config.log):
+            work.log, config.log = config.log, None
         outer, self._live = self._live, _Index(self, work)
         try:
             for _ in range(step_budget):

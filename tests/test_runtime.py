@@ -877,10 +877,10 @@ def test_warm_configuration_check_agrees_with_cold_on_generated_programs(seed):
                          ids=lambda s: f"{s.file}:{s.main}{s.bind}")
 def test_order_labels_decide_every_edge_of_a_checked_run(spec, monkeypatch):
     # Each new channel goes just before its client, and every rule keeps
-    # that order.  A run's initial configuration and the copy the run
-    # rewrites are each checked, and so labelled, from empty state once;
-    # after that no step labels the copy afresh, and none goes to the check
-    # from empty state, which would.
+    # that order.  A run's initial configuration is checked, and so
+    # labelled, from empty state once, and the copy the run rewrites takes
+    # over what that check accepted; after that no step labels the copy
+    # afresh, and none goes to the check from empty state, which would.
     labelled = []
     real = runtime._Checker._label_all
 
@@ -896,7 +896,7 @@ def test_order_labels_decide_every_edge_of_a_checked_run(spec, monkeypatch):
         Engine(prog.elab, prog.ops).run(
             cfg, make_scheduler(sched, seed), spec.steps,
             on_step=runtime.check_each_step(prog.ops, cfg))
-        assert len(labelled) == 2
+        assert len(labelled) == 1
         del labelled[:]
 
 
@@ -1311,6 +1311,30 @@ def test_closures_agree_with_concrete_terms_on_corpus_runs(spec):
 def test_closures_agree_with_concrete_terms_on_generated_programs(seed):
     sig = gen_program(seed)
     _check_closures_against_terms(sig, TypeOps(sig), "main", 3000)
+
+
+def test_a_repeated_unchecked_run_walks_no_term_for_free_channels(
+        monkeypatch):
+    # Each rule hands the objects it builds the channels they use, and the
+    # sub-terms of a definition keep theirs from its first run: a run of a
+    # program that ran before walks no term.  The tests above check every
+    # such set against the concrete term.
+    walks, counting = [0], [False]
+
+    def free(p, _real=tss.ast._free_chans):
+        walks[0] += counting[0]
+        return _real(p)
+
+    monkeypatch.setattr(tss.ast, "_free_chans", free)
+    for spec in corpus.run_specs():
+        prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+        for sched, seed in (("rr", 0), ("rand", 1), ("sync", 0)):
+            first = prog.run(sched, seed, spec.steps)
+            counting[0] = True
+            again = prog.run(sched, seed, spec.steps)
+            counting[0] = False
+            assert again[1:] == first[1:]
+            assert walks[0] == 0, (spec, sched)
 
 
 def _with_client(config, c, client, obj):
