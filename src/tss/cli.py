@@ -199,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-json", default="", help="write a JSON-lines trace")
     p.add_argument("--check-config", action="store_true",
                    help="typecheck the configuration after every step")
-    p.add_argument("--explicit", action="store_true")
+    p.add_argument("--explicit", action="store_true",
+                   help="skip reconstruction; run the explicit program as "
+                   "written")
     common(p)
     p.set_defaults(fn=cmd_run)
 

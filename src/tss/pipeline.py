@@ -47,7 +47,8 @@ def load(text: str, roots: list[str], bind: dict[str, int], cost: str,
     """Take source text to a checked program.  With `roots`, ground those
     under `bind`; without, ground every parameter-free process of a
     parameterized file.  `explicit` skips reconstruction: the text must
-    already carry its temporal actions."""
+    already carry its temporal actions, and the one check that follows
+    gives a printed elaboration its source's verdict."""
     src = parse_program(text)
     check_contractive(src)
     main = mangled_name(src, roots[0], bind) if roots else None
@@ -65,6 +66,6 @@ def load(text: str, roots: list[str], bind: dict[str, int], cost: str,
         elaborate_signature(ticked, ops=ops)
     if errors:
         return Program(ticked, elab, ops, main, "recon_error", errors)
-    errors = check_signature(elab, call_subtyping=not explicit, ops=ops)
+    errors = check_signature(elab, ops)
     return Program(ticked, elab, ops, main,
                    "type_error" if errors else "ok", errors)

@@ -29,9 +29,9 @@ so the jump records the failure of the run's last unit, and a goal a jump
 passed counts as examined, as it would be in a unit-at-a-time search.  The
 search budget counts the goals examined, a jump counting as one.
 
-Process invocations compare actual argument types against the declared ones
-with the subtype relation; a tail call whose offered type differs from the
-declared one is expanded into a spawn followed by a bridged forward.
+A call takes its arguments by the explicit rules' weak subtyping; a tail
+call whose offered type differs from the declared one is expanded into a
+spawn followed by a bridged forward.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .ast import (Box, Case, Close, DefClause, Delay, Diamond, Fwd, Now,
 from .checker import (SCOPE, SHAPE, WAIT, Stop, delay_stop, patience, rule,
                       shift_all)
 from .errors import ReconstructionError, SessionTypeError
-from .subtyping import is_subtype
 from .typeops import TypeOps
 
 Ctx = dict[str, SessionType]
@@ -88,7 +87,6 @@ _PATIENT = (Box, Diamond, TypeName)
 class _Elab:
     def __init__(self, ops: TypeOps, budget: int):
         self.ops = ops
-        self.call = lambda a, b: is_subtype(ops, a, b)
         self.budget = budget
         self.done: dict = {}  # goal -> elaborated term or None
         self.bridges: dict[int, Fwd] = {}  # id(tail call) -> bridging forward
@@ -211,7 +209,7 @@ class _Elab:
                    offer: SessionType, units: int) -> Stop:
         """What the tail-call goal `units` into its forced run records."""
         ctx, offer = shift_all(self.ops, ctx, offer, units)
-        got = rule(self.ops, ctx, p, offer_chan, None, self.call)
+        got = rule(self.ops, ctx, p, offer_chan, None)
         if type(got) is Stop:
             return got
         return self._bridge_stop(p, offer)
@@ -336,7 +334,7 @@ class _Elab:
                 "input already contains when?/now! actions")
         # A tail call's offered type is bridged here, not compared.
         got = rule(self.ops, ctx, p, offer_chan,
-                   None if cls is TailCall else offer, self.call)
+                   None if cls is TailCall else offer)
         # A tick is the delay itself: no other delay is tried in its place.
         with_delay = cls is not Delay
         if type(got) is Stop:

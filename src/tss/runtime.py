@@ -899,7 +899,7 @@ class _Sequents(Checker):
     rejected sequent is never kept."""
 
     def __init__(self, ops: TypeOps):
-        super().__init__(ops, call_subtyping=True)
+        super().__init__(ops)
         self.accepted: set[tuple] = set()  # (p, ctx items, chan, offer)
 
     def check(self, ctx: dict[str, SessionType], p: ProcExpr,
@@ -952,7 +952,6 @@ class _Checker:
         self.ops: TypeOps | None = None
         self.provides = None  # (provides_in, provides_out), as copies
         self.sequents: _Sequents | None = None
-        self.plain: Checker | None = None  # for code that names run channels
         self.log: tuple[dict, dict, dict] | None = None
         self.label: dict[str, int] = {}
         self.prev: dict[str, str | None] = {}
@@ -969,7 +968,6 @@ class _Checker:
                                         provides_out):
                 self.__init__()
                 self.ops, self.sequents = ops, _Sequents(ops)
-                self.plain = Checker(ops, call_subtyping=True)
                 self.provides = (dict(provides_in), dict(provides_out))
                 if not self._cold(ops, provides_in, config, provides_out):
                     self.ops = None  # the next check starts over
@@ -1233,19 +1231,19 @@ class _Checker:
         environment maps two of those names to one channel the code cannot
         be typed so, and a failing verdict must name the run's channels:
         both are decided on the substituted body, which raises the fault.
-        That body, a message and the forward a tail call leaves name run
-        channels, which never recur, so they are checked without the memo,
-        which stays as large as the program rather than the run."""
+        So is a term a rule built (a message, a tail call's forward, the
+        root call), which has no environment, without walking it or keeping
+        its sequents: they name run channels, which never recur."""
         o = config.objs[c]
-        if not self._types_as_code(ops, provides_in, config, o):
+        if not o.env or not self._types_as_code(ops, provides_in, config, o):
             self._type_body(ops, provides_in, config, o)
 
     def _types_as_code(self, ops: TypeOps,
                        provides_in: dict[str, SessionType],
                        config: Configuration, o: Obj) -> bool:
-        """Whether the code of `o` types at its time under the code's own
-        channel names; False also where the environment maps two names to
-        one channel."""
+        """Whether the code of `o`, which has an environment, types at its
+        time under the code's own channel names; False also where the
+        environment maps two names to one channel."""
         code, env, time, c = o.code, o.env, o.time, o.chan
         names = free_chans(code)
         ctypes, ctx, chan = config.ctypes, {}, None
@@ -1268,10 +1266,7 @@ class _Checker:
         if offer is None:
             return False
         try:
-            if env:
-                self.sequents.check(ctx, code, chan or c, offer)
-            else:
-                self.plain.check(ctx, code, c, offer)
+            self.sequents.check(ctx, code, chan or c, offer)
         except Exception:
             return False
         return True
@@ -1301,7 +1296,7 @@ class _Checker:
                 o.code.pos, f"{o.text}: offered type undefined at time "
                 f"{o.time}"))
         try:
-            check_process(ops, ctx, o.body, o.chan, offer, call_subtyping=True)
+            check_process(ops, ctx, o.body, o.chan, offer)
         except Exception as e:
             raise ConfigTypeError(_at(o.code.pos, f"{o.text}: {e}")) from e
 

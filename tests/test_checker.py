@@ -228,8 +228,7 @@ type d = ()<>1
 
     def n_units(ctx, offer, n):
         shifted = shift_all(ops, ctx, offer, n)
-        got = rule(ops, ctx, Delay(n, Origin.SOURCE, Close("x")), "x", offer,
-                   ops.type_equal)
+        got = rule(ops, ctx, Delay(n, Origin.SOURCE, Close("x")), "x", offer)
         if shifted is None:
             e = delay_stop(ops, ctx, offer, n).error(node)
             assert isinstance(got, Stop) and str(got.error(node)) == str(e)
@@ -293,7 +292,7 @@ def _message(check, ctx, p, chan, offer):
 
 def _cold(ops):
     """The explicit checker as `check_process` runs it, with nothing kept."""
-    return lambda *sequent: check_process(ops, *sequent, call_subtyping=True)
+    return lambda *sequent: check_process(ops, *sequent)
 
 
 def _copy_sequents():
@@ -375,6 +374,5 @@ def test_every_process_form_has_a_rule():
 
     for p in nodes:
         for chan, offer in (("x", ONE), ("y", Plus((("a", ONE),)))):
-            assert not unhandled(rule(ops, {"y": ONE}, p, chan, offer,
-                                      ops.type_equal)), p
-    assert unhandled(rule(ops, {}, object(), "x", ONE, ops.type_equal))
+            assert not unhandled(rule(ops, {"y": ONE}, p, chan, offer)), p
+    assert unhandled(rule(ops, {}, object(), "x", ONE))

@@ -1,13 +1,17 @@
 import errno
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from fuzzgen import gen_program
+from tss import corpus
 from tss.cli import main
 from tss.corpus import CORPUS_DIR
+from tss.instantiate import mangled_name
 from tss.parser import MAX_NAT_DIGITS, MAX_NESTING, parse_program
 from tss.printer import pretty_print
 
@@ -528,3 +532,59 @@ def test_damaged_files_check_without_a_traceback(tmp_path, capsys, file):
             assert run("check", str(path), "--cost", cost) in (0, 1, 2), \
                 (i, cost)
     assert "Traceback" not in capsys.readouterr().err
+
+
+UNSOUND_CALL = """\
+decl g : (y : <>1) |- (x : <>1)
+proc x <- g <- y = x <- y
+decl k : . |- (y : 1)
+proc y <- k = close y
+decl main : . |- (x : <>1)
+proc x <- main = y <- k ; x <- g <- y
+"""
+
+
+@pytest.mark.parametrize("mode", [[], ["--explicit"]],
+                         ids=["reconstructed", "explicit"])
+def test_a_call_argument_must_be_a_weak_subtype(tmp_path, capsys, mode):
+    # `1 <: <>1` holds, but a run moves the argument's consumer side to the
+    # declared `<>1`, a gap beyond weak subtyping that the configuration
+    # check rejects: a call site checked by subtyping would accept a program
+    # whose run is then ill typed.
+    src = tmp_path / "unsound.tss"
+    src.write_text(UNSOUND_CALL)
+    assert run("check", str(src), *mode) == 1
+    assert "6:27 [def] argument y does not match parameter y of g " \
+        "(expected <>1, found 1)\n" in capsys.readouterr().err
+
+
+def _outcome(*argv):
+    """`main(argv)` in process: (exit status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(list(argv))
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("spec", corpus.run_specs(),
+                         ids=lambda s: f"{s.file}:{s.main}:{s.bind}")
+def test_the_printed_elaboration_runs_as_its_source(tmp_path, spec):
+    # `--explicit` checks a reconstructed program by the rules its source
+    # went through, so the printed elaboration loads, checks and runs (every
+    # configuration checked) exactly as the source does.
+    file = str(CORPUS_DIR / spec.file)
+    bind = ["--bind", ",".join(f"{k}={v}" for k, v in spec.bind.items())] \
+        if spec.bind else []
+    status, text, _ = _outcome("reconstruct", file, "--def", spec.main, *bind,
+                               "--cost", spec.cost, "-o", "-")
+    assert status == 0
+    elab = tmp_path / "elab.tss"
+    elab.write_text(text)
+    main_ = mangled_name(corpus.parse(spec.file), spec.main, spec.bind)
+    for sched, seed in (("rr", "0"), ("rand", "1"), ("sync", "0")):
+        common = ["--sched", sched, "--seed", seed, "--steps",
+                  str(spec.steps), "--check-config", "--trace", "-"]
+        assert _outcome("run", str(elab), "--main", main_, "--explicit",
+                        *common) == \
+            _outcome("run", file, "--main", spec.main, *bind, "--cost",
+                     spec.cost, *common), sched

@@ -10,6 +10,9 @@ stdout; `tss check` and `tss reconstruct -o -` on every check spec, and
 with its timings masked.  Corpus files appear in argv by their bare name.
 
     PYTHONPATH=src python tests/test_cli_outputs.py   # rewrite the table
+
+Rewriting prints each invocation whose digest it adds, drops or changes,
+so the rewrite shows what a change moved.
 """
 
 import hashlib
@@ -92,11 +95,16 @@ def corpus_output():
     return {"corpus": hashlib.sha256(record.encode()).hexdigest()}
 
 
-def _differing(section, got):
-    """The invocations of `section` whose digest is not the table's."""
-    want = json.loads(TABLE.read_text())[section]
+def _differing_keys(got, want):
+    """The invocations whose digest differs between two tables, or that
+    only one has."""
     return sorted(k for k in got.keys() | want.keys()
                   if got.get(k) != want.get(k))
+
+
+def _differing(section, got):
+    """The invocations of `section` whose digest is not the table's."""
+    return _differing_keys(got, json.loads(TABLE.read_text())[section])
 
 
 def test_run_outputs_are_pinned():
@@ -116,6 +124,13 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {"run": run_outputs(), "check": check_outputs(Path(tmp)),
                  "corpus": corpus_output()}
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
+    for section, got in table.items():
+        want = old.get(section, {})
+        for key in _differing_keys(got, want):
+            change = "added" if key not in want else \
+                "dropped" if key not in got else "changed"
+            print(f"{change}: {section}: {key}", file=sys.stderr)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"{sum(map(len, table.values()))} invocations written to {TABLE}",
           file=sys.stderr)

@@ -49,7 +49,7 @@ def test_reconstruction_recovers_erased_programs(seed):
         "main", [DefClause((), cl.dest, cl.chans, strip_temporal(cl.body))])
     elab, errors = elaborate_signature(skeleton)
     assert not errors, [str(e) for e in errors]
-    assert not check_signature(elab, call_subtyping=True)
+    assert not check_signature(elab)
 
 
 @pytest.mark.parametrize("seed", range(0, 40, 4))

@@ -42,7 +42,7 @@ def elaborate(src, cost="r"):
     ticked = instrument(parse_program(src), cost)
     elab, errors = elaborate_signature(ticked)
     assert not errors, [str(e) for e in errors]
-    assert not check_signature(elab, call_subtyping=True)
+    assert not check_signature(elab)
     return elab, ticked
 
 
@@ -206,7 +206,7 @@ proc x <- f <- y z =
     elab, errors = elaborate_signature(ticked)
     assert not errors, [str(e) for e in errors]
     from tss.checker import check_signature
-    assert not check_signature(elab, call_subtyping=True)
+    assert not check_signature(elab)
     body = fmt_proc(elab.procdefs["f"].clauses[0].body)
     assert "when? y" in body and "now! z" in body
 
@@ -290,7 +290,7 @@ def test_large_delay_exponents_reconstruct(r):
                               ["amain"], {"n": 64, "k": 64, "r": r})
     elab, errors = elaborate_signature(instrument(ground, "rs"))
     assert not errors, [str(e) for e in errors]
-    assert not check_signature(elab, call_subtyping=True)
+    assert not check_signature(elab)
     body = fmt_proc(elab.procdefs["dsrc$64$64"].clauses[0].body)
     assert f"delay{{{(r + 4) * 64 + 2}}}" in body
 

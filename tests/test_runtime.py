@@ -1337,6 +1337,31 @@ def test_a_repeated_unchecked_run_walks_no_term_for_free_channels(
             assert walks[0] == 0, (spec, sched)
 
 
+def test_a_repeated_checked_run_walks_only_its_countdown_delays(monkeypatch):
+    # The configuration check types a term a rule built (a message, a tail
+    # call's forward, the root call) from the channels the rule handed it,
+    # and a definition's code under its own names, whose channel sets it
+    # keeps from the first run.  What is left are the countdown nodes
+    # `_delay` builds, as the code of an object with an environment.
+    walked, counting = [], [False]
+
+    def free(p, _real=tss.ast._free_chans):
+        if counting[0]:
+            walked.append(type(p))
+        return _real(p)
+
+    monkeypatch.setattr(tss.ast, "_free_chans", free)
+    for spec in corpus.run_specs():
+        prog = corpus.load(spec.file, spec.main, spec.bind, spec.cost)
+        for sched, seed in (("rr", 0), ("rand", 1), ("sync", 0)):
+            first = prog.run(sched, seed, spec.steps, check=True)
+            counting[0] = True
+            again = prog.run(sched, seed, spec.steps, check=True)
+            counting[0] = False
+            assert again[1:] == first[1:]
+    assert walked and set(walked) == {Delay}
+
+
 def _with_client(config, c, client, obj):
     """`obj` at `c` and the client of `c` (if any) alone, typed against the
     channels they use from outside: (configuration, provides_in,
