@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -8,7 +10,8 @@ from tss.ast import ONE, Box, Diamond, Next, Signature, TypeName, next_type
 from tss.errors import BudgetExceededError
 from tss.parser import parse_program, parse_type
 from tss.reconstruct import FwdElaborator
-from tss.subtyping import is_subtype, is_weak_subtype, subtype_oracle
+from tss.subtyping import (_Search, is_subtype, is_weak_subtype,
+                           subtype_oracle)
 from tss.typeops import TypeOps
 
 S = ONE  # a representative basic session type
@@ -264,3 +267,71 @@ def test_long_delay_runs_end_in_a_verdict_or_the_budget(ops):
         assert is_subtype(ops, a, b, budget=1001)
         with pytest.raises(BudgetExceededError):
             is_subtype(ops, a, b, budget=1000)
+
+
+# ---------------------------------------------------------------------------
+# The goals a search visits, pinned: verdicts, rule lists, goal counts,
+# cycles met and what the memo keeps.
+
+NAMED_SIG = parse_program(
+    "type t = +{ a : ()t, b : 1 }\ntype bt = [](()bt)\n"
+    "type loop = ()^3 []loop\ntype dl = ()^2 <>dl\ntype tower = ()tower\n"
+    "type db = <>[]db\ntype bl = []()^2 bl\n")
+
+
+def _named_pool():
+    """Each name of NAMED_SIG under (), ()^3, [] and <>, next to short delay
+    runs over plain and modal types."""
+    pool = []
+    for name in sorted(NAMED_SIG.typedefs):
+        base = TypeName(name)
+        pool += [base, next_type(1, base), next_type(3, base), Box(base),
+                 Diamond(base)]
+    for n in (1, 2, 5):
+        for a, b in delay_runs(n):
+            pool += [parse_type(a), parse_type(b)]
+    return list(dict.fromkeys(pool))
+
+
+def _search_queries():
+    """(ops, shared memo or None, budget, pairs) groups: a seeded share of
+    the modal universe with one memo, a smaller one with a fresh memo per
+    pair, the same at budgets 1, 2, 3, 5 and 8, and the named pool."""
+    uni = modal_universe()
+    pairs = list(itertools.product(uni, repeat=2))
+    rng = random.Random(29)
+    ops = TypeOps(Signature())
+    yield ops, {}, 100_000, rng.sample(pairs, 6000)
+    yield ops, None, 100_000, rng.sample(pairs, 1000)
+    for budget in (1, 2, 3, 5, 8):
+        yield ops, {}, budget, rng.sample(pairs, 600)
+    named = TypeOps(NAMED_SIG)
+    pool = list(itertools.product(_named_pool(), repeat=2))
+    yield named, {}, 100_000, pool
+    yield named, None, 100_000, rng.sample(pool, 800)
+    for budget in (1, 2, 3, 5, 8):
+        yield named, {}, budget, rng.sample(pool, 300)
+
+
+def test_search_takes_the_steps_of_the_recursive_search():
+    # Digest of each query's verdict or exception, rule list, goal count and
+    # cycles met, and of each shared memo, as the recursive search gave them.
+    digest = hashlib.sha256()
+    count = 0
+    for ops, shared, budget, pairs in _search_queries():
+        for a, b in pairs:
+            memo = {} if shared is None else shared
+            trace: list = []
+            search = _Search(ops, budget, trace, memo)
+            try:
+                verdict = search.sub(a, b)
+            except BudgetExceededError:
+                verdict = "budget"
+            digest.update(repr((verdict, trace, search.steps,
+                                search.cycles)).encode())
+            count += 1
+        if shared is not None:
+            digest.update(repr(sorted(map(repr, shared.items()))).encode())
+    assert count == 15900
+    assert digest.hexdigest() == (
+        "8613882242eee1a24c4df09cebedcb2e9918a4536aa00f26725408c01783990a")
