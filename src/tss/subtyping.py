@@ -1,12 +1,15 @@
 """Decision procedures for temporal subtyping and for the weak
 configuration-level relation.
 
-The main procedure tests reflexivity first, applies the always-safe rules
-eagerly, and backtracks over the two genuine decision points (box-left
-against a delayed right, delay-left against an eventually-right).  Revisiting
-a goal on the current search path counts as failure: the rules are an
-inductive system, so a derivation may not be self-supporting.
-"""
+Every subtyping rule has one premise, so a search for `a <: b` is a single
+path of goals.  The main procedure keeps that path on one explicit stack,
+never one Python frame per goal, and backtracks over its only choices:
+`[]L` against `<>R`, and the unit rules `[]()` and `()<>` against `[]L` and
+`<>R`.  It tests reflexivity first and cancels the delays both sides share
+eagerly.  A delay run is no special case: each of its units is one goal,
+on the stack and of the budget.  Revisiting a goal on the current search
+path counts as failure: the rules are an inductive system, so a derivation
+may not be self-supporting."""
 
 from __future__ import annotations
 
@@ -26,12 +29,13 @@ def is_subtype(ops: TypeOps, a: SessionType, b: SessionType,
 
 
 class _Search:
-    """The state of one `is_subtype` query.  (An object rather than nested
+    """The state of one `is_subtype` query.  Every rule has one premise, so
+    the search is one path of open goals, kept on a stack, and backtracks
+    over each open goal's untried rules.  (An object rather than nested
     closures: closures that call each other form a reference cycle, which
     only the cycle collector frees.)"""
 
-    __slots__ = ("ops", "budget", "trace", "memo", "steps", "cycles", "path",
-                 "yes")
+    __slots__ = ("ops", "budget", "trace", "memo", "steps", "cycles")
 
     def __init__(self, ops: TypeOps, budget: int, trace: list[str] | None,
                  memo: dict):
@@ -41,58 +45,73 @@ class _Search:
         self.memo = memo
         self.steps = 0
         self.cycles = 0
-        self.path: set = set()
-        self.yes: set = set()
 
     def sub(self, a: SessionType, b: SessionType) -> bool:
-        self.steps += 1
-        if self.steps > self.budget:
-            raise BudgetExceededError("subtyping budget exceeded")
-        key = (a, b)
-        memo = self.memo
-        if key in memo:
-            return memo[key]
-        if key in self.yes:
-            return True
-        path = self.path
-        if key in path:
-            self.cycles += 1
-            return False
-        if self.ops.type_equal(a, b):
-            if self.trace is not None:
-                self.trace.append("refl")
-            memo[key] = True
-            return True
-        path.add(key)
-        seen_cycles = self.cycles
-        try:
-            ok = self.dispatch(a, b)
-        finally:
-            path.discard(key)
-        if ok:
-            self.yes.add(key)
-            memo[key] = True
-        elif self.cycles == seen_cycles:
-            memo[key] = False
-        return ok
+        ops, memo, trace = self.ops, self.memo, self.trace
+        path: set = set()
+        # The open goals, each as [key, rules, next rule, cycles met before
+        # it opened, trace length before its rules].
+        stack: list[list] = []
+        while True:
+            self.steps += 1
+            if self.steps > self.budget:
+                raise BudgetExceededError("subtyping budget exceeded")
+            key = (a, b)
+            if key in memo:
+                ok = memo[key]
+            elif key in path:
+                self.cycles += 1
+                ok = False
+            elif ops.type_equal(a, b):
+                if trace is not None:
+                    trace.append("refl")
+                memo[key] = ok = True
+            else:
+                rules = self.rules(a, b)
+                if rules:
+                    path.add(key)
+                    stack.append([key, rules, 1, self.cycles,
+                                  0 if trace is None else len(trace)])
+                    name, a, b = rules[0]
+                    if trace is not None:
+                        trace.append(name)
+                    continue
+                memo[key] = ok = False
+            if ok:  # the goal proves every open goal
+                for goal in reversed(stack):
+                    memo[goal[0]] = True
+                return True
+            while stack:  # the last open goal with a rule left tries it
+                goal = stack[-1]
+                key, rules, i, seen_cycles, mark = goal
+                if trace is not None:
+                    del trace[mark:]
+                if i < len(rules):
+                    goal[2] = i + 1
+                    name, a, b = rules[i]
+                    if trace is not None:
+                        trace.append(name)
+                    break
+                stack.pop()
+                path.discard(key)
+                if self.cycles == seen_cycles:
+                    memo[key] = False
+            else:
+                return False
 
-    def dispatch(self, a: SessionType, b: SessionType) -> bool:
-        rule = self.rule
+    def rules(self, a: SessionType, b: SessionType) -> tuple:
+        """The rules for `a <: b` in the order they are tried, each as
+        (name, left, right) of its one premise.  The delays both sides
+        share are cancelled first, traced once as `()()`."""
         na, ta = self.ops.strip(a)
         nb, tb = self.ops.strip(b)
         # An infinite delay tower (x = ()x) never exposes an action but
         # absorbs any finite number of delay steps, so only rules acting
-        # on the opposite side can fire.
-        if isinstance(ta, TypeName) and isinstance(tb, TypeName):
-            return False  # distinct towers; equal ones were caught by refl
+        # on the opposite side can fire; equal towers were caught by refl.
         if isinstance(ta, TypeName):
-            if isinstance(tb, Diamond):
-                return rule("<>R", a, tb.inner)
-            return False
+            return (("<>R", a, tb.inner),) if isinstance(tb, Diamond) else ()
         if isinstance(tb, TypeName):
-            if isinstance(ta, Box):
-                return rule("[]L", ta.inner, b)
-            return False
+            return (("[]L", ta.inner, b),) if isinstance(ta, Box) else ()
         m = min(na, nb)
         if m and self.trace is not None:
             self.trace.append("()()")
@@ -101,105 +120,32 @@ class _Search:
         if na == 0 and nb == 0:
             match ta, tb:
                 case Box(), Box(ib):
-                    return rule("[]R", ta, ib)
+                    return (("[]R", ta, ib),)
                 case Box(ia), Diamond(ib):
-                    return rule("[]L", ia, tb) or rule("<>R", ta, ib)
+                    return ("[]L", ia, tb), ("<>R", ta, ib)
                 case Box(ia), _:
-                    return rule("[]L", ia, tb)
+                    return (("[]L", ia, tb),)
                 case Diamond(ia), Diamond():
-                    return rule("<>L", ia, tb)
+                    return (("<>L", ia, tb),)
                 case Diamond(), _:
-                    return False
+                    return ()
                 case _, Diamond(ib):
-                    return rule("<>R", ta, ib)
-                case _:
-                    return False
+                    return (("<>R", ta, ib),)
+            return ()
         if na:  # left has leading delays, right does not
             if isinstance(tb, Diamond):
-                return self.delay_run("()<>", tb, ta, na)
+                return (("()<>", next_type(na - 1, ta), tb),
+                        ("<>R", next_type(na, ta), tb.inner))
             if isinstance(tb, Box) and isinstance(ta, Box):
-                return rule("[]R", next_type(na, ta), tb.inner)
-            return False
+                return (("[]R", next_type(na, ta), tb.inner),)
+            return ()
         # right has leading delays, left does not
         if isinstance(ta, Box):
-            return self.delay_run("[]()", ta, tb, nb)
+            return (("[]()", ta, next_type(nb - 1, tb)),
+                    ("[]L", ta.inner, next_type(nb, tb)))
         if isinstance(ta, Diamond) and isinstance(tb, Diamond):
-            return rule("<>L", ta.inner, next_type(nb, tb))
-        return False
-
-    def delay_run(self, unit: str, modal: SessionType, base: SessionType,
-                  n: int) -> bool:
-        """`modal <: ()^n base` for a box (`unit` is `[]()`) or `()^n base <:
-        modal` for a diamond (`()<>`), n >= 1: the unit rule, which leaves a
-        goal of the same shape with one delay fewer, or else `[]L` or `<>R`.
-        The run of units is a loop, not a recursion, so no run is too long
-        for Python's stack.  Each goal on it with a delay left is looked up,
-        kept and traced as `sub` does it (repeated here, so that `sub` pays
-        no extra call), and its dispatch would take the unit rule again."""
-        trace, memo, path = self.trace, self.memo, self.path
-        box = unit == "[]()"
-        opened = []  # key, cycle count and trace mark of each goal opened
-        while True:
-            n -= 1
-            a, b = (modal, next_type(n, base)) if box else \
-                (next_type(n, base), modal)
-            if not n:  # the run's last goal, searched as any other
-                ok = self.rule(unit, a, b)
-                break
-            mark = 0 if trace is None else len(trace)
-            if trace is not None:
-                trace.append(unit)
-            self.steps += 1
-            if self.steps > self.budget:
-                raise BudgetExceededError("subtyping budget exceeded")
-            key = (a, b)
-            if key in memo:
-                ok = memo[key]
-            elif key in self.yes:
-                ok = True
-            elif key in path:
-                self.cycles += 1
-                ok = False
-            elif self.ops.type_equal(a, b):
-                if trace is not None:
-                    trace.append("refl")
-                memo[key] = ok = True
-            else:
-                path.add(key)
-                opened.append((key, self.cycles, mark))
-                continue
-            if not ok and trace is not None:
-                del trace[mark:]
-            break
-        # `ok` is now the verdict on the unit rule that left goal n + 1.
-        while True:
-            n += 1
-            if not ok:
-                ok = self.rule("[]L", modal.inner, next_type(n, base)) if box \
-                    else self.rule("<>R", next_type(n, base), modal.inner)
-            if not opened:  # goal n is the caller's
-                return ok
-            key, seen_cycles, mark = opened.pop()
-            path.discard(key)
-            if ok:
-                self.yes.add(key)
-                memo[key] = True
-            else:
-                if self.cycles == seen_cycles:
-                    memo[key] = False
-                if trace is not None:
-                    del trace[mark:]
-
-    def rule(self, name: str, a: SessionType, b: SessionType) -> bool:
-        trace = self.trace
-        if trace is None:
-            return self.sub(a, b)
-        mark = len(trace)
-        trace.append(name)
-        if self.sub(a, b):
-            return True
-        del trace[mark:]
-        return False
+            return (("<>L", ta.inner, next_type(nb, tb)),)
+        return ()
 
 
 def subtype_oracle(ops: TypeOps, a: SessionType, b: SessionType,
