@@ -11,9 +11,11 @@ applies at all is it recorded, as the undefined delay says it
 The temporal steps are a unit delay (shifting every channel), a now!/when?
 on the offered channel, or a now!/when? on a used channel, under the side
 conditions the explicit rules state.  Choice points (now! against delay,
-and so on) backtrack; failed goals are memoized; delays are placed as late
-as possible by trying every action-free candidate before a delay.  A tick
-is the delay the cost model asked for, so no further delay is tried there.
+and so on) backtrack; failed goals are memoized; a goal met again on its
+own search path fails, and a failure that met one is not memoized, as
+`is_subtype` does it; delays are placed as late as possible by trying
+every action-free candidate before a delay.  A tick is the delay the cost
+model asked for, so no further delay is tried there.
 
 A delay is always the last candidate, so a goal that takes one returns what
 its shifted goal returns behind one more delay unit: `_Elab.elab` follows a
@@ -89,6 +91,8 @@ class _Elab:
         self.ops = ops
         self.budget = budget
         self.done: dict = {}  # goal -> elaborated term or None
+        self.path: set = set()  # the goals open on the current search path
+        self.cycles = 0  # how often a goal was met again on its path
         self.bridges: dict[int, Fwd] = {}  # id(tail call) -> bridging forward
         # The last goal of a tail call's jump -> the most units a jump to it
         # started before it.
@@ -118,8 +122,11 @@ class _Elab:
         unit per goal examined and one depth level per delay unit.  When
         the run ends, every goal it passed is stored with the result behind
         one merged delay.  A tail call's delay run is jumped here (see
-        `_tail_run`)."""
+        `_tail_run`).  A goal met again on its own path fails: the run's
+        goals are on the path while it is open, and a failure that met such
+        a cycle is not stored, as it holds only for this path."""
         run = jumps = None
+        path = self.path
         while True:
             if self.budget <= 0:
                 raise ReconstructionError(
@@ -129,6 +136,11 @@ class _Elab:
             if key in self.done:
                 out = self.done[key]
                 break
+            if key in path:
+                self.cycles += 1
+                out = None
+                break
+            seen_cycles = self.cycles
             units = None
             if type(p) is TailCall:
                 units = self._tail_run(ctx, p, offer)
@@ -141,12 +153,15 @@ class _Elab:
                     # back, so it passed this one.
                     if run is None:
                         run = []
-                    run.append((key, units))
+                    run.append((key, units, seen_cycles))
                     out = self.done[land]
                     break
+            path.add(key)
             out = self._goal(ctx, p, offer_chan, offer, depth)
             if type(out) is not tuple:
-                self.done[key] = out
+                path.discard(key)
+                if out is not None or self.cycles == seen_cycles:
+                    self.done[key] = out
                 break
             if units is not None:
                 # The goals between fail and delay too; the last that no
@@ -163,18 +178,21 @@ class _Elab:
             depth += units
             if run is None:
                 run = []
-            run.append((key, units))
+            run.append((key, units, seen_cycles))
         if run is not None:
-            for key, units in reversed(run):
+            for key, units, seen_cycles in reversed(run):
+                path.discard(key)
                 if out is not None:
                     if type(out) is Delay and out.origin is Origin.RECON:
                         units += out.count
                         out = out.cont
                     out = Delay(units, Origin.RECON, out)
+                elif self.cycles != seen_cycles:
+                    continue
                 self.done[key] = out
         if jumps is not None:
             for land, units in jumps:
-                if units > self.reached.get(land, 0):
+                if land in self.done and units > self.reached.get(land, 0):
                     self.reached[land] = units
         return out
 

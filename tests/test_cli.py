@@ -396,6 +396,26 @@ def test_long_modal_delay_runs_check_without_a_traceback(tmp_path, capsys):
     assert err == "error: subtyping budget exceeded\n"
 
 
+EVENTUALLY_LOOP = """
+type dl = ()^2 <>dl
+decl f : (y : dl) |- (x : ()^{4} <>1)
+proc x <- f <- y = x <- y
+"""
+
+
+@pytest.mark.parametrize("cost", [[], ["--cost", "r"]], ids=["free", "r"])
+def test_an_eventually_loop_fails_to_reconstruct_without_a_traceback(
+        tmp_path, capsys, cost):
+    # After a when? and two delays the goal `y : <>dl` meets itself again
+    # on its search path, which fails it, as `is_subtype` fails it.
+    prog = tmp_path / "dl.tss"
+    prog.write_text(EVENTUALLY_LOOP)
+    assert run("check", str(prog), *cost) == 1
+    err = capsys.readouterr().err
+    assert "no temporal elaboration exists" in err
+    assert "Traceback" not in err
+
+
 DEEP_EQUAL = """
 type t[n+1] = +{ a : t[n] }
 type t[0] = 1

@@ -117,7 +117,10 @@ def _recursive_universe():
         "type sbits = +{ b0 : ()sbits, b1 : ()<>sbits, $ : ()1 }\n"
         "type ctr = [] &{ inc : ()ctr, val : ()bits }\n"
         "type tower = ()tower\n"
-        "type srv = [] +{ ping : ()srv }\n")
+        "type srv = [] +{ ping : ()srv }\n"
+        "type dl = ()^2 <>dl\n"
+        "type bl = []()^2 bl\n"
+        "type db = <>[]db\n")
     ops = TypeOps(sig)
     uni, seen = [], set()
 
@@ -126,7 +129,7 @@ def _recursive_universe():
             seen.add(t)
             uni.append(t)
 
-    for name in ("bits", "sbits", "ctr", "tower", "srv"):
+    for name in ("bits", "sbits", "ctr", "tower", "srv", "dl", "bl", "db"):
         base = TypeName(name)
         add(base)
         for w1 in (lambda u: next_type(1, u), lambda u: next_type(2, u),
@@ -162,6 +165,32 @@ def test_procedure_oracle_and_forwarding_agree_on_recursive_types():
             s = is_subtype(ops, a, b, memo=memo)
             assert subtype_oracle(ops, a, b, memo=omemo) == s, (a, b)
             assert fe.check(a, b) == s, (a, b)
+
+
+LOOPS_SIG = parse_program("type dl = ()^2 <>dl\ntype db = <>[]db\n"
+                          "type bl = []()^2 bl\n")
+
+
+@pytest.mark.parametrize("a, b, sub", [("dl", "<>1", False),
+                                       ("db", "<>1", False),
+                                       ("bl", "()bl", True),
+                                       ("dl", "()^{4} <>1", False)])
+def test_forwarding_fails_a_goal_met_again_on_its_path(a, b, sub):
+    # `y : <>dl` against `<>1` takes when? and two delays back to itself.
+    ops = TypeOps(LOOPS_SIG)
+    a, b = parse_type(a), parse_type(b)
+    assert is_subtype(ops, a, b) == sub
+    assert FwdElaborator(ops).check(a, b) == sub
+
+
+def test_deep_searches_take_no_python_frame_per_goal():
+    # Each `<>L` of `dl` against a long delay run opens goals on the
+    # search's own stack, so the verdict does not wait on the recursion
+    # limit.
+    ops = TypeOps(LOOPS_SIG)
+    for n in (1000, 100_000):
+        assert not is_subtype(ops, parse_type("dl"),
+                              parse_type(f"()^{{{n}}} <>1"))
 
 
 def test_deciding_pairs_leaves_no_reference_cycles(ops):
