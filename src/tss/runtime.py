@@ -378,11 +378,11 @@ class TimeSynchronous:
 
 
 def make_scheduler(name: str, seed: int = 0):
-    if name in ("rr", "roundrobin"):
+    if name == "rr":
         return RoundRobin()
-    if name in ("rand", "random"):
+    if name == "rand":
         return SeededRandom(seed)
-    if name in ("sync", "timesync"):
+    if name == "sync":
         return TimeSynchronous()
     raise RunError(f"unknown scheduler '{name}'")
 
