@@ -167,20 +167,17 @@ def test_procedure_oracle_and_forwarding_agree_on_recursive_types():
             assert fe.check(a, b) == s, (a, b)
 
 
-LOOPS_SIG = parse_program("type dl = ()^2 <>dl\ntype db = <>[]db\n"
-                          "type bl = []()^2 bl\n")
+LOOPS_SIG = parse_program("type dl = ()^2 <>dl\ntype db = <>[]db\n")
 
 
-@pytest.mark.parametrize("a, b, sub", [("dl", "<>1", False),
-                                       ("db", "<>1", False),
-                                       ("bl", "()bl", True),
-                                       ("dl", "()^{4} <>1", False)])
-def test_forwarding_fails_a_goal_met_again_on_its_path(a, b, sub):
+@pytest.mark.parametrize("a, b", [("dl", "<>1"), ("db", "<>1"),
+                                  ("dl", "()^{4} <>1")])
+def test_forwarding_fails_a_goal_met_again_on_its_path(a, b):
     # `y : <>dl` against `<>1` takes when? and two delays back to itself.
     ops = TypeOps(LOOPS_SIG)
     a, b = parse_type(a), parse_type(b)
-    assert is_subtype(ops, a, b) == sub
-    assert FwdElaborator(ops).check(a, b) == sub
+    assert not is_subtype(ops, a, b)
+    assert not FwdElaborator(ops).check(a, b)
 
 
 def test_deep_searches_take_no_python_frame_per_goal():
